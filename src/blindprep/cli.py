@@ -39,6 +39,7 @@ EXIT_FAIL = 2
 
 GATE_THRESHOLD = 1e-10
 PREPARE_THRESHOLD = 1e-9
+MAX_SWEEP_ROWS = 1_000_000
 
 CSV_HEADER = (
     "L_km,T,p1_lower,N_coded,N_d,k,kN_d,N_asym,E_coded,E_noncoded_k,E_asym"
@@ -105,7 +106,7 @@ def load_config(path: str) -> rs.ExperimentParams:
                 f"{path}:{ln}: cannot parse {value!r} as {cast.__name__} for {key!r}"
             )
     try:
-        return rs.with_overrides(rs.ExperimentParams(), **overrides)
+        return rs.ExperimentParams(**overrides)
     except InputError as ex:
         raise UsageError(f"{path}: {ex}")
 
@@ -141,25 +142,6 @@ _ROTATION_TRIPLES = (
 )
 
 
-def _choi_probe(p: mbqc.MeasurementPattern) -> sv.PureState:
-    """Each input node maximally entangled with its own spectator label."""
-    state = None
-    for i, node in enumerate(p.inputs):
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = amps[1, 1] = _SQ2
-        pair = sv.PureState(amps, [node, ("spec", i)])
-        state = pair if state is None else sv.tensor(state, pair)
-    return state
-
-
-def _choi_target(p: mbqc.MeasurementPattern) -> sv.PureState:
-    probe = _choi_probe(p)
-    gate = sv.Gate("declared", p.declared_unitary)
-    moved = sv.apply_gate(probe, gate, list(p.inputs))
-    relabel = dict(zip(p.inputs, p.outputs))
-    return sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
-
-
 def _pattern_probes(p: mbqc.MeasurementPattern) -> list:
     """(inputs, corrected-output target) pairs certifying the input space."""
     if len(p.inputs) == 1:
@@ -168,7 +150,7 @@ def _pattern_probes(p: mbqc.MeasurementPattern) -> list:
             target = sv.PureState(p.declared_unitary @ vec, [p.outputs[0]])
             probes.append(({p.inputs[0]: vec}, target))
         return probes
-    return [(_choi_probe(p), _choi_target(p))]
+    return [mbqc.choi_probe(p)]
 
 
 def _pattern_min_fidelity(
@@ -351,15 +333,21 @@ def _csv_cell(value) -> str:
 
 
 def cmd_resources(args) -> int:
+    for flag in ("lmin", "lmax", "step"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag} must be a finite number")
     if args.step <= 0.0:
         raise UsageError("--step must be positive")
     if args.lmin < 0.0:
         raise UsageError("--lmin cannot be negative")
     if args.lmax < args.lmin:
         raise UsageError("--lmax must be at least --lmin")
+    span = (args.lmax - args.lmin) / args.step + 1e-9
+    if span >= MAX_SWEEP_ROWS:
+        raise UsageError(f"the sweep would exceed {MAX_SWEEP_ROWS} rows")
     params = load_config(args.config) if args.config else rs.ExperimentParams()
 
-    count = int(math.floor((args.lmax - args.lmin) / args.step + 1e-9)) + 1
+    count = int(math.floor(span)) + 1
     lengths = [args.lmin + i * args.step for i in range(count)]
 
     lines = [CSV_HEADER]

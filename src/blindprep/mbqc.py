@@ -84,15 +84,6 @@ class ClusterGraph:
             edge_set.add(key)
         self.edges = [tuple(sorted(e)) for e in self.edges]
 
-    def neighbours(self, node: Node) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return out
-
     def bounding_grid(self) -> tuple[int, int]:
         xs = [x for x, _ in self.nodes]
         ys = [y for _, y in self.nodes]
@@ -250,12 +241,6 @@ class Transcript:
             p *= e.prob
         return p
 
-    def outcomes(self) -> dict:
-        return {e.node: e.outcome for e in self.entries}
-
-    def basis_labels(self) -> list:
-        return [e.basis.describe() for e in self.entries]
-
     def branch_word(self) -> list:
         return [e.outcome for e in self.entries]
 
@@ -265,9 +250,6 @@ class ByproductFrame:
     """Pending X^a Z^b per output node (exponents mod 2)."""
 
     exps: dict  # node -> (a, b)
-
-    def is_trivial(self) -> bool:
-        return all(a == 0 and b == 0 for a, b in self.exps.values())
 
 
 def adapt_angle(base: float, deps: Iterable[Node], outcomes: dict) -> float:
@@ -297,25 +279,28 @@ def run_pattern(
     p: MeasurementPattern,
     inputs: dict | sv.PureState | None,
     src: sv.OutcomeSource,
-    jit: bool = True,
 ) -> tuple[sv.PureState, Transcript, ByproductFrame]:
     """Execute a pattern and return (residual state, transcript, byproduct frame).
 
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    With jit=True nodes are created and entangled only when first needed and
-    the live width is capped at LIVE_CAP; with jit=False the full cluster is
-    built up front (small patterns only). Both modes agree branch-by-branch.
+    Nodes are created only when first needed and each CZ edge is applied
+    just before its first endpoint is measured, so the live width
+    (spectators excluded) stays within LIVE_CAP.
     """
+    nodes = set(p.graph.nodes)
     input_set = set(p.inputs)
     if isinstance(inputs, sv.PureState):
         labels = set(inputs.labels)
         if not input_set <= labels:
             raise InputError("joint input state must cover every input node")
-        if (labels - input_set) & set(p.graph.nodes):
+        extra = labels - input_set
+        if extra & nodes:
             raise InputError("joint input state labels collide with non-input nodes")
         live = sv.PureState(inputs.amps.copy(), list(inputs.labels))
+        spectators = len(extra)
+        created = set(input_set)
         seeded: dict = {}
     else:
         seeded = dict(inputs or {})
@@ -323,9 +308,13 @@ def run_pattern(
             if node not in input_set:
                 raise InputError(f"state supplied for non-input node {node}")
         live = None
+        spectators = 0
+        created = set()
 
-    created: set = set(input_set) if live is not None else set()
-    pending_edges = {frozenset(e) for e in p.graph.edges}
+    adjacent: dict = {node: [] for node in nodes}
+    for a, b in p.graph.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
 
     def ensure(node: Node) -> None:
         nonlocal live
@@ -334,32 +323,19 @@ def run_pattern(
         q = _one_qubit(seeded.get(node), node)
         live = q if live is None else sv.tensor(live, q)
         created.add(node)
-        alive = sum(1 for lb in live.labels if lb in set(p.graph.nodes))
+        alive = live.n - spectators
         if alive > LIVE_CAP:
             raise InputError(f"live width {alive} exceeds the cap of {LIVE_CAP}")
-
-    def entangle_around(node: Node) -> None:
-        nonlocal live
-        for edge in [e for e in pending_edges if node in e]:
-            (a, b) = tuple(edge)
-            ensure(a)
-            ensure(b)
-            live = sv.apply_gate(live, sv.CZ, [a, b])
-            pending_edges.discard(edge)
-
-    if not jit:
-        for node in p.graph.nodes:
-            ensure(node)
-        for edge in list(pending_edges):
-            a, b = tuple(edge)
-            live = sv.apply_gate(live, sv.CZ, [a, b])
-            pending_edges.discard(edge)
 
     transcript = Transcript()
     outcomes: dict = {}
     for node, role in p.steps:
         ensure(node)
-        entangle_around(node)
+        # edges to measured neighbours were applied at those neighbours' steps
+        for other in adjacent[node]:
+            if other not in outcomes:
+                ensure(other)
+                live = sv.apply_gate(live, sv.CZ, [node, other])
         if role.kind == "zelim":
             basis = sv.COMPUTATIONAL
         elif role.kind == "base":
@@ -372,10 +348,9 @@ def run_pattern(
 
     for node in p.outputs:
         ensure(node)
-    for edge in list(pending_edges):
-        a, b = tuple(edge)
-        live = sv.apply_gate(live, sv.CZ, [a, b])
-        pending_edges.discard(edge)
+    for a, b in p.graph.edges:
+        if a not in outcomes and b not in outcomes:
+            live = sv.apply_gate(live, sv.CZ, [a, b])
 
     frame = ByproductFrame(
         {
@@ -397,7 +372,7 @@ def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
 
 
 def enumerate_branches(
-    p: MeasurementPattern, inputs, jit: bool = True
+    p: MeasurementPattern, inputs
 ) -> Iterator[tuple[list, float, sv.PureState, Transcript, ByproductFrame]]:
     """Walk every measurement branch, pruning zero-probability subtrees.
 
@@ -412,7 +387,7 @@ def enumerate_branches(
         bits = [(word >> (m - 1 - i)) & 1 for i in range(m)]
         src = sv.ForcedBranch(bits)
         try:
-            state, transcript, frame = run_pattern(p, inputs, src, jit=jit)
+            state, transcript, frame = run_pattern(p, inputs, src)
         except DegenerateBranchError:
             dead = src.pos - 1  # index of the impossible bit
             word = ((word >> (m - 1 - dead)) + 1) << (m - 1 - dead)
@@ -547,21 +522,15 @@ class PatternBuilder:
         input_nodes: Sequence[Node],
         wire_order: Sequence,
         declared_unitary: np.ndarray | None,
-        step_order: str = "coordinate",
     ) -> MeasurementPattern:
         """Freeze into a MeasurementPattern.
 
         input_nodes: the wire input nodes in wire order (recorded before the
         wires advanced). Outputs are the current carriers in wire_order.
-        step_order "coordinate" sorts measurements column-major; "logical"
-        keeps description order (needed only if causality would break).
+        Measurements are ordered column-major by their grid coordinates.
         """
         outputs = [self._wires[k]["carrier"] for k in wire_order]
-        steps = list(self._steps)
-        if step_order == "coordinate":
-            steps.sort(key=lambda item: (item[0][0], item[0][1]))
-        elif step_order != "logical":
-            raise InputError("step_order must be 'coordinate' or 'logical'")
+        steps = sorted(self._steps, key=lambda item: (item[0][0], item[0][1]))
         x_corr = {self._wires[k]["carrier"]: self._wires[k]["a"] for k in wire_order}
         z_corr = {self._wires[k]["carrier"]: self._wires[k]["b"] for k in wire_order}
         return MeasurementPattern(
@@ -651,34 +620,6 @@ def lay_cnot(b: PatternBuilder, keys: Sequence) -> None:
         b.hop(key, "x", x=base + 4)
 
 
-def embed_two_qubit(u4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Embed a 2-qubit unitary on wires (i, j) of an n-wire space (big-endian)."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
-        sub_in = (bits[i] << 1) | bits[j]
-        for sub_out in range(4):
-            amp = u4[sub_out, sub_in]
-            if amp == 0:
-                continue
-            nb = list(bits)
-            nb[i], nb[j] = (sub_out >> 1) & 1, sub_out & 1
-            row = 0
-            for bit in nb:
-                row = (row << 1) | bit
-            out[row, col] += amp
-    return out
-
-
-def embed_one_qubit(u2: np.ndarray, n: int, i: int) -> np.ndarray:
-    mats = [u2 if k == i else np.eye(2) for k in range(n)]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def rotation_unitary(xi: float, eta: float, zeta: float) -> np.ndarray:
     """Declared rotation matrix: H R(zeta) H R(eta) H R(xi) H, R = diag(1, e^{i.})."""
     h = sv.H.matrix
@@ -704,9 +645,28 @@ def pattern_for_gate(gate: GateSpec) -> MeasurementPattern:
         starts = [b.wire(k, 1, r) for r, k in enumerate(keys)]
         lay_cnot(b, keys)
         n = d + 1
-        declared = embed_two_qubit(sv.CNOT.matrix, n, 0, n - 1)
+        declared = sv.circuit_unitary(n, [(sv.CNOT, [0, n - 1])])
         return b.build(starts, keys, declared)
     raise InputError(f"unknown gate spec {gate!r}")
+
+
+def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
+    """(probe, target) certifying a pattern on its whole input space at once.
+
+    The probe maximally entangles each input node with its own spectator
+    label ("spec", i); the target is the declared unitary applied to the
+    probe, relabelled onto the output nodes.
+    """
+    probe = None
+    for i, node in enumerate(p.inputs):
+        amps = np.zeros((2, 2), dtype=complex)
+        amps[0, 0] = amps[1, 1] = 1.0 / math.sqrt(2.0)
+        pair = sv.PureState(amps, [node, ("spec", i)])
+        probe = pair if probe is None else sv.tensor(probe, pair)
+    moved = sv.apply_gate(probe, sv.Gate("declared", p.declared_unitary), list(p.inputs))
+    relabel = dict(zip(p.inputs, p.outputs))
+    target = sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
+    return probe, target
 
 
 # ---------------------------------------------------------- serialization ----

@@ -34,7 +34,7 @@ E = S f / N for source repetition rate f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import EstimationError, InputError
 
@@ -50,7 +50,6 @@ __all__ = [
     "efficiency",
     "estimate",
     "sweep",
-    "with_overrides",
 ]
 
 
@@ -76,6 +75,10 @@ class ExperimentParams:
     y0_dark: float = 0.0  # dark/stray count yield Y0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InputError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 < self.mu <= 1.0:
             raise InputError("signal intensity mu must lie in (0, 1]")
         if not 0.0 < self.nu1 < self.mu:
@@ -241,8 +244,3 @@ def sweep(lengths_km, p: ExperimentParams) -> list:
         except EstimationError as exc:
             out.append((float(length), None, str(exc)))
     return out
-
-
-def with_overrides(p: ExperimentParams, **kwargs) -> ExperimentParams:
-    """A copy of p with the given fields replaced (validation re-runs)."""
-    return replace(p, **kwargs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -240,18 +240,34 @@ def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
         raise InputError(f"gate {g.kind} expects {g.arity} targets, got {len(targets)}")
     if len(set(targets)) != len(targets):
         raise InputError("duplicate target labels")
-    axes = [s.axis(t) for t in targets]
-    k = len(axes)
-    op = g.matrix.reshape((2,) * (2 * k))
-    # contract op's input axes (k..2k-1) with the state's target axes
-    amps = np.tensordot(op, s.amps, axes=(list(range(k, 2 * k)), axes))
-    # tensordot puts the gate's output axes first; move them home
-    amps = np.moveaxis(amps, list(range(k)), axes)
     out = PureState.__new__(PureState)
-    out.amps = amps
+    out.amps = _contract(g.matrix, s.amps, [s.axis(t) for t in targets])
     out.labels = list(s.labels)
     _check_norm(out)
     return out
+
+
+def _contract(matrix: np.ndarray, amps: np.ndarray, axes: list) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the given k axes of an amplitude tensor."""
+    k = len(axes)
+    op = matrix.reshape((2,) * (2 * k))
+    # contract op's input axes (k..2k-1) with the target axes
+    amps = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
+    # tensordot puts the gate's output axes first; move them home
+    return np.moveaxis(amps, list(range(k)), axes)
+
+
+def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
+    """Matrix of a gate sequence on n wires (wire 0 most significant).
+
+    ops are (gate, wires) pairs applied in order; each acts on the identity's
+    row axes, so column j of the result is the circuit applied to |j>.
+    """
+    dim = 2**n
+    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for g, wires in ops:
+        u = _contract(g.matrix, u, list(wires))
+    return u.reshape(dim, dim)
 
 
 def _check_norm(s: PureState) -> None:
@@ -294,61 +310,6 @@ def measure(
     out.labels = [lb for lb in s.labels if lb != q]
     _check_norm(out)
     return outcome, prob, out
-
-
-def reduced_density(s: PureState, keep: Sequence[Label]) -> "DensityMatrix":
-    """Partial trace onto ``keep`` (result axes in keep order)."""
-    keep = list(keep)
-    if not keep:
-        raise InputError("keep must name at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise InputError("duplicate labels in keep")
-    axes = [s.axis(lb) for lb in keep]
-    rest = [i for i in range(s.n) if i not in axes]
-    a = np.transpose(s.amps, axes + rest).reshape(2 ** len(keep), -1)
-    rho = a @ a.conj().T
-    return DensityMatrix(rho, keep)
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix over labeled qubits."""
-
-    matrix: np.ndarray
-    labels: list
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        self.labels = list(self.labels)
-        d = 2 ** len(self.labels)
-        if m.shape != (d, d):
-            raise InputError(f"density matrix shape {m.shape} does not match {len(self.labels)} qubits")
-        if not np.allclose(m, m.conj().T, atol=1e-10):
-            raise InputError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise InputError(f"density matrix trace {np.trace(m)} is not 1 within 1e-10")
-        if float(np.linalg.eigvalsh(m).min()) < -1e-10:
-            raise InputError("density matrix has an eigenvalue below -1e-10")
-        self.matrix = m
-
-    def reordered(self, order: Sequence[Label]) -> np.ndarray:
-        """Matrix with qubit axes permuted to ``order``."""
-        order = list(order)
-        if sorted(map(repr, order)) != sorted(map(repr, self.labels)):
-            raise InputError("order must be a permutation of the density matrix labels")
-        n = len(self.labels)
-        perm = [self.labels.index(lb) for lb in order]
-        t = self.matrix.reshape((2,) * (2 * n))
-        t = np.transpose(t, perm + [n + p for p in perm])
-        return t.reshape(2**n, 2**n)
-
-
-def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """(1/2)||r1 - r2||_1 via eigenvalues of the Hermitian difference."""
-    if sorted(map(repr, r1.labels)) != sorted(map(repr, r2.labels)):
-        raise InputError("trace_distance: density matrices cover different qubits")
-    diff = r1.matrix - r2.reordered(r1.labels)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:

@@ -106,12 +106,9 @@ def logical_plus_theta(theta: float) -> sv.PureState:
 
 def encoder_unitary() -> np.ndarray:
     """The 7-wire encoder map for all-|+> non-data inputs (wire order 1..7)."""
-    u = np.eye(2**7, dtype=complex)
-    for w in ZEROED_WIRES:
-        u = mbqc.embed_one_qubit(sv.H.matrix, 7, w - 1) @ u
-    for c, t in ENCODER_CNOTS:
-        u = mbqc.embed_two_qubit(sv.CNOT.matrix, 7, c - 1, t - 1) @ u
-    return u
+    ops = [(sv.H, [w - 1]) for w in ZEROED_WIRES]
+    ops += [(sv.CNOT, [c - 1, t - 1]) for c, t in ENCODER_CNOTS]
+    return sv.circuit_unitary(7, ops)
 
 
 def encode_circuit(data) -> sv.PureState:
@@ -276,15 +273,13 @@ class EncodedBlock:
     frame: mbqc.ByproductFrame  # corrections that were applied, on ("d", i) keys
 
 
-def prepare_encoded_mbqc(
-    theta: float, src: sv.OutcomeSource, jit: bool = True
-) -> EncodedBlock:
+def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     """Prepare |+_theta>_L by running the compiled encoder pattern with a
     |+_theta> data input, then undoing the tracked byproducts."""
     p = compile_encoder()
     data_in = p.inputs[DATA_WIRE - 1]
     state, transcript, frame = mbqc.run_pattern(
-        p, {data_in: sv.new_plus_theta(theta).amps.reshape(-1)}, src, jit=jit
+        p, {data_in: sv.new_plus_theta(theta).amps.reshape(-1)}, src
     )
     state = mbqc.apply_byproducts(state, frame)
     relabel = {node: ("d", i + 1) for i, node in enumerate(p.outputs)}

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from blindprep.cli import CSV_HEADER, load_config, main
+from blindprep.cli import CONFIG_KEYS, CSV_HEADER, load_config, main
 from blindprep.cli import UsageError
 from blindprep.resources import ExperimentParams
 
@@ -18,6 +20,38 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_usage_error(result, needle):
+    code, out, err = result
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert needle in err
+
+
+# ------------------------------------------------------------ golden stdout ----
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("prepare_theta3_seed5", ["prepare", "--theta", "3", "--seed", "5"]),
+        ("prepare_zero_branch", ["prepare", "--branches", "zero"]),
+        ("verify_gates_hadamard", ["verify-gates", "--pattern", "hadamard"]),
+        ("verify_gates_cnot_sep1", ["verify-gates", "--pattern", "cnot", "--sep", "1"]),
+        ("correct_y_pos4", ["correct", "--pauli", "Y", "--pos", "4"]),
+        ("blindness_min_cluster", ["blindness"]),
+    ],
+)
+def test_stdout_matches_golden_record(capsys, name, argv):
+    # byte-for-byte, including every float repr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 # -------------------------------------------------------------- exit codes ----
@@ -218,6 +252,25 @@ def test_resources_grid_bounds_checked(capsys):
     assert run_cli(capsys, "resources", "--lmin", "10", "--lmax", "5")[0] == 1
 
 
+@pytest.mark.parametrize("flag", ["--lmin", "--lmax", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_resources_non_finite_bound_is_usage_error(capsys, flag, value):
+    result = run_cli(capsys, "resources", f"{flag}={value}")
+    assert_one_line_usage_error(result, f"{flag} must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lmax", "1000000", "--step", "1"],  # 1 000 001 rows
+        ["--lmax", "200", "--step", "1e-300"],  # the row count overflows a float
+    ],
+)
+def test_resources_row_count_is_capped(capsys, argv):
+    result = run_cli(capsys, "resources", *argv)
+    assert_one_line_usage_error(result, "1000000 rows")
+
+
 # ----------------------------------------------------------------- config ----
 
 
@@ -271,6 +324,14 @@ def test_config_invalid_params_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "resources", "--config", path)
     assert code == 1
     assert "nu1" in err
+
+
+@pytest.mark.parametrize("key", sorted(k for k, (_, cast) in CONFIG_KEYS.items() if cast is float))
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_non_finite_value_rejected(capsys, tmp_path, key, value):
+    path = write_config(tmp_path, f"{key} = {value}\n")
+    result = run_cli(capsys, "resources", "--config", path)
+    assert_one_line_usage_error(result, "must be a finite number")
 
 
 def test_config_missing_file_rejected(capsys, tmp_path):

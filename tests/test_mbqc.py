@@ -16,6 +16,7 @@ import pytest
 import blindprep.statevector as sv
 from blindprep.errors import InputError, SequencingError, StructuralError
 from blindprep.mbqc import (
+    LIVE_CAP,
     ByproductFrame,
     ClusterGraph,
     CNOTGate,
@@ -27,6 +28,7 @@ from blindprep.mbqc import (
     adapt_angle,
     apply_byproducts,
     build_cluster,
+    choi_probe,
     enumerate_branches,
     pattern_for_gate,
     pattern_from_text,
@@ -51,8 +53,8 @@ FIVE_STATES = [
 ]
 
 
-def run_corrected(p, inputs, bits, jit=True):
-    state, transcript, frame = run_pattern(p, inputs, sv.ForcedBranch(bits), jit=jit)
+def run_corrected(p, inputs, bits):
+    state, transcript, frame = run_pattern(p, inputs, sv.ForcedBranch(bits))
     return apply_byproducts(state, frame), transcript
 
 
@@ -65,23 +67,29 @@ def product_target(p, vecs):
     return sv.PureState(out, list(p.outputs))
 
 
-def choi_probe(p):
-    """Each input node maximally entangled with its own spectator label."""
-    state = None
-    for i, node in enumerate(p.inputs):
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = amps[1, 1] = SQ2
-        pair = sv.PureState(amps, [node, ("spec", i)])
-        state = pair if state is None else sv.tensor(state, pair)
-    return state
-
-
-def choi_target(p):
-    probe = choi_probe(p)
-    gate = sv.Gate("declared", p.declared_unitary)
-    moved = sv.apply_gate(probe, gate, list(p.inputs))
-    relabel = dict(zip(p.inputs, p.outputs))
-    return sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
+def full_build_run(p, inputs, bits):
+    """Reference execution: the whole cluster first (build_cluster), then
+    every measurement in step order. Returns (state, branch prob, frame)."""
+    state = build_cluster(p.graph, inputs)
+    src = sv.ForcedBranch(bits)
+    outcomes, prob = {}, 1.0
+    for node, role in p.steps:
+        if role.kind == "zelim":
+            basis = sv.COMPUTATIONAL
+        elif role.kind == "base":
+            basis = sv.rotated(role.angle)
+        else:
+            basis = sv.rotated(adapt_angle(role.angle, role.deps, outcomes))
+        outcomes[node], step_prob, state = sv.measure(state, node, basis, src)
+        prob *= step_prob
+    frame = {
+        out: (
+            sum(outcomes[n] for n in p.x_corr.get(out, ())) % 2,
+            sum(outcomes[n] for n in p.z_corr.get(out, ())) % 2,
+        )
+        for out in p.outputs
+    }
+    return state, prob, frame
 
 
 # ------------------------------------------------------------ structure ----
@@ -330,15 +338,16 @@ def test_cnot_sep1_all_branches_product_inputs():
 def test_cnot_sep2_choi_all_branches():
     p = pattern_for_gate(CNOTGate(2))
     assert p.measured_count == 12
-    assert_pattern_sound(p, choi_probe(p), choi_target(p), 4096)
+    probe, target = choi_probe(p)
+    assert_pattern_sound(p, probe, target, 4096)
 
 
 def test_cnot_sep3_choi_sampled_branches():
     p = pattern_for_gate(CNOTGate(3))
-    target = choi_target(p)
+    probe, target = choi_probe(p)
     rng = sv.BornSampler(11)
     for _ in range(200):
-        state, transcript, frame = run_pattern(p, choi_probe(p), rng)
+        state, transcript, frame = run_pattern(p, probe, rng)
         assert transcript.branch_prob == pytest.approx(
             0.5**p.measured_count, rel=1e-9
         )
@@ -364,15 +373,23 @@ def test_cnot_rejects_bad_separation():
 
 
 def test_jit_and_full_build_agree_branchwise():
-    p = pattern_for_gate(HadamardGate())
-    vec = FIVE_STATES[4]
-    for bits, prob, state, _, frame in enumerate_branches(p, {(1, 0): vec}, jit=True):
-        full_state, full_tr, full_frame = run_pattern(
-            p, {(1, 0): vec}, sv.ForcedBranch(bits), jit=False
-        )
-        assert full_tr.branch_prob == pytest.approx(prob, abs=1e-12)
-        assert full_frame.exps == frame.exps
-        assert sv.fidelity(full_state, state) == pytest.approx(1.0, abs=1e-12)
+    # run_pattern creates nodes and edges just in time; the reference builds
+    # the whole cluster first. Rotation adds adaptive angles, CNOT a 2-D graph.
+    cases = [
+        (pattern_for_gate(HadamardGate()), [FIVE_STATES[4]]),
+        (pattern_for_gate(RotationGate(0.3, 0.5, 0.7)), [FIVE_STATES[4]]),
+        (pattern_for_gate(CNOTGate(1)), [FIVE_STATES[2], FIVE_STATES[4]]),
+    ]
+    for p, vecs in cases:
+        inputs = dict(zip(p.inputs, vecs))
+        seen = 0
+        for bits, prob, state, _, frame in enumerate_branches(p, inputs):
+            ref_state, ref_prob, ref_frame = full_build_run(p, inputs, bits)
+            assert prob == pytest.approx(ref_prob, abs=1e-12)
+            assert frame.exps == ref_frame
+            assert sv.fidelity(state, ref_state) == pytest.approx(1.0, abs=1e-12)
+            seen += 1
+        assert seen == 2**p.measured_count
 
 
 def test_hop_outcomes_are_uniform_for_any_input():
@@ -440,15 +457,27 @@ def test_run_pattern_rejects_colliding_spectator_labels():
         run_pattern(p, bad, sv.BornSampler(0))
 
 
-def test_live_width_cap_is_enforced():
+def star_pattern(n_leaves):
+    """A Z-measured input centre joined to n_leaves output leaves."""
     centre = (0, 0)
-    leaves = [(1, y) for y in range(21)]
+    leaves = [(1, y) for y in range(n_leaves)]
     g = ClusterGraph([centre] + leaves, [(centre, leaf) for leaf in leaves])
-    p = MeasurementPattern(
+    return MeasurementPattern(
         g, [centre], leaves, [(centre, role_zelim())], {}, {leaf: frozenset() for leaf in leaves}
     )
+
+
+def test_live_width_cap_is_enforced():
     with pytest.raises(InputError):
-        run_pattern(p, None, sv.BornSampler(0))
+        run_pattern(star_pattern(21), None, sv.BornSampler(0))
+    # a spectator riding on a joint input does not count toward the cap
+    amps = np.zeros((2, 2), dtype=complex)
+    amps[0, 0] = amps[1, 1] = SQ2
+    bell = sv.PureState(amps, [(0, 0), "spec"])
+    state, _, _ = run_pattern(star_pattern(LIVE_CAP - 1), bell, sv.BornSampler(0))
+    assert state.n == LIVE_CAP  # LIVE_CAP - 1 leaves plus the spectator
+    with pytest.raises(InputError, match="live width"):
+        run_pattern(star_pattern(LIVE_CAP), bell, sv.BornSampler(0))
 
 
 def test_build_cluster_matches_manual_preparation():

@@ -23,7 +23,6 @@ from blindprep.resources import (
     repetition_factor,
     sweep,
     transmittance,
-    with_overrides,
 )
 
 K_PIN = 54482.32993426837691671741
@@ -116,14 +115,6 @@ def test_parameter_validation_rejects(bad):
         ExperimentParams(**bad)
 
 
-def test_with_overrides_revalidates():
-    p = ExperimentParams()
-    q = with_overrides(p, alpha_db_km=0.3)
-    assert q.alpha_db_km == 0.3
-    with pytest.raises(InputError):
-        with_overrides(p, nu1=0.9)
-
-
 def test_negative_length_is_rejected():
     with pytest.raises(InputError):
         transmittance(-1.0, ExperimentParams())
@@ -139,7 +130,7 @@ def test_transmittance_matches_oracle(length):
 
 
 def test_gain_is_dark_yield_plus_detection():
-    p = with_overrides(ExperimentParams(), y0_dark=0.01)
+    p = ExperimentParams(y0_dark=0.01)
     t = 0.045
     assert gain(t, p.mu, p) == pytest.approx(0.01 + 1 - math.exp(-p.mu * t), rel=1e-15)
 
@@ -233,7 +224,7 @@ def test_opaque_channel_raises():
 def test_dark_counts_alone_still_give_a_bound():
     # an opaque fiber with a dark-count floor still detects *something*,
     # and the bound stays meaningful rather than dividing by zero
-    p = with_overrides(ExperimentParams(), y0_dark=1e-5)
+    p = ExperimentParams(y0_dark=1e-5)
     p1 = p1_lower_bound(transmittance(OPAQUE_KM, p), p)
     assert 0.0 < p1 < 1.0
 

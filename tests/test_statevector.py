@@ -1,8 +1,8 @@
-"""Statevector layer: gate algebra, destructive measurement, density tools.
+"""Statevector layer: gate algebra, circuit matrices, destructive measurement.
 
 Expected values come from independent oracles computed inside each test
-(explicit matrix-vector products, einsum partial traces, eigenvalue sums),
-not from the module under test.
+(explicit matrix-vector products, Kronecker products, basis permutations,
+einsum partial traces), not from the module under test.
 """
 
 import cmath
@@ -107,6 +107,21 @@ def test_two_qubit_gate_axis_order():
     assert abs(out.vector(order=["c", "t"])[0b11]) == pytest.approx(1.0, abs=ATOL)
 
 
+def test_circuit_unitary_matches_kron_and_permutation_oracles():
+    # one-qubit gate on a middle wire: I (x) H (x) I
+    h_mid = np.kron(np.kron(np.eye(2), sv.H.matrix), np.eye(2))
+    assert np.array_equal(sv.circuit_unitary(3, [(sv.H, [1])]), h_mid)
+    # CNOT from wire 0 onto wire n-1 flips the last bit of x when the first is set
+    for n in range(2, 8):
+        want = np.zeros((2**n, 2**n), dtype=complex)
+        for x in range(2**n):
+            want[x ^ (x >> (n - 1)), x] = 1.0
+        assert np.array_equal(sv.circuit_unitary(n, [(sv.CNOT, [0, n - 1])]), want)
+    # ops apply in list order: H first, then CNOT
+    got = sv.circuit_unitary(2, [(sv.H, [0]), (sv.CNOT, [0, 1])])
+    assert np.allclose(got, sv.CNOT.matrix @ np.kron(sv.H.matrix, np.eye(2)), atol=ATOL)
+
+
 def test_rz_acts_as_phase_on_one():
     s = sv.new_plus_theta(0.0)
     out = sv.apply_gate(s, sv.rz(0.3), [0])
@@ -178,7 +193,7 @@ def test_born_sampler_reproducible():
     assert run(123) != run(124)  # astronomically unlikely to collide
 
 
-# ------------------------------------------------------- density utilities
+# --------------------------------------------------------- partial trace
 
 
 def _einsum_partial_trace(vec, n, keep):
@@ -198,44 +213,8 @@ def test_reduced_density_of_min_cluster_is_maximally_mixed():
     theta = math.pi / 4
     s = sv.tensor(sv.new_plus_theta(theta, "n1"), sv.new_plus_theta(0.0, "n2"))
     s = sv.apply_gate(s, sv.CZ, ["n1", "n2"])
-    got = sv.reduced_density(s, ["n2"]).matrix
-    want = _einsum_partial_trace(s.vector(order=["n1", "n2"]), 2, keep=[1])
-    assert np.allclose(got, want, atol=ATOL)
+    got = _einsum_partial_trace(s.vector(order=["n1", "n2"]), 2, keep=[1])
     assert np.allclose(got, np.eye(2) / 2, atol=ATOL)
-
-
-def test_reduced_density_axis_order():
-    s = sv.new_basis_state(2, [0, 1], labels=["p", "q"])
-    rho = sv.reduced_density(s, ["q", "p"])
-    # |01> with axes (q,p) -> basis index 0b10
-    assert rho.matrix[0b10, 0b10] == pytest.approx(1.0, abs=ATOL)
-
-
-def test_density_validation_rejects_bad_matrices():
-    with pytest.raises(InputError):
-        sv.DensityMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]), ["a"])  # not Hermitian
-    with pytest.raises(InputError):
-        sv.DensityMatrix(np.eye(2), ["a"])  # trace 2
-    with pytest.raises(InputError):
-        sv.DensityMatrix(np.diag([1.5, -0.5]), ["a"])  # negative eigenvalue
-
-
-def test_trace_distance_zero_vs_plus():
-    r0 = sv.reduced_density(sv.new_basis_state(1), [0])
-    rp = sv.reduced_density(sv.new_plus_theta(0.0), [0])
-    got = sv.trace_distance(r0, rp)
-    # oracle: eigenvalues of the explicit difference matrix
-    diff = np.array([[1, 0], [0, 0]], dtype=complex) - np.array([[0.5, 0.5], [0.5, 0.5]])
-    want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-    assert got == pytest.approx(want, abs=ATOL)
-    assert got == pytest.approx(1 / math.sqrt(2), abs=ATOL)
-
-
-def test_trace_distance_aligns_labels():
-    s = sv.new_basis_state(2, [0, 1], labels=["a", "b"])
-    r1 = sv.reduced_density(s, ["a", "b"])
-    r2 = sv.reduced_density(s, ["b", "a"])
-    assert sv.trace_distance(r1, r2) == pytest.approx(0.0, abs=ATOL)
 
 
 # ---------------------------------------------------------------- fidelity
