@@ -113,14 +113,18 @@ def load_config(path: str) -> rs.ExperimentParams:
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BLINDPREP_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("BLINDPREP_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "BLINDPREP_SEED"
         except ValueError:
             raise UsageError(f"BLINDPREP_SEED must be an integer, got {env!r}")
-    return 0
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------- verify-gates ----
@@ -297,8 +301,8 @@ def _report_lines(tag: str, rep: bl.BlindnessReport) -> list:
 
 
 def cmd_blindness(args) -> int:
-    if args.epsilon <= 0.0:
-        raise UsageError("--epsilon must be positive")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise UsageError(f"--epsilon must be a positive finite number, got {args.epsilon!r}")
     if args.paths < 1:
         raise UsageError("--paths must be a positive integer")
     seed = _resolve_seed(args)

@@ -49,6 +49,9 @@ LIVE_CAP = 20  # max simultaneously-alive qubits during pattern execution
 
 Node = tuple  # (x, y) int pairs
 
+_PLUS = np.full(2, 1 / math.sqrt(2), dtype=complex)  # default node state, shared
+_PLUS.flags.writeable = False
+
 
 # ---------------------------------------------------------------- graphs ----
 
@@ -111,7 +114,7 @@ def build_cluster(g: ClusterGraph, inputs: dict | None = None) -> sv.PureState:
 def _one_qubit(spec, label) -> sv.PureState:
     """Coerce an input spec (None -> |+>, 2-vector, or 1-qubit PureState) to a state."""
     if spec is None:
-        return sv.new_plus_theta(0.0, label)
+        return sv.PureState(_PLUS, [label])
     if isinstance(spec, sv.PureState):
         if spec.n != 1:
             raise InputError("per-node input states must be single qubits")

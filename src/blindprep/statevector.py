@@ -15,7 +15,8 @@ Design notes:
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order
 matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
-eating the machine.
+eating the machine. Diagonal gates (CZ, Z, S, Rz) are applied by broadcast
+multiply instead of a matrix contraction.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ QUBIT_CAP = 24
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-14
+_INV_SQRT2 = 1.0 / math.sqrt(2)
 
 Label = object  # any hashable
 
@@ -42,10 +44,15 @@ Label = object  # any hashable
 
 @dataclass(frozen=True)
 class Gate:
-    """A named unitary on k qubits (matrix is 2^k x 2^k, row-major)."""
+    """A named unitary on k qubits (matrix is 2^k x 2^k, row-major).
+
+    ``diag`` holds the diagonal when the matrix has no off-diagonal entries,
+    else None.
+    """
 
     kind: str
     matrix: np.ndarray
+    diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -57,6 +64,9 @@ class Gate:
         if not np.allclose(m @ m.conj().T, np.eye(n), atol=_UNITARY_TOL):
             raise InputError(f"gate {self.kind}: matrix is not unitary within {_UNITARY_TOL}")
         object.__setattr__(self, "matrix", m)
+        d = np.diagonal(m)
+        diagonal = np.count_nonzero(m) == np.count_nonzero(d)
+        object.__setattr__(self, "diag", d.copy() if diagonal else None)
 
     @property
     def arity(self) -> int:
@@ -226,8 +236,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise InputError("tensor: overlapping qubit labels")
     if a.n + b.n > QUBIT_CAP:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
-    amps = np.tensordot(a.amps, b.amps, axes=0)
-    return PureState(amps, a.labels + b.labels)
+    # a rank-1 matrix product: the bits of tensordot(axes=0), without its overhead
+    amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
+    return PureState(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
 
 
 # ----------------------------------------------------------- operations ----
@@ -241,16 +252,23 @@ def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     if len(set(targets)) != len(targets):
         raise InputError("duplicate target labels")
     out = PureState.__new__(PureState)
-    out.amps = _contract(g.matrix, s.amps, [s.axis(t) for t in targets])
+    out.amps = _contract(g, s.amps, [s.axis(t) for t in targets])
     out.labels = list(s.labels)
     _check_norm(out)
     return out
 
 
-def _contract(matrix: np.ndarray, amps: np.ndarray, axes: list) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the given k axes of an amplitude tensor."""
+def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
+    """Apply gate g to the given k axes of an amplitude tensor."""
     k = len(axes)
-    op = matrix.reshape((2,) * (2 * k))
+    if g.diag is not None:
+        # diagonal axes in sorted target order, size 1 on every other axis
+        shape = [1] * amps.ndim
+        for ax in axes:
+            shape[ax] = 2
+        d = g.diag.reshape((2,) * k).transpose(sorted(range(k), key=axes.__getitem__))
+        return amps * d.reshape(shape)
+    op = g.matrix.reshape((2,) * (2 * k))
     # contract op's input axes (k..2k-1) with the target axes
     amps = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
     # tensordot puts the gate's output axes first; move them home
@@ -266,7 +284,7 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g, wires in ops:
-        u = _contract(g.matrix, u, list(wires))
+        u = _contract(g, u, list(wires))
     return u.reshape(dim, dim)
 
 
@@ -288,12 +306,14 @@ def measure(
     ax = s.axis(q)
     a0 = np.take(s.amps, 0, axis=ax)
     a1 = np.take(s.amps, 1, axis=ax)
+    # numpy divides a complex array by a real s as a product with 1/s, so
+    # the products below give the same bits without the complex division
     if basis.kind == "computational":
         b0, b1 = a0, a1
     else:
         phase = cmath.exp(-1j * basis.delta)
-        b0 = (a0 + phase * a1) / math.sqrt(2)
-        b1 = (a0 - phase * a1) / math.sqrt(2)
+        b0 = (a0 + phase * a1) * _INV_SQRT2
+        b1 = (a0 - phase * a1) * _INV_SQRT2
     p0 = float(np.vdot(b0, b0).real)
     p1 = float(np.vdot(b1, b1).real)
     if abs(p0 + p1 - 1.0) > _NORM_TOL:
@@ -304,7 +324,7 @@ def measure(
     prob = p0 if outcome == 0 else p1
     if prob < _DEGENERATE_TOL:
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
-    branch = (b0 if outcome == 0 else b1) / math.sqrt(prob)
+    branch = (b0 if outcome == 0 else b1) * (1.0 / math.sqrt(prob))
     out = PureState.__new__(PureState)
     out.amps = branch
     out.labels = [lb for lb in s.labels if lb != q]

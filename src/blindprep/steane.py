@@ -30,6 +30,7 @@ data, which the tests demonstrate explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,11 +105,17 @@ def logical_plus_theta(theta: float) -> sv.PureState:
 # ----------------------------------------------------------------- encoder ----
 
 
+@functools.cache
 def encoder_unitary() -> np.ndarray:
-    """The 7-wire encoder map for all-|+> non-data inputs (wire order 1..7)."""
+    """The 7-wire encoder map for all-|+> non-data inputs (wire order 1..7).
+
+    Built once; every call returns the same read-only array.
+    """
     ops = [(sv.H, [w - 1]) for w in ZEROED_WIRES]
     ops += [(sv.CNOT, [c - 1, t - 1]) for c, t in ENCODER_CNOTS]
-    return sv.circuit_unitary(7, ops)
+    u = sv.circuit_unitary(7, ops)
+    u.flags.writeable = False
+    return u
 
 
 def encode_circuit(data) -> sv.PureState:

@@ -45,6 +45,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("verify_gates_cnot_sep1", ["verify-gates", "--pattern", "cnot", "--sep", "1"]),
         ("correct_y_pos4", ["correct", "--pauli", "Y", "--pos", "4"]),
         ("blindness_min_cluster", ["blindness"]),
+        ("verify_gates_rotation", ["verify-gates", "--pattern", "rotation"]),
+        ("prepare_theta6_seed9", ["prepare", "--theta", "6", "--seed", "9"]),
     ],
 )
 def test_stdout_matches_golden_record(capsys, name, argv):
@@ -85,6 +87,27 @@ def test_negative_epsilon_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "blindness", "--epsilon", "-1")
     assert code == 1
     assert "positive" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_non_finite_or_zero_epsilon_is_usage_error(capsys, value):
+    # "--epsilon=-inf": argparse reads a bare "-inf" as a flag
+    result = run_cli(capsys, "blindness", f"--epsilon={value}")
+    assert_one_line_usage_error(result, "--epsilon must be a positive finite number")
+
+
+def test_negative_seed_flag_is_usage_error(capsys):
+    result = run_cli(capsys, "prepare", "--seed", "-1")
+    assert_one_line_usage_error(result, "--seed must be a non-negative integer")
+    result = run_cli(capsys, "verify-gates", "--pattern", "hadamard", "--branches", "sample",
+                     "--paths", "1", "--seed", "-5")
+    assert_one_line_usage_error(result, "--seed must be a non-negative integer")
+
+
+def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BLINDPREP_SEED", "-3")
+    result = run_cli(capsys, "prepare")
+    assert_one_line_usage_error(result, "BLINDPREP_SEED must be a non-negative integer")
 
 
 def test_zero_step_is_usage_error(capsys):

@@ -122,6 +122,47 @@ def test_circuit_unitary_matches_kron_and_permutation_oracles():
     assert np.allclose(got, sv.CNOT.matrix @ np.kron(sv.H.matrix, np.eye(2)), atol=ATOL)
 
 
+def _random_state(rng, n, labels=None):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return sv.PureState(v / np.linalg.norm(v), labels if labels is not None else list(range(n)))
+
+
+def test_diagonal_gate_matches_tensordot_and_matrix_oracles():
+    # asymmetric in its two targets, so a wrong axis order shows
+    d = np.array([1, 1j, -1, -1j])
+    g = sv.Gate("D", np.diag(d))
+    assert np.array_equal(g.diag, d)
+    assert np.array_equal(sv.CZ.diag, [1, 1, 1, -1])
+    assert sv.H.diag is None and sv.CNOT.diag is None and sv.X.diag is None
+    s = _random_state(np.random.default_rng(3), 4)
+
+    def bit(x, q):
+        return (x >> (3 - q)) & 1
+
+    for targets in ([0, 2], [2, 0], [3, 1], [1, 3]):
+        out = sv.apply_gate(s, g, targets)
+        # the dense contraction the diagonal path replaces
+        op = g.matrix.reshape((2,) * 4)
+        dense = np.moveaxis(np.tensordot(op, s.amps, axes=([2, 3], targets)), [0, 1], targets)
+        assert np.array_equal(out.amps, dense)
+        # full 16x16 matrix: entry x picks d at (bit of targets[0], bit of targets[1])
+        full = np.diag([d[2 * bit(x, targets[0]) + bit(x, targets[1])] for x in range(16)])
+        assert np.allclose(out.vector(), full @ s.vector(), atol=ATOL)
+        assert np.allclose(sv.circuit_unitary(4, [(g, targets)]), full, atol=ATOL)
+
+
+def test_tensor_matches_kron():
+    rng = np.random.default_rng(5)
+    a = _random_state(rng, 2, ["a0", "a1"])
+    b = _random_state(rng, 3, ["b0", "b1", "b2"])
+    ab = sv.tensor(a, b)
+    assert ab.labels == ["a0", "a1", "b0", "b1", "b2"]
+    assert np.allclose(ab.vector(), np.kron(a.vector(), b.vector()), atol=ATOL)
+    # same bits as the tensordot outer product the golden CLI records were made with
+    for x, y in ((a, b), (b, a), (_random_state(rng, 7), _random_state(rng, 7, list("abcdefg")))):
+        assert np.array_equal(sv.tensor(x, y).amps, np.tensordot(x.amps, y.amps, axes=0))
+
+
 def test_rz_acts_as_phase_on_one():
     s = sv.new_plus_theta(0.0)
     out = sv.apply_gate(s, sv.rz(0.3), [0])
@@ -164,6 +205,34 @@ def test_measure_is_destructive_and_renormalized():
     assert np.vdot(rest.vector(), rest.vector()).real == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(SequencingError):
         sv.measure(rest, "anc", sv.COMPUTATIONAL, sv.ForcedBranch([0]))
+
+
+@pytest.mark.parametrize("basis", [sv.COMPUTATIONAL, sv.rotated(0.4)])
+def test_measure_residual_does_not_alias_input(basis):
+    rng = np.random.default_rng(11)
+    mixed = _random_state(rng, 3, ["a", "m", "b"])
+    # measured qubit in |0>: outcome 0 has probability 1 in the Z basis
+    certain = sv.tensor(sv.new_basis_state(1, 0, ["m"]), _random_state(rng, 2))
+    for s in (mixed, certain):
+        _, _, rest = sv.measure(s, "m", basis, sv.ForcedBranch([0]))
+        before = rest.amps.copy()
+        s.amps[...] = 0.0
+        assert np.array_equal(rest.amps, before)
+
+
+def test_measure_residual_has_the_bits_of_division_by_root_prob():
+    # the CLI's recorded fidelities were made by dividing by sqrt(p)
+    rng = np.random.default_rng(13)
+    for n, q, basis in ((3, 2, sv.COMPUTATIONAL), (5, 1, sv.rotated(2.2)), (10, 9, sv.rotated(-0.7))):
+        s = _random_state(rng, n)
+        _, prob, rest = sv.measure(s, q, basis, sv.ForcedBranch([1]))
+        a0, a1 = np.take(s.amps, 0, axis=q), np.take(s.amps, 1, axis=q)
+        if basis.kind == "computational":
+            b1 = a1
+        else:
+            b1 = (a0 - cmath.exp(-1j * basis.delta) * a1) / math.sqrt(2)
+        assert prob == float(np.vdot(b1, b1).real)
+        assert rest.amps.tobytes() == (b1 / math.sqrt(prob)).tobytes()
 
 
 def test_forced_impossible_branch_raises():

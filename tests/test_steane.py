@@ -23,6 +23,7 @@ from blindprep.steane import (
     LOGICAL_X_SUPPORT,
     PARITY_ROWS,
     ZERO_STRINGS,
+    ZEROED_WIRES,
     PauliError,
     apply_correction,
     compile_encoder,
@@ -125,6 +126,17 @@ def test_encoder_unitary_matches_circuit_on_plus_inputs():
     out = encoder_unitary() @ vec
     ref = encode_circuit(psi).vector(order=list(DATA_LABELS))
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def test_encoder_unitary_is_one_shared_read_only_array():
+    u = encoder_unitary()
+    assert encoder_unitary() is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    ops = [(sv.H, [w - 1]) for w in ZEROED_WIRES]
+    ops += [(sv.CNOT, [c - 1, t - 1]) for c, t in ENCODER_CNOTS]
+    assert np.array_equal(u, sv.circuit_unitary(7, ops))
 
 
 def test_encoder_cnots_point_down_the_block():
