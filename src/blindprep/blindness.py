@@ -41,15 +41,14 @@ DEFAULT_THETAS = tuple(k * math.pi / 4 for k in range(8))
 def min_cluster_pattern(basis: str) -> mbqc.MeasurementPattern:
     """Two-node cluster: the input node (0, 0) is measured in the given
     basis ("x", "y", or "z"), node (1, 0) is handed back."""
-    roles = {"x": mbqc.role_x(), "y": mbqc.role_y(), "z": mbqc.role_zelim()}
-    if basis not in roles:
-        raise InputError(f"basis must be one of {sorted(roles)}, got {basis!r}")
+    if basis not in mbqc.FIXED_BASES:
+        raise InputError(f"basis must be one of {sorted(mbqc.FIXED_BASES)}, got {basis!r}")
     g = mbqc.ClusterGraph([(0, 0), (1, 0)], [((0, 0), (1, 0))])
     return mbqc.MeasurementPattern(
         g,
         inputs=[(0, 0)],
         outputs=[(1, 0)],
-        steps=[((0, 0), roles[basis])],
+        steps=[((0, 0), mbqc.Role(basis))],
         x_corr={(1, 0): frozenset()},
         z_corr={(1, 0): frozenset()},
     )

@@ -7,6 +7,10 @@ Conventions (fixed once, everything else is derived):
 - Head-of-chain identity: measuring the first node of an edge pair in M(delta)
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
   neighbour removes it, leaving Z^s on the survivors.
+- Each non-output node is consumed in one of four ways, spelled by the same
+  token in the builder, the executor and the fixture format: z (Z
+  elimination), x (M(0)), y (M(pi/2)), or rot (M(+/-alpha), the sign set by
+  the parity of earlier outcomes: the measurement calculus's s-domain).
 - Byproducts are tracked as exponent pairs (a, b) meaning X^a Z^b per wire.
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
@@ -112,55 +116,43 @@ def build_cluster(g: ClusterGraph, inputs: dict | None = None) -> sv.PureState:
 
 
 def _one_qubit(spec, label) -> sv.PureState:
-    """Coerce an input spec (None -> |+>, 2-vector, or 1-qubit PureState) to a state."""
-    if spec is None:
-        return sv.PureState(_PLUS, [label])
-    if isinstance(spec, sv.PureState):
-        if spec.n != 1:
-            raise InputError("per-node input states must be single qubits")
-        return sv.PureState(spec.amps.copy(), [label])
-    vec = np.asarray(spec, dtype=complex).reshape(-1)
-    if vec.shape != (2,):
-        raise InputError("per-node input must be a 2-vector or 1-qubit state")
-    return sv.PureState(vec, [label])
+    """A node's state: the supplied spec, else the shared |+>."""
+    return sv.PureState(_PLUS, [label]) if spec is None else sv.qubit_state(spec, label)
 
 
 # ----------------------------------------------------------------- roles ----
 
 
+FIXED_BASES = {"z": sv.COMPUTATIONAL, "x": sv.rotated(0.0), "y": sv.rotated(math.pi / 2)}
+
+
 @dataclass(frozen=True)
 class Role:
-    """How a node is consumed: Z elimination, fixed Pauli basis, or adaptive angle."""
+    """How a node is consumed: z, x or y measure in FIXED_BASES (Z, M(0),
+    M(pi/2)); rot measures M(angle), negated when the parity of the deps'
+    outcomes is odd. Only rot carries an angle, which must be finite, or deps."""
 
-    kind: str  # "zelim" | "base" | "adaptive"
+    kind: str
     angle: float = 0.0
     deps: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zelim", "base", "adaptive"):
+        angle, deps = float(self.angle), frozenset(self.deps)
+        if self.kind in FIXED_BASES:
+            if angle or deps:
+                raise StructuralError(f"only rot roles carry an angle or deps, not {self.kind}")
+        elif self.kind != "rot":
             raise StructuralError(f"unknown role kind {self.kind!r}")
-        if self.kind == "base" and not (
-            abs(self.angle) < 1e-15 or abs(self.angle - math.pi / 2) < 1e-15
-        ):
-            raise StructuralError("base roles are restricted to M(0) and M(pi/2)")
-        if self.kind != "adaptive" and self.deps:
-            raise StructuralError("only adaptive roles carry sign dependencies")
+        elif not math.isfinite(angle):
+            raise StructuralError(f"rot angle must be finite, got {angle!r}")
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "deps", deps)
 
-
-def role_zelim() -> Role:
-    return Role("zelim")
-
-
-def role_x() -> Role:
-    return Role("base", 0.0)
-
-
-def role_y() -> Role:
-    return Role("base", math.pi / 2)
-
-
-def role_adaptive(angle: float, deps: Iterable[Node]) -> Role:
-    return Role("adaptive", float(angle), frozenset(deps))
+    def basis(self, outcomes: dict) -> sv.MeasBasis:
+        """The basis to measure in, given the outcomes recorded so far."""
+        if self.kind == "rot":
+            return sv.rotated(adapt_angle(self.angle, self.deps, outcomes))
+        return FIXED_BASES[self.kind]
 
 
 # -------------------------------------------------------------- patterns ----
@@ -204,8 +196,8 @@ class MeasurementPattern:
             )
         seen: set = set()
         for node, role in self.steps:
-            if role.kind == "adaptive" and not role.deps <= seen:
-                raise StructuralError(f"adaptive node {node} depends on later outcomes")
+            if not role.deps <= seen:
+                raise StructuralError(f"rot node {node} depends on later outcomes")
             seen.add(node)
         for corr in (self.x_corr, self.z_corr):
             for out, dep_nodes in corr.items():
@@ -339,12 +331,7 @@ def run_pattern(
             if other not in outcomes:
                 ensure(other)
                 live = sv.apply_gate(live, sv.CZ, [node, other])
-        if role.kind == "zelim":
-            basis = sv.COMPUTATIONAL
-        elif role.kind == "base":
-            basis = sv.rotated(role.angle)
-        else:
-            basis = sv.rotated(adapt_angle(role.angle, role.deps, outcomes))
+        basis = role.basis(outcomes)
         outcome, prob, live = sv.measure(live, node, basis, src)
         outcomes[node] = outcome
         transcript.entries.append(TranscriptEntry(node, basis, outcome, prob))
@@ -445,34 +432,31 @@ class PatternBuilder:
     def row(self, key) -> int:
         return self._wires[key]["row"]
 
-    def hop(self, key, kind, x: int | None = None, y: int | None = None) -> Node:
+    def hop(
+        self, key, kind: str, angle: float = 0.0, x: int | None = None, y: int | None = None
+    ) -> Node:
         """Advance a wire one node: measure the carrier, move to a new node.
 
-        kind: "x" (M(0)), "y" (M(pi/2)), or ("rot", base_angle) for an
-        adaptive node. Default placement is one column right of the carrier.
+        kind: "x", "y", or "rot" with its base angle, whose sign adapts to
+        the carrier's pending X. Default placement is one column right of
+        the carrier.
         """
+        if kind == "z":
+            raise InputError("a Z measurement ends a wire; use eliminate")
         w = self._wires[key]
         u = w["carrier"]
+        a, b = w["a"], w["b"]
+        role = Role(kind, angle, a if kind == "rot" else ())
         if x is None:
             x = u[0] + 1
         if y is None:
             y = w["row"]
         v = self._add_node((x, y))
         self._add_edge(u, v)
-        a, b = w["a"], w["b"]
-        if kind == "x":
-            self._steps.append((u, role_x()))
-            w["a"], w["b"] = frozenset({u}) ^ b, a
-        elif kind == "y":
-            # fixed M(pi/2): a pending X flips the measured basis's sign,
-            # which re-reads the outcome; fold that into the new frame
-            self._steps.append((u, role_y()))
-            w["a"], w["b"] = frozenset({u}) ^ a ^ b, a
-        elif isinstance(kind, tuple) and kind[0] == "rot":
-            self._steps.append((u, role_adaptive(kind[1], a)))
-            w["a"], w["b"] = frozenset({u}) ^ b, a
-        else:
-            raise InputError(f"unknown hop kind {kind!r}")
+        self._steps.append((u, role))
+        # a pending X flips a fixed M(pi/2)'s sign, which re-reads the
+        # outcome; fold that into the new frame
+        w["a"], w["b"] = frozenset({u}) ^ b ^ (a if kind == "y" else frozenset()), a
         w["carrier"] = v
         return v
 
@@ -500,7 +484,7 @@ class PatternBuilder:
         for a, b in zip(chain, chain[1:]):
             self._add_edge(a, b)
         for node in chain[1:-1]:
-            self._steps.append((node, role_x()))
+            self._steps.append((node, Role("x")))
         w1["b"] = w1["b"] ^ frozenset(chain[1:-1][1::2])
         w2["b"] = w2["b"] ^ frozenset(chain[1:-1][0::2])
         w1["b"] = w1["b"] ^ w2["a"]
@@ -515,7 +499,7 @@ class PatternBuilder:
             w = self._wires[key]
             self._add_edge(node, w["carrier"])
             w["b"] = w["b"] ^ frozenset({node})
-        self._steps.append((node, role_zelim()))
+        self._steps.append((node, Role("z")))
         return node
 
     # -- finishing --
@@ -567,9 +551,6 @@ class CNOTGate:
     separation: int
 
 
-GateSpec = object  # HadamardGate | RotationGate | CNOTGate
-
-
 def lay_hadamard(b: PatternBuilder, key) -> None:
     """Five-node chain measured X, Y, Y, Y; net byproduct X^{s1+s3+s4} Z^{s2+s3}."""
     for kind in ("x", "y", "y", "y"):
@@ -580,9 +561,9 @@ def lay_rotation(b: PatternBuilder, key, xi: float, eta: float, zeta: float) -> 
     """Five-node chain realizing Rx(zeta) Rz(eta) Rx(xi) via nominal angles
     (0, -xi, -eta, -zeta); signs of the last three adapt to earlier outcomes."""
     b.hop(key, "x")
-    b.hop(key, ("rot", -xi))
-    b.hop(key, ("rot", -eta))
-    b.hop(key, ("rot", -zeta))
+    b.hop(key, "rot", -xi)
+    b.hop(key, "rot", -eta)
+    b.hop(key, "rot", -zeta)
 
 
 def lay_cnot(b: PatternBuilder, keys: Sequence) -> None:
@@ -629,7 +610,7 @@ def rotation_unitary(xi: float, eta: float, zeta: float) -> np.ndarray:
     return h @ sv.rz(zeta).matrix @ h @ sv.rz(eta).matrix @ h @ sv.rz(xi).matrix @ h
 
 
-def pattern_for_gate(gate: GateSpec) -> MeasurementPattern:
+def pattern_for_gate(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPattern:
     """Build the standalone measurement pattern for one gate."""
     b = PatternBuilder()
     if isinstance(gate, HadamardGate):
@@ -683,14 +664,8 @@ def pattern_to_text(p: MeasurementPattern) -> str:
     for node in p.outputs:
         lines.append(f"output {_c(node)}")
     for node, role in p.steps:
-        if role.kind == "zelim":
-            lines.append(f"node {_c(node)} z")
-        elif role.kind == "base":
-            name = "x" if abs(role.angle) < 1e-15 else "y"
-            lines.append(f"node {_c(node)} {name}")
-        else:
-            deps = " ".join(_c(d) for d in sorted(role.deps))
-            lines.append(f"node {_c(node)} rot:{role.angle!r}" + (f" {deps}" if deps else ""))
+        token = f"rot:{role.angle!r}" if role.kind == "rot" else role.kind
+        lines.append(" ".join(["node", _c(node), token] + [_c(d) for d in sorted(role.deps)]))
     for a, bnode in sorted(p.graph.edges):
         lines.append(f"edge {_c(a)} {_c(bnode)}")
     for out in p.outputs:
@@ -710,8 +685,8 @@ def pattern_from_text(text: str) -> MeasurementPattern:
       input X,Y                     declares an input node (order significant)
       output X,Y                    declares an output node (order significant)
       node X,Y ROLE [DEP ...]       a measured node, in measurement order;
-                                    ROLE is z | x | y | rot:<float-repr>,
-                                    DEPs are X,Y coords (adaptive signs only)
+                                    ROLE is z | x | y | rot:<finite float>,
+                                    DEPs are X,Y coords (rot only)
       edge X1,Y1 X2,Y2              a CZ edge
       xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
       zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
@@ -745,18 +720,11 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 outputs.append(remember(_parse_c(parts[1])))
             elif parts[0] == "node":
                 node = remember(_parse_c(parts[1]))
-                role_txt = parts[2]
-                if role_txt == "z":
-                    steps.append((node, role_zelim()))
-                elif role_txt == "x":
-                    steps.append((node, role_x()))
-                elif role_txt == "y":
-                    steps.append((node, role_y()))
-                elif role_txt.startswith("rot:"):
-                    deps = [_parse_c(t) for t in parts[3:]]
-                    steps.append((node, role_adaptive(float(role_txt[4:]), deps)))
-                else:
-                    raise StructuralError(f"bad role {role_txt!r}")
+                kind, colon, angle = parts[2].partition(":")
+                if colon != (":" if kind == "rot" else ""):
+                    raise StructuralError(f"bad role {parts[2]!r}")
+                deps = [_parse_c(t) for t in parts[3:]]
+                steps.append((node, Role(kind, float(angle) if colon else 0.0, deps)))
             elif parts[0] == "edge":
                 edges.append((remember(_parse_c(parts[1])), remember(_parse_c(parts[2]))))
             elif parts[0] in ("xcorr", "zcorr"):

@@ -77,7 +77,11 @@ class ExperimentParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the range of a float
+                raise InputError(f"{f.name} is too large for a float") from None
+            if not finite:
                 raise InputError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 < self.mu <= 1.0:
             raise InputError("signal intensity mu must lie in (0, 1]")
@@ -182,14 +186,20 @@ def repetition_factor(p: ExperimentParams) -> float:
     # digits of the quotient.
     coded = math.log1p(-math.exp(p.successes * math.log1p(-p.err_rate**2)))
     bare = math.log1p(-math.exp(p.successes * math.log1p(-p.err_rate)))
-    return coded / bare
+    k = coded / bare if bare else math.inf  # (1 - e)^S underflowed to 0
+    if not math.isfinite(k):
+        raise EstimationError(f"repetition factor overflows at S = {p.successes}")
+    return k
 
 
 def efficiency(n_pulses: float, p: ExperimentParams) -> float:
     """Prepared qubits per second: S f / N."""
     if n_pulses <= 0:
         raise EstimationError("efficiency needs a positive pulse count")
-    return p.successes * p.rep_rate_hz / n_pulses
+    try:
+        return p.successes * p.rep_rate_hz / n_pulses
+    except OverflowError:  # an int pulse count beyond the range of a float
+        raise EstimationError("pulse count is too large for a float") from None
 
 
 @dataclass(frozen=True)

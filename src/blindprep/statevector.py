@@ -101,11 +101,8 @@ class MeasBasis:
     def __post_init__(self) -> None:
         if self.kind not in ("computational", "rotated"):
             raise InputError(f"unknown basis kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "computational":
-            return "Z"
-        return f"M({self.delta:g})"
+        if not math.isfinite(self.delta):
+            raise InputError(f"basis angle must be finite, got {self.delta!r}")
 
 
 COMPUTATIONAL = MeasBasis("computational")
@@ -184,7 +181,7 @@ class PureState:
         if self.amps.shape != (2,) * n:
             self.amps = self.amps.reshape((2,) * n)
         norm = float(np.vdot(self.amps, self.amps).real)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails
             raise InputError(f"state norm^2 = {norm} is not 1 within {_NORM_TOL}")
 
     # -- bookkeeping --
@@ -224,6 +221,18 @@ def new_basis_state(n: int, bits: Sequence[int] | int = 0, labels: Sequence[Labe
     return PureState(amps, list(labels) if labels is not None else list(range(n)))
 
 
+def qubit_state(spec, label: Label) -> PureState:
+    """A copy of a 2-vector or of a 1-qubit PureState, as a state on ``label``."""
+    if isinstance(spec, PureState):
+        if spec.n != 1:
+            raise InputError(f"expected a single-qubit state, got {spec.n} qubits")
+        spec = spec.amps
+    vec = np.array(spec, dtype=complex).reshape(-1)
+    if vec.shape != (2,):
+        raise InputError("expected a 2-vector or a 1-qubit state")
+    return PureState(vec, [label])
+
+
 def new_plus_theta(theta: float, label: Label = 0) -> PureState:
     """|+_theta> = (|0> + e^{i theta} |1>)/sqrt(2)."""
     amps = np.array([1.0, cmath.exp(1j * float(theta))]) / math.sqrt(2)
@@ -238,7 +247,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
     # a rank-1 matrix product: the bits of tensordot(axes=0), without its overhead
     amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
-    return PureState(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
+    return _derived(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
 
 
 # ----------------------------------------------------------- operations ----
@@ -251,11 +260,7 @@ def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
         raise InputError(f"gate {g.kind} expects {g.arity} targets, got {len(targets)}")
     if len(set(targets)) != len(targets):
         raise InputError("duplicate target labels")
-    out = PureState.__new__(PureState)
-    out.amps = _contract(g, s.amps, [s.axis(t) for t in targets])
-    out.labels = list(s.labels)
-    _check_norm(out)
-    return out
+    return _derived(_contract(g, s.amps, [s.axis(t) for t in targets]), list(s.labels))
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
@@ -288,10 +293,15 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
     return u.reshape(dim, dim)
 
 
-def _check_norm(s: PureState) -> None:
-    norm = float(np.vdot(s.amps, s.amps).real)
-    if abs(norm - 1.0) > _NORM_TOL:
+def _derived(amps: np.ndarray, labels: list) -> PureState:
+    """A state computed from valid states: labels and cap hold by
+    construction, so only the norm is checked."""
+    out = PureState.__new__(PureState)
+    out.amps, out.labels = amps, labels
+    norm = float(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise ContractViolation(f"norm drifted to {norm}")
+    return out
 
 
 def measure(
@@ -316,7 +326,7 @@ def measure(
         b1 = (a0 - phase * a1) * _INV_SQRT2
     p0 = float(np.vdot(b0, b0).real)
     p1 = float(np.vdot(b1, b1).real)
-    if abs(p0 + p1 - 1.0) > _NORM_TOL:
+    if not abs(p0 + p1 - 1.0) <= _NORM_TOL:
         raise ContractViolation(f"branch probabilities sum to {p0 + p1}")
     outcome = src.choose(p0, p1)
     if outcome not in (0, 1):
@@ -325,11 +335,7 @@ def measure(
     if prob < _DEGENERATE_TOL:
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
     branch = (b0 if outcome == 0 else b1) * (1.0 / math.sqrt(prob))
-    out = PureState.__new__(PureState)
-    out.amps = branch
-    out.labels = [lb for lb in s.labels if lb != q]
-    _check_norm(out)
-    return outcome, prob, out
+    return outcome, prob, _derived(branch, [lb for lb in s.labels if lb != q])
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:

@@ -121,13 +121,13 @@ def encoder_unitary() -> np.ndarray:
 def encode_circuit(data) -> sv.PureState:
     """Reference gate-model encoding of a single-qubit state (2-vector or
     1-qubit PureState); returns the encoded block on ("d", 1..7)."""
-    vec = _data_vec(data)
+    data_q = sv.qubit_state(data, ("d", DATA_WIRE))
     state = None
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     zero = np.array([1.0, 0.0], dtype=complex)
     for i in range(1, 8):
         if i == DATA_WIRE:
-            q = sv.PureState(vec, [("d", i)])
+            q = data_q
         elif i in PIVOT_WIRES:
             q = sv.PureState(plus.copy(), [("d", i)])
         else:
@@ -136,17 +136,6 @@ def encode_circuit(data) -> sv.PureState:
     for c, t in ENCODER_CNOTS:
         state = sv.apply_gate(state, sv.CNOT, [("d", c), ("d", t)])
     return state
-
-
-def _data_vec(data) -> np.ndarray:
-    if isinstance(data, sv.PureState):
-        if data.n != 1:
-            raise InputError("encode a single qubit at a time")
-        return data.amps.reshape(-1).copy()
-    vec = np.asarray(data, dtype=complex).reshape(-1)
-    if vec.shape != (2,):
-        raise InputError("data must be a 2-vector or 1-qubit state")
-    return vec
 
 
 # ------------------------------------------------------------------ errors ----

@@ -357,6 +357,22 @@ def test_config_non_finite_value_rejected(capsys, tmp_path, key, value):
     assert_one_line_usage_error(result, "must be a finite number")
 
 
+@pytest.mark.parametrize("successes", [69500, 74500])
+def test_config_huge_success_count_gives_na_rows(capsys, tmp_path, successes):
+    path = write_config(tmp_path, f"S = {successes}\n")
+    code, out, err = run_cli(capsys, "resources", "--config", path, "--lmax", "10")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",NA" * 10) for row in rows)
+    assert err.count("warning: ") == 3 and "Traceback" not in err
+
+
+def test_config_success_count_beyond_float_range_rejected(capsys, tmp_path):
+    path = write_config(tmp_path, f"S = {10**400}\n")
+    result = run_cli(capsys, "resources", "--config", path)
+    assert_one_line_usage_error(result, "successes")
+
+
 def test_config_missing_file_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "resources", "--config",
                            str(tmp_path / "absent.cfg"))

@@ -16,6 +16,7 @@ import pytest
 import blindprep.statevector as sv
 from blindprep.errors import InputError, SequencingError, StructuralError
 from blindprep.mbqc import (
+    FIXED_BASES,
     LIVE_CAP,
     ByproductFrame,
     ClusterGraph,
@@ -33,10 +34,6 @@ from blindprep.mbqc import (
     pattern_for_gate,
     pattern_from_text,
     pattern_to_text,
-    role_adaptive,
-    role_x,
-    role_y,
-    role_zelim,
     rotation_unitary,
     run_pattern,
 )
@@ -74,12 +71,12 @@ def full_build_run(p, inputs, bits):
     src = sv.ForcedBranch(bits)
     outcomes, prob = {}, 1.0
     for node, role in p.steps:
-        if role.kind == "zelim":
+        if role.kind == "z":
             basis = sv.COMPUTATIONAL
-        elif role.kind == "base":
-            basis = sv.rotated(role.angle)
-        else:
+        elif role.kind == "rot":
             basis = sv.rotated(adapt_angle(role.angle, role.deps, outcomes))
+        else:
+            basis = sv.rotated({"x": 0.0, "y": math.pi / 2}[role.kind])
         outcomes[node], step_prob, state = sv.measure(state, node, basis, src)
         prob *= step_prob
     frame = {
@@ -126,18 +123,37 @@ def test_pattern_steps_must_cover_non_outputs():
 def test_pattern_rejects_acausal_dependency():
     g = ClusterGraph([(0, 0), (1, 0), (2, 0)], [((0, 0), (1, 0)), ((1, 0), (2, 0))])
     steps = [
-        ((0, 0), role_adaptive(0.3, [(1, 0)])),  # depends on a later node
-        ((1, 0), role_x()),
+        ((0, 0), Role("rot", 0.3, [(1, 0)])),  # depends on a later node
+        ((1, 0), Role("x")),
     ]
     with pytest.raises(StructuralError):
         MeasurementPattern(g, [(0, 0)], [(2, 0)], steps, {}, {})
 
 
 def test_role_validation():
-    with pytest.raises(StructuralError):
-        Role("base", 0.3)
-    with pytest.raises(StructuralError):
-        Role("base", 0.0, frozenset({(0, 0)}))
+    # unknown kinds, z/x/y with an angle or deps, rot with a non-finite angle
+    for kind, angle, deps in [
+        ("x", 0.3, ()),
+        ("x", 0.0, frozenset({(0, 0)})),
+        ("q", 0.0, ()),
+        ("y", math.pi / 2, ()),
+        ("z", 0.0, [(1, 1)]),
+        ("rot", math.nan, ()),
+        ("rot", math.inf, ()),
+        ("rot", -math.inf, [(0, 0)]),
+    ]:
+        with pytest.raises(StructuralError):
+            Role(kind, angle, deps)
+
+
+def test_role_basis_follows_the_kind():
+    assert Role("z").basis({}) is sv.COMPUTATIONAL
+    assert Role("x").basis({}) is FIXED_BASES["x"] == sv.rotated(0.0)
+    assert Role("y").basis({}) is FIXED_BASES["y"] == sv.rotated(math.pi / 2)
+    rot = Role("rot", 0.3, [(1, 0), (2, 0)])
+    assert rot.deps == frozenset({(1, 0), (2, 0)})
+    assert rot.basis({(1, 0): 1, (2, 0): 0}) == sv.rotated(-0.3)
+    assert rot.basis({(1, 0): 1, (2, 0): 1}) == sv.rotated(0.3)
 
 
 # ---------------------------------------------------- single-hop identities ----
@@ -182,6 +198,19 @@ def test_y_hop_teleports_h_sdg(theta):
         assert sv.fidelity(state, sv.PureState(expect, [(1, 0)])) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_hop_rejects_z_and_fixed_hops_with_an_angle():
+    b = PatternBuilder()
+    b.wire("w", 0, 0)
+    with pytest.raises(InputError):
+        b.hop("w", "z")
+    with pytest.raises(StructuralError):
+        b.hop("w", "x", 0.3)
+    with pytest.raises(StructuralError):
+        b.hop("w", "rot", math.nan)
+    # a rejected hop leaves the builder untouched
+    assert b.hop("w", "x") == (1, 0)
+
+
 def test_z_elimination_is_neutral_after_correction():
     b = PatternBuilder()
     start = b.wire("w", 0, 0)
@@ -190,7 +219,7 @@ def test_z_elimination_is_neutral_after_correction():
     psi = sv.new_plus_theta(0.7).amps.reshape(-1)
     for s in (0, 1):
         state, transcript, frame = run_pattern(p, {(0, 0): psi}, sv.ForcedBranch([s]))
-        assert transcript.entries[0].basis.describe() == "Z"
+        assert transcript.entries[0].basis == sv.COMPUTATIONAL
         assert transcript.entries[0].prob == pytest.approx(0.5, abs=1e-12)
         raw = sv.Z.matrix @ psi if s else psi
         assert sv.fidelity(state, sv.PureState(raw, [(0, 0)])) == pytest.approx(1.0, abs=1e-12)
@@ -234,13 +263,15 @@ def test_hadamard_correction_sets_are_pinned():
     assert p.outputs == [out]
     assert p.x_corr[out] == frozenset({(1, 0), (3, 0), (4, 0)})
     assert p.z_corr[out] == frozenset({(2, 0), (3, 0)})
-    kinds = [(node, role.kind, role.angle) for node, role in p.steps]
+    kinds = [(node, role.kind, role.angle, role.deps) for node, role in p.steps]
     assert kinds == [
-        ((1, 0), "base", 0.0),
-        ((2, 0), "base", math.pi / 2),
-        ((3, 0), "base", math.pi / 2),
-        ((4, 0), "base", math.pi / 2),
+        ((1, 0), "x", 0.0, frozenset()),
+        ((2, 0), "y", 0.0, frozenset()),
+        ((3, 0), "y", 0.0, frozenset()),
+        ((4, 0), "y", 0.0, frozenset()),
     ]
+    deltas = [role.basis({}).delta for _, role in p.steps]
+    assert deltas == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
 
 
 def test_rotation_dependencies_are_pinned():
@@ -248,7 +279,8 @@ def test_rotation_dependencies_are_pinned():
     out = (5, 0)
     assert p.x_corr[out] == frozenset({(2, 0), (4, 0)})
     assert p.z_corr[out] == frozenset({(1, 0), (3, 0)})
-    deps = {node: role.deps for node, role in p.steps if role.kind == "adaptive"}
+    assert [role.kind for _, role in p.steps] == ["x", "rot", "rot", "rot"]
+    deps = {node: role.deps for node, role in p.steps if role.kind == "rot"}
     assert deps == {
         (2, 0): frozenset({(1, 0)}),
         (3, 0): frozenset({(2, 0)}),
@@ -406,7 +438,7 @@ def test_enumerate_prunes_deterministic_branches():
     # an isolated |0> measured in Z has only one possible outcome
     g = ClusterGraph([(0, 0), (1, 0)], [])
     p = MeasurementPattern(
-        g, [(0, 0)], [(1, 0)], [((0, 0), role_zelim())], {}, {(1, 0): frozenset()}
+        g, [(0, 0)], [(1, 0)], [((0, 0), Role("z"))], {}, {(1, 0): frozenset()}
     )
     zero = np.array([1.0, 0.0], dtype=complex)
     branches = list(enumerate_branches(p, {(0, 0): zero}))
@@ -463,7 +495,7 @@ def star_pattern(n_leaves):
     leaves = [(1, y) for y in range(n_leaves)]
     g = ClusterGraph([centre] + leaves, [(centre, leaf) for leaf in leaves])
     return MeasurementPattern(
-        g, [centre], leaves, [(centre, role_zelim())], {}, {leaf: frozenset() for leaf in leaves}
+        g, [centre], leaves, [(centre, Role("z"))], {}, {leaf: frozenset() for leaf in leaves}
     )
 
 
@@ -527,12 +559,23 @@ def test_parser_rejects_malformed_lines():
         pattern_from_text("edge 0,0\n")
 
 
+@pytest.mark.parametrize(
+    "role", ["rot", "rot:", "x:0", "rot:nan", "rot:inf", "rot:1e400", "x 5,5", "z 1,1"]
+)
+def test_parser_rejects_bad_role_tokens(role):
+    # node 5,5 is measured before 0,0, so only the role itself is at fault
+    with pytest.raises(StructuralError):
+        pattern_from_text(f"node 5,5 x\nnode 0,0 {role}\n")
+
+
 def test_shipped_trimmed_wire_fixture_still_acts_as_hadamard():
     from pathlib import Path
 
     path = Path(__file__).resolve().parent.parent / "fixtures" / "trimmed_wire.txt"
-    p = pattern_from_text(path.read_text(encoding="utf-8"))
-    assert [r.kind for _, r in p.steps].count("zelim") == 1
+    text = path.read_text(encoding="utf-8")
+    p = pattern_from_text(text)
+    assert text.endswith(pattern_to_text(p))  # after the leading comment lines
+    assert [r.kind for _, r in p.steps].count("z") == 1
     assert p.measured_count == 5
     for vec in FIVE_STATES:
         target = sv.PureState(sv.H.matrix @ vec, [p.outputs[0]])

@@ -108,6 +108,7 @@ def test_default_params_are_consistent():
         dict(block_overhead=-1.0),
         dict(rep_rate_hz=0.0),
         dict(y0_dark=1.0),
+        dict(successes=10**400),  # beyond float range
     ],
 )
 def test_parameter_validation_rejects(bad):
@@ -195,6 +196,20 @@ def test_coded_block_overhead_is_linear_in_c():
 def test_efficiency_guards_positive_pulses():
     with pytest.raises(EstimationError):
         efficiency(0, ExperimentParams())
+
+
+@pytest.mark.parametrize(
+    "successes",
+    [
+        69500,  # ceil(k) * N_d is an int beyond float range
+        71500,  # k itself overflows to inf
+        74500,  # (1 - e)^S underflows to 0
+    ],
+)
+def test_huge_success_counts_raise_estimation_error(successes):
+    p = ExperimentParams(successes=successes)
+    with pytest.raises(EstimationError):
+        estimate(0.0, p)
 
 
 def test_pulses_needed_rejects_nonsense():

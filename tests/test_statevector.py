@@ -322,3 +322,38 @@ def test_fidelity_rejects_mismatched_labels():
 def test_norm_drift_detected():
     with pytest.raises(InputError):
         sv.PureState(np.array([1.0, 1.0]), [0])  # norm sqrt(2)
+    with pytest.raises(InputError):
+        sv.PureState(np.array([math.nan, 0.0]), [0])  # norm NaN
+
+
+def test_kernels_reject_a_nan_state_that_skipped_validation():
+    bad = sv.new_basis_state(1)
+    bad.amps = np.array([math.nan, 0.0], dtype=complex)
+    with pytest.raises(ContractViolation):
+        sv.measure(bad, 0, sv.COMPUTATIONAL, sv.BornSampler(0))
+    with pytest.raises(ContractViolation):
+        sv.apply_gate(bad, sv.X, [0])
+    with pytest.raises(ContractViolation):
+        sv.tensor(bad, sv.new_basis_state(1, labels=["b"]))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_non_finite_basis_angle_is_rejected(delta):
+    with pytest.raises(InputError):
+        sv.rotated(delta)
+
+
+def test_qubit_state_copies_a_vector_or_a_one_qubit_state():
+    vec = np.array([0.6, 0.8j])
+    from_vec = sv.qubit_state(vec, "a")
+    one = sv.new_plus_theta(0.4, "b")
+    from_state = sv.qubit_state(one, "c")
+    vec[0] = 0.0
+    one.amps[...] = 0.0
+    assert from_vec.labels == ["a"] and from_state.labels == ["c"]
+    assert np.array_equal(from_vec.amps, [0.6, 0.8j])
+    assert np.array_equal(from_state.amps, sv.new_plus_theta(0.4).amps)
+    with pytest.raises(InputError):
+        sv.qubit_state(sv.new_basis_state(2), "d")
+    with pytest.raises(InputError):
+        sv.qubit_state([1.0, 0.0, 0.0], "d")

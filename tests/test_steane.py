@@ -16,7 +16,7 @@ import pytest
 
 import blindprep.statevector as sv
 from blindprep.errors import InputError
-from blindprep.mbqc import apply_byproducts, run_pattern
+from blindprep.mbqc import FIXED_BASES, apply_byproducts, run_pattern
 from blindprep.steane import (
     DATA_LABELS,
     ENCODER_CNOTS,
@@ -241,7 +241,7 @@ def test_compiled_encoder_size_and_shape():
     assert height == 7
     assert width < 50
     kinds = {role.kind for _, role in p.steps}
-    assert kinds == {"base"}  # fully non-adaptive
+    assert kinds == {"x", "y"}  # fully non-adaptive
 
 
 def test_compiled_encoder_forced_zero_branch():
@@ -272,6 +272,17 @@ def test_mbqc_preparation_matches_circuit(seed):
     )
 
 
+def test_encoder_runs_share_the_fixed_basis_objects():
+    # z/x/y bases are built once at import, not per measurement
+    first, second = (
+        prepare_encoded_mbqc(0.3, sv.BornSampler(seed)).transcript.entries for seed in (0, 1)
+    )
+    assert [e.outcome for e in first] != [e.outcome for e in second]
+    for a, b in zip(first, second):
+        assert a.basis is b.basis
+        assert a.basis is FIXED_BASES["x"] or a.basis is FIXED_BASES["y"]
+
+
 def test_mbqc_block_survives_error_correction_cycle():
     theta = math.pi / 4
     block = prepare_encoded_mbqc(theta, sv.BornSampler(9))
@@ -290,7 +301,13 @@ def test_shipped_encoder_fixture_matches_compiler():
     from blindprep.mbqc import pattern_from_text, pattern_to_text
 
     path = Path(__file__).resolve().parent.parent / "fixtures" / "encoder_pattern.txt"
-    parsed = pattern_from_text(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    parsed = pattern_from_text(text)
     assert len(parsed.graph.nodes) == 169
     assert parsed.measured_count == 162
-    assert pattern_to_text(parsed) == pattern_to_text(compile_encoder())
+    compiled = pattern_to_text(compile_encoder())
+    assert pattern_to_text(parsed) == compiled
+    # byte for byte: the file is comment lines, then the serialised pattern
+    head = text[: len(text) - len(compiled)]
+    assert text.endswith(compiled) and all(ln.startswith("#") for ln in head.splitlines())
+    assert pattern_to_text(pattern_from_text(compiled)) == compiled
