@@ -2,7 +2,7 @@
 
 Subpackages:
 - statevector: dense labeled-qubit simulator with destructive measurement
-- mbqc: cluster graphs, measurement patterns, byproduct tracking, execution
+- mbqc: measurement patterns (nodes, edges, steps, corrections), byproduct tracking, execution
 - steane: [[7,1,3]] encoding, syndrome extraction, measurement-based preparation
 - blindness: theta-independence checks for the delegated protocol
 - resources: pulse-budget and efficiency estimates for the photonic link

@@ -43,12 +43,11 @@ def min_cluster_pattern(basis: str) -> mbqc.MeasurementPattern:
     basis ("x", "y", or "z"), node (1, 0) is handed back."""
     if basis not in mbqc.FIXED_BASES:
         raise InputError(f"basis must be one of {sorted(mbqc.FIXED_BASES)}, got {basis!r}")
-    g = mbqc.ClusterGraph([(0, 0), (1, 0)], [((0, 0), (1, 0))])
     return mbqc.MeasurementPattern(
-        g,
         inputs=[(0, 0)],
         outputs=[(1, 0)],
         steps=[((0, 0), mbqc.Role(basis))],
+        edges=[((0, 0), (1, 0))],
         x_corr={(1, 0): frozenset()},
         z_corr={(1, 0): frozenset()},
     )

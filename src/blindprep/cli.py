@@ -242,7 +242,7 @@ def cmd_prepare(args) -> int:
     print(f"prepare: theta index {args.theta} (theta = {args.theta}*pi/4)")
     print(
         f"cluster: {block.grid[0]} x {block.grid[1]} grid, "
-        f"{len(p.graph.nodes)} nodes, {p.measured_count} measured"
+        f"{len(p.nodes)} nodes, {p.measured_count} measured"
     )
     print(f"branch word: {_branch_hex(block.transcript.branch_word())}")
     print(f"branch probability: {prob_text}")

@@ -1,8 +1,8 @@
-"""Cluster graphs, measurement patterns, and the one-way executor.
+"""Measurement patterns, their builder, and the one-way executor.
 
 Conventions (fixed once, everything else is derived):
 - Cluster nodes are prepared as |+> (or a supplied input state), entangled by
-  CZ along graph edges, and consumed by destructive measurement.
+  CZ along the pattern's edges, and consumed by destructive measurement.
 - M(delta) is the equatorial basis |+/-_delta>; outcome s=0 is the + branch.
 - Head-of-chain identity: measuring the first node of an edge pair in M(delta)
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
@@ -57,69 +57,6 @@ _PLUS = np.full(2, 1 / math.sqrt(2), dtype=complex)  # default node state, share
 _PLUS.flags.writeable = False
 
 
-# ---------------------------------------------------------------- graphs ----
-
-
-@dataclass
-class ClusterGraph:
-    """Undirected graph of grid-placed nodes (edges need not be grid-local)."""
-
-    nodes: list
-    edges: list
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for node in self.nodes:
-            if (
-                not isinstance(node, tuple)
-                or len(node) != 2
-                or not all(isinstance(c, int) for c in node)
-            ):
-                raise StructuralError(f"node {node!r} is not an (x, y) int pair")
-            if node in seen:
-                raise StructuralError(f"duplicate node {node}")
-            seen.add(node)
-        edge_set = set()
-        for a, b in self.edges:
-            if a == b:
-                raise StructuralError(f"self-loop at {a}")
-            if a not in seen or b not in seen:
-                raise StructuralError(f"edge ({a}, {b}) references a missing node")
-            key = frozenset((a, b))
-            if key in edge_set:
-                raise StructuralError(f"duplicate edge ({a}, {b})")
-            edge_set.add(key)
-        self.edges = [tuple(sorted(e)) for e in self.edges]
-
-    def bounding_grid(self) -> tuple[int, int]:
-        xs = [x for x, _ in self.nodes]
-        ys = [y for _, y in self.nodes]
-        return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-
-
-def build_cluster(g: ClusterGraph, inputs: dict | None = None) -> sv.PureState:
-    """Materialize the full cluster state: |+> everywhere except supplied inputs,
-    then CZ along every edge. Intended for small graphs and tests."""
-    inputs = dict(inputs or {})
-    for node in inputs:
-        if node not in g.nodes:
-            raise InputError(f"input node {node} is not in the graph")
-    state = None
-    for node in g.nodes:
-        q = _one_qubit(inputs.get(node), node)
-        state = q if state is None else sv.tensor(state, q)
-    if state is None:
-        raise InputError("graph has no nodes")
-    for a, b in g.edges:
-        state = sv.apply_gate(state, sv.CZ, [a, b])
-    return state
-
-
-def _one_qubit(spec, label) -> sv.PureState:
-    """A node's state: the supplied spec, else the shared |+>."""
-    return sv.PureState(_PLUS, [label]) if spec is None else sv.qubit_state(spec, label)
-
-
 # ----------------------------------------------------------------- roles ----
 
 
@@ -162,48 +99,62 @@ class Role:
 class MeasurementPattern:
     """A runnable one-way pattern with static correction bookkeeping.
 
-    steps: measurement order; every non-output node exactly once.
+    Every non-output node is measured exactly once, so the node set is not
+    stored: it is the measured nodes in step order, then the outputs.
+    steps: measurement order, one (node, Role) per measured node.
+    edges: CZ pairs, each stored lowest node first; the list order is kept,
+    because the executor entangles in that order.
     x_corr/z_corr: per output node, the set of measured nodes whose outcome
     parity gives the X / Z byproduct exponent on that output.
     declared_unitary: intended map on the wire space (inputs order = wire
     order = outputs order); None for fixtures that do not claim one.
     """
 
-    graph: ClusterGraph
     inputs: list
     outputs: list
     steps: list  # [(node, Role)]
+    edges: list
     x_corr: dict
     z_corr: dict
     declared_unitary: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        nodes = set(self.graph.nodes)
-        for group, name in ((self.inputs, "input"), (self.outputs, "output")):
-            if len(set(group)) != len(group):
-                raise StructuralError(f"duplicate {name} nodes")
-            for node in group:
-                if node not in nodes:
-                    raise StructuralError(f"{name} node {node} missing from graph")
-        measured = [node for node, _ in self.steps]
-        if len(set(measured)) != len(measured):
-            raise StructuralError("a node is measured twice")
-        want = nodes - set(self.outputs)
-        if set(measured) != want:
-            raise StructuralError(
-                "steps must measure exactly the non-output nodes "
-                f"(missing {want - set(measured)}, extra {set(measured) - want})"
-            )
-        seen: set = set()
+        nodes: set = set()
+        for node in self.nodes:
+            if (
+                not isinstance(node, tuple)
+                or len(node) != 2
+                or not all(isinstance(c, int) for c in node)
+            ):
+                raise StructuralError(f"node {node!r} is not an (x, y) int pair")
+            if node in nodes:
+                raise StructuralError(f"node {node} is measured twice or also an output")
+            nodes.add(node)
+        if len(set(self.inputs)) != len(self.inputs):
+            raise StructuralError("duplicate input nodes")
+        for node in self.inputs:
+            if node not in nodes:
+                raise StructuralError(f"input node {node} is neither measured nor an output")
+        measured: set = set()
         for node, role in self.steps:
-            if not role.deps <= seen:
+            if not role.deps <= measured:
                 raise StructuralError(f"rot node {node} depends on later outcomes")
-            seen.add(node)
+            measured.add(node)
+        pairs: set = set()
+        for a, b in self.edges:
+            if a == b:
+                raise StructuralError(f"self-loop at {a}")
+            if a not in nodes or b not in nodes:
+                raise StructuralError(f"edge ({a}, {b}) references a missing node")
+            if frozenset((a, b)) in pairs:
+                raise StructuralError(f"duplicate edge ({a}, {b})")
+            pairs.add(frozenset((a, b)))
+        self.edges = [tuple(sorted(e)) for e in self.edges]
         for corr in (self.x_corr, self.z_corr):
             for out, dep_nodes in corr.items():
                 if out not in self.outputs:
                     raise StructuralError(f"correction for non-output node {out}")
-                if not frozenset(dep_nodes) <= set(measured):
+                if not frozenset(dep_nodes) <= measured:
                     raise StructuralError(f"correction for {out} cites unmeasured nodes")
         if self.declared_unitary is not None:
             d = 2 ** len(self.inputs)
@@ -211,8 +162,42 @@ class MeasurementPattern:
                 raise StructuralError("declared unitary dimension mismatch")
 
     @property
+    def nodes(self) -> list:
+        """Measured nodes in step order, then the outputs."""
+        return [node for node, _ in self.steps] + list(self.outputs)
+
+    @property
     def measured_count(self) -> int:
         return len(self.steps)
+
+    def bounding_grid(self) -> tuple[int, int]:
+        xs = [x for x, _ in self.nodes]
+        ys = [y for _, y in self.nodes]
+        return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+
+
+def build_cluster(p: MeasurementPattern, inputs: dict | None = None) -> sv.PureState:
+    """Materialize the full cluster state: |+> everywhere except supplied inputs,
+    then CZ along every edge. Intended for small patterns and tests."""
+    inputs = dict(inputs or {})
+    nodes = p.nodes
+    for node in inputs:
+        if node not in nodes:
+            raise InputError(f"input node {node} is not in the pattern")
+    state = None
+    for node in nodes:
+        q = _one_qubit(inputs.get(node), node)
+        state = q if state is None else sv.tensor(state, q)
+    if state is None:
+        raise InputError("pattern has no nodes")
+    for a, b in p.edges:
+        state = sv.apply_gate(state, sv.CZ, [a, b])
+    return state
+
+
+def _one_qubit(spec, label) -> sv.PureState:
+    """A node's state: the supplied spec, else the shared |+>."""
+    return sv.PureState(_PLUS, [label]) if spec is None else sv.qubit_state(spec, label)
 
 
 @dataclass
@@ -284,7 +269,7 @@ def run_pattern(
     just before its first endpoint is measured, so the live width
     (spectators excluded) stays within LIVE_CAP.
     """
-    nodes = set(p.graph.nodes)
+    nodes = set(p.nodes)
     input_set = set(p.inputs)
     if isinstance(inputs, sv.PureState):
         labels = set(inputs.labels)
@@ -307,7 +292,7 @@ def run_pattern(
         created = set()
 
     adjacent: dict = {node: [] for node in nodes}
-    for a, b in p.graph.edges:
+    for a, b in p.edges:
         adjacent[a].append(b)
         adjacent[b].append(a)
 
@@ -338,7 +323,7 @@ def run_pattern(
 
     for node in p.outputs:
         ensure(node)
-    for a, b in p.graph.edges:
+    for a, b in p.edges:
         if a not in outcomes and b not in outcomes:
             live = sv.apply_gate(live, sv.CZ, [a, b])
 
@@ -392,45 +377,29 @@ def enumerate_branches(
 class PatternBuilder:
     """Describes a layout while symbolically tracking byproduct frames.
 
-    Wire frames are (a, b) sets of node ids over GF(2); hop/couple/bridge
+    Wire frames are (a, b) sets of node ids over GF(2); hop/bridge/eliminate
     update them per the rules in the module docstring, so the finished
     pattern carries exact static correction sets and adaptive dependencies.
     """
 
     def __init__(self) -> None:
-        self._nodes: list = []
-        self._node_set: set = set()
         self._edges: list = []
         self._steps: list = []
         self._wires: dict = {}
-
-    # -- graph primitives --
-
-    def _add_node(self, node: Node) -> Node:
-        if node in self._node_set:
-            raise StructuralError(f"node {node} placed twice")
-        self._nodes.append(node)
-        self._node_set.add(node)
-        return node
-
-    def _add_edge(self, a: Node, b: Node) -> None:
-        self._edges.append((a, b))
-
-    # -- wires --
 
     def wire(self, key, x: int, y: int) -> Node:
         """Register a wire whose input node sits at (x, y)."""
         if key in self._wires:
             raise StructuralError(f"wire {key!r} already exists")
-        node = self._add_node((x, y))
-        self._wires[key] = {"carrier": node, "a": frozenset(), "b": frozenset(), "row": y}
+        node = (x, y)
+        self._wires[key] = {"input": node, "carrier": node, "a": frozenset(), "b": frozenset()}
         return node
 
     def carrier(self, key) -> Node:
         return self._wires[key]["carrier"]
 
     def row(self, key) -> int:
-        return self._wires[key]["row"]
+        return self._wires[key]["input"][1]
 
     def hop(
         self, key, kind: str, angle: float = 0.0, x: int | None = None, y: int | None = None
@@ -450,9 +419,9 @@ class PatternBuilder:
         if x is None:
             x = u[0] + 1
         if y is None:
-            y = w["row"]
-        v = self._add_node((x, y))
-        self._add_edge(u, v)
+            y = w["input"][1]
+        v = (x, y)
+        self._edges.append((u, v))
         self._steps.append((u, role))
         # a pending X flips a fixed M(pi/2)'s sign, which re-reads the
         # outcome; fold that into the new frame
@@ -460,73 +429,54 @@ class PatternBuilder:
         w["carrier"] = v
         return v
 
-    def couple(self, k1, k2) -> None:
-        """CZ edge between the two wires' carriers (plus the frame swap rule)."""
-        w1, w2 = self._wires[k1], self._wires[k2]
-        self._add_edge(w1["carrier"], w2["carrier"])
-        w1["b"] = w1["b"] ^ w2["a"]
-        w2["b"] = w2["b"] ^ w1["a"]
-
     def bridge(self, k1, k2, coords: Sequence[tuple]) -> None:
-        """Even-length X-measured chain linking two carriers.
+        """Even-length X-measured chain linking two carriers; an empty chain
+        is a direct CZ edge.
 
         With coords listed k1 -> k2, the chain composes to CZ with the
         crossed outcome parities Z^{s_2 xor s_4 xor ...} on the k1 side and
-        Z^{s_1 xor s_3 xor ...} on the k2 side.
+        Z^{s_1 xor s_3 xor ...} on the k2 side, plus the swap rule: each
+        side's pending X becomes a Z on the other.
         """
-        if len(coords) % 2 != 0 or not coords:
-            raise InputError("bridges must contain an even, positive node count")
+        if len(coords) % 2 != 0:
+            raise InputError("bridges must contain an even node count")
         w1, w2 = self._wires[k1], self._wires[k2]
-        chain = [w1["carrier"]]
-        for xy in coords:
-            chain.append(self._add_node((int(xy[0]), int(xy[1]))))
-        chain.append(w2["carrier"])
-        for a, b in zip(chain, chain[1:]):
-            self._add_edge(a, b)
-        for node in chain[1:-1]:
-            self._steps.append((node, Role("x")))
-        w1["b"] = w1["b"] ^ frozenset(chain[1:-1][1::2])
-        w2["b"] = w2["b"] ^ frozenset(chain[1:-1][0::2])
-        w1["b"] = w1["b"] ^ w2["a"]
-        w2["b"] = w2["b"] ^ w1["a"]
+        inner = [(int(x), int(y)) for x, y in coords]
+        chain = [w1["carrier"], *inner, w2["carrier"]]
+        self._edges.extend(zip(chain, chain[1:]))
+        self._steps.extend((node, Role("x")) for node in inner)
+        w1["b"] = w1["b"] ^ frozenset(inner[1::2]) ^ w2["a"]
+        w2["b"] = w2["b"] ^ frozenset(inner[0::2]) ^ w1["a"]
 
     def eliminate(self, x: int, y: int, attach: Sequence) -> Node:
         """A redundant |+> node attached to the named wires' carriers and
         removed by a computational-basis measurement (Z^s lands on each
         neighbour, folded into the wires' frames)."""
-        node = self._add_node((x, y))
+        node = (x, y)
         for key in attach:
             w = self._wires[key]
-            self._add_edge(node, w["carrier"])
+            self._edges.append((node, w["carrier"]))
             w["b"] = w["b"] ^ frozenset({node})
         self._steps.append((node, Role("z")))
         return node
 
-    # -- finishing --
-
     def build(
-        self,
-        input_nodes: Sequence[Node],
-        wire_order: Sequence,
-        declared_unitary: np.ndarray | None,
+        self, wire_order: Sequence, declared_unitary: np.ndarray | None
     ) -> MeasurementPattern:
         """Freeze into a MeasurementPattern.
 
-        input_nodes: the wire input nodes in wire order (recorded before the
-        wires advanced). Outputs are the current carriers in wire_order.
-        Measurements are ordered column-major by their grid coordinates.
+        Inputs are the wires' first nodes and outputs their current carriers,
+        both in wire_order. Measurements are ordered column-major by their
+        grid coordinates.
         """
-        outputs = [self._wires[k]["carrier"] for k in wire_order]
-        steps = sorted(self._steps, key=lambda item: (item[0][0], item[0][1]))
-        x_corr = {self._wires[k]["carrier"]: self._wires[k]["a"] for k in wire_order}
-        z_corr = {self._wires[k]["carrier"]: self._wires[k]["b"] for k in wire_order}
+        wires = [self._wires[k] for k in wire_order]
         return MeasurementPattern(
-            graph=ClusterGraph(list(self._nodes), list(self._edges)),
-            inputs=list(input_nodes),
-            outputs=outputs,
-            steps=steps,
-            x_corr=x_corr,
-            z_corr=z_corr,
+            inputs=[w["input"] for w in wires],
+            outputs=[w["carrier"] for w in wires],
+            steps=sorted(self._steps, key=lambda item: (item[0][0], item[0][1])),
+            edges=list(self._edges),
+            x_corr={w["carrier"]: w["a"] for w in wires},
+            z_corr={w["carrier"]: w["b"] for w in wires},
             declared_unitary=declared_unitary,
         )
 
@@ -587,10 +537,7 @@ def lay_cnot(b: PatternBuilder, keys: Sequence) -> None:
         b.hop(target, "x", x=base + 1)  # 5-node target chain
         bridge_coords = [(base + 2, r) for r in range(rc + 1, rt)] + [(base + 1, rt - 1)]
 
-    if bridge_coords:
-        b.bridge(control, target, bridge_coords)
-    else:
-        b.couple(control, target)
+    b.bridge(control, target, bridge_coords)
 
     b.hop(control, "x", x=base + 3)
     b.hop(control, "x", x=base + 4)
@@ -614,23 +561,24 @@ def pattern_for_gate(gate: HadamardGate | RotationGate | CNOTGate) -> Measuremen
     """Build the standalone measurement pattern for one gate."""
     b = PatternBuilder()
     if isinstance(gate, HadamardGate):
-        start = b.wire("w", 1, 0)
+        b.wire("w", 1, 0)
         lay_hadamard(b, "w")
-        return b.build([start], ["w"], sv.H.matrix)
+        return b.build(["w"], sv.H.matrix)
     if isinstance(gate, RotationGate):
-        start = b.wire("w", 1, 0)
+        b.wire("w", 1, 0)
         lay_rotation(b, "w", gate.xi, gate.eta, gate.zeta)
-        return b.build([start], ["w"], rotation_unitary(gate.xi, gate.eta, gate.zeta))
+        return b.build(["w"], rotation_unitary(gate.xi, gate.eta, gate.zeta))
     if isinstance(gate, CNOTGate):
         d = gate.separation
         if not isinstance(d, int) or d < 1:
             raise InputError("CNOT separation must be a positive integer")
+        # first, so that the unitary's qubit cap rejects a huge d before any layout
+        declared = sv.circuit_unitary(d + 1, [(sv.CNOT, [0, d])])
         keys = ["c"] + [f"m{r}" for r in range(1, d)] + ["t"]
-        starts = [b.wire(k, 1, r) for r, k in enumerate(keys)]
+        for r, k in enumerate(keys):
+            b.wire(k, 1, r)
         lay_cnot(b, keys)
-        n = d + 1
-        declared = sv.circuit_unitary(n, [(sv.CNOT, [0, n - 1])])
-        return b.build(starts, keys, declared)
+        return b.build(keys, declared)
     raise InputError(f"unknown gate spec {gate!r}")
 
 
@@ -666,7 +614,7 @@ def pattern_to_text(p: MeasurementPattern) -> str:
     for node, role in p.steps:
         token = f"rot:{role.angle!r}" if role.kind == "rot" else role.kind
         lines.append(" ".join(["node", _c(node), token] + [_c(d) for d in sorted(role.deps)]))
-    for a, bnode in sorted(p.graph.edges):
+    for a, bnode in sorted(p.edges):
         lines.append(f"edge {_c(a)} {_c(bnode)}")
     for out in p.outputs:
         xs = " ".join(_c(n) for n in sorted(p.x_corr.get(out, ())))
@@ -690,8 +638,9 @@ def pattern_from_text(text: str) -> MeasurementPattern:
       edge X1,Y1 X2,Y2              a CZ edge
       xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
       zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
-    Unmeasured nodes (outputs) are declared only via output lines. The
-    declared unitary is not serialized; fixtures carry structure only.
+    The node set is the measured nodes plus the outputs; inputs and edge
+    endpoints must be among them. The declared unitary is not serialized;
+    fixtures carry structure only.
     """
     inputs: list = []
     outputs: list = []
@@ -699,15 +648,6 @@ def pattern_from_text(text: str) -> MeasurementPattern:
     edges: list = []
     x_corr: dict = {}
     z_corr: dict = {}
-    nodes: list = []
-    node_seen: set = set()
-
-    def remember(node: Node) -> Node:
-        if node not in node_seen:
-            node_seen.add(node)
-            nodes.append(node)
-        return node
-
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -715,18 +655,18 @@ def pattern_from_text(text: str) -> MeasurementPattern:
         parts = line.split()
         try:
             if parts[0] == "input":
-                inputs.append(remember(_parse_c(parts[1])))
+                inputs.append(_parse_c(parts[1]))
             elif parts[0] == "output":
-                outputs.append(remember(_parse_c(parts[1])))
+                outputs.append(_parse_c(parts[1]))
             elif parts[0] == "node":
-                node = remember(_parse_c(parts[1]))
+                node = _parse_c(parts[1])
                 kind, colon, angle = parts[2].partition(":")
                 if colon != (":" if kind == "rot" else ""):
                     raise StructuralError(f"bad role {parts[2]!r}")
                 deps = [_parse_c(t) for t in parts[3:]]
                 steps.append((node, Role(kind, float(angle) if colon else 0.0, deps)))
             elif parts[0] == "edge":
-                edges.append((remember(_parse_c(parts[1])), remember(_parse_c(parts[2]))))
+                edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
             elif parts[0] in ("xcorr", "zcorr"):
                 out = _parse_c(parts[1])
                 dep_nodes = frozenset(_parse_c(t) for t in parts[2:])
@@ -735,15 +675,7 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 raise StructuralError(f"unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise StructuralError(f"line {ln}: cannot parse {raw!r}") from exc
-    return MeasurementPattern(
-        graph=ClusterGraph(nodes, edges),
-        inputs=inputs,
-        outputs=outputs,
-        steps=steps,
-        x_corr=x_corr,
-        z_corr=z_corr,
-        declared_unitary=None,
-    )
+    return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)
 
 
 def _c(node: Node) -> str:

@@ -138,10 +138,15 @@ def p1_lower_bound(t: float, p: ExperimentParams) -> float:
             f"no detected signal events at T = {t:.6g}: channel is opaque"
         )
     q_nu1 = gain(t, p.nu1, p)
-    y1 = (p.mu / (p.mu * p.nu1 - p.nu1**2)) * (
+    spread, mu_sq = p.mu * p.nu1 - p.nu1**2, p.mu**2
+    if spread == 0.0 or mu_sq == 0.0:
+        raise EstimationError(
+            f"intensities mu = {p.mu:.6g}, nu1 = {p.nu1:.6g} underflow the decoy bound"
+        )
+    y1 = (p.mu / spread) * (
         q_nu1 * math.exp(p.nu1)
-        - q_mu * math.exp(p.mu) * p.nu1**2 / p.mu**2
-        - (p.mu**2 - p.nu1**2) / p.mu**2 * p.y0_dark
+        - q_mu * math.exp(p.mu) * p.nu1**2 / mu_sq
+        - (mu_sq - p.nu1**2) / mu_sq * p.y0_dark
     )
     p1 = y1 * p.mu * math.exp(-p.mu) / q_mu
     if not 0.0 < p1 < 1.0:
@@ -169,9 +174,13 @@ def p1_asymptotic(t: float, p: ExperimentParams) -> float:
 def pulses_needed(t: float, p1: float, p: ExperimentParams, overhead: float) -> int:
     """Total pulses to collect `successes` single-photon qubits except with
     probability eps_fail, including `overhead` extra pulses per success."""
+    if t <= 0.0:  # dark counts alone can pass the decoy bounds
+        raise EstimationError(f"transmittance is {t!r}: channel is opaque")
+    ratio = p.eps_fail / p.successes
+    # once the quotient underflows to 0, the difference of the logs stands in
+    log_ratio = math.log(ratio) if ratio else math.log(p.eps_fail) - math.log(p.successes)
     raw = (p.successes / t) * (
-        math.log(p.eps_fail / p.successes) / (p.p_mu * p.mu * math.log1p(-p1))
-        + overhead
+        log_ratio / (p.p_mu * p.mu * math.log1p(-p1)) + overhead
     )
     if not math.isfinite(raw) or raw <= 0.0:
         raise EstimationError(f"pulse count came out non-physical: {raw!r}")
@@ -181,15 +190,24 @@ def pulses_needed(t: float, p1: float, p: ExperimentParams, overhead: float) -> 
 def repetition_factor(p: ExperimentParams) -> float:
     """How many times a bare qubit must be re-prepared for its residual error
     to match one error-corrected block of the same size."""
-    # log1p(-exp(x)) rather than log(-expm1(x)): when (1 - err)^S sits within
-    # a few ulps of 1 the latter takes log of a near-1 float and drops three
-    # digits of the quotient.
-    coded = math.log1p(-math.exp(p.successes * math.log1p(-p.err_rate**2)))
-    bare = math.log1p(-math.exp(p.successes * math.log1p(-p.err_rate)))
+    if p.err_rate**2 == 0.0:
+        raise EstimationError(f"error rate {p.err_rate:.6g} underflows when squared")
+    coded = _log_one_minus_exp(p.successes * math.log1p(-p.err_rate**2))
+    bare = _log_one_minus_exp(p.successes * math.log1p(-p.err_rate))
     k = coded / bare if bare else math.inf  # (1 - e)^S underflowed to 0
     if not math.isfinite(k):
         raise EstimationError(f"repetition factor overflows at S = {p.successes}")
     return k
+
+
+def _log_one_minus_exp(x: float) -> float:
+    """log(1 - e^x) for x < 0."""
+    # log1p(-exp(x)) while e^x is small, as at the defaults: there
+    # log(-expm1(x)) takes the log of a near-1 float and drops three digits
+    # of the quotient. Once e^x rounds to 1 the subtraction leaves 0, while
+    # -expm1(x) is still exact.
+    y = math.exp(x)
+    return math.log1p(-y) if y < 1.0 else math.log(-math.expm1(x))
 
 
 def efficiency(n_pulses: float, p: ExperimentParams) -> float:

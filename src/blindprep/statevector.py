@@ -136,10 +136,11 @@ class BornSampler(OutcomeSource):
 
 
 class ForcedBranch(OutcomeSource):
-    """Replays an explicit branch word; errors out on a ~zero-probability branch.
+    """Replays an explicit branch word.
 
-    Used for exhaustive enumeration: the caller sweeps branch words and skips
-    subtrees whose prefix raises DegenerateBranchError.
+    Used for exhaustive enumeration: measure raises DegenerateBranchError on
+    a ~zero-probability bit after pos has moved past it, so the caller sweeps
+    branch words and skips the subtrees below that prefix.
     """
 
     def __init__(self, bits: Sequence[int]):
@@ -153,10 +154,6 @@ class ForcedBranch(OutcomeSource):
             raise SequencingError("branch word exhausted: more measurements than bits")
         bit = self.bits[self.pos]
         self.pos += 1
-        if (p0 if bit == 0 else p1) < _DEGENERATE_TOL:
-            raise DegenerateBranchError(
-                f"forced branch bit {self.pos - 1} has probability below {_DEGENERATE_TOL}"
-            )
         return bit
 
 
@@ -284,8 +281,13 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
     """Matrix of a gate sequence on n wires (wire 0 most significant).
 
     ops are (gate, wires) pairs applied in order; each acts on the identity's
-    row axes, so column j of the result is the circuit applied to |j>.
+    row axes, so column j of the result is the circuit applied to |j>. The
+    matrix is a 2n-qubit tensor, so n is capped at QUBIT_CAP // 2.
     """
+    if n > QUBIT_CAP // 2:
+        raise InputError(
+            f"a unitary on {n} wires is a {2 * n}-qubit tensor, over the cap of {QUBIT_CAP}"
+        )
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g, wires in ops:

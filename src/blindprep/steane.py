@@ -251,12 +251,13 @@ def compile_encoder() -> mbqc.MeasurementPattern:
     adaptivity and every correction is a static output-frame update.
     """
     b = mbqc.PatternBuilder()
-    starts = [b.wire(w, 1, w - 1) for w in range(1, 8)]
+    for w in range(1, 8):
+        b.wire(w, 1, w - 1)
     for w in ZEROED_WIRES:
         mbqc.lay_hadamard(b, w)
     for c, t in ENCODER_CNOTS:
         mbqc.lay_cnot(b, list(range(c, t + 1)))
-    return b.build(starts, list(range(1, 8)), encoder_unitary())
+    return b.build(list(range(1, 8)), encoder_unitary())
 
 
 @dataclass
@@ -283,4 +284,4 @@ def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     frame = mbqc.ByproductFrame(
         {relabel[node]: exps for node, exps in frame.exps.items()}
     )
-    return EncodedBlock(state, transcript, p.graph.bounding_grid(), frame)
+    return EncodedBlock(state, transcript, p.bounding_grid(), frame)

@@ -104,6 +104,12 @@ def test_negative_seed_flag_is_usage_error(capsys):
     assert_one_line_usage_error(result, "--seed must be a non-negative integer")
 
 
+@pytest.mark.parametrize("sep", ["12", "1000000"])
+def test_cnot_separation_over_the_qubit_cap_is_usage_error(capsys, sep):
+    result = run_cli(capsys, "verify-gates", "--pattern", "cnot", "--sep", sep)
+    assert_one_line_usage_error(result, "over the cap of 24")
+
+
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("BLINDPREP_SEED", "-3")
     result = run_cli(capsys, "prepare")
@@ -365,6 +371,24 @@ def test_config_huge_success_count_gives_na_rows(capsys, tmp_path, successes):
     rows = out.splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",NA" * 10) for row in rows)
     assert err.count("warning: ") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("e = 1e-200\n", ["--lmax", "10"]),
+        ("mu = 1e-200\nv1 = 1e-201\n", ["--lmax", "10"]),
+        ("Y0 = 1e-7\n", ["--lmin", "20000", "--lmax", "20000"]),
+    ],
+    ids=["e_squared_underflows", "intensities_underflow", "dark_counts_opaque"],
+)
+def test_config_underflowing_values_give_na_rows(capsys, tmp_path, text, argv):
+    path = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "resources", "--config", path, *argv)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert rows and all(row.endswith(",NA" * 10) for row in rows)
+    assert err.count("warning: ") == len(rows) and "Traceback" not in err
 
 
 def test_config_success_count_beyond_float_range_rejected(capsys, tmp_path):

@@ -19,7 +19,6 @@ from blindprep.mbqc import (
     FIXED_BASES,
     LIVE_CAP,
     ByproductFrame,
-    ClusterGraph,
     CNOTGate,
     HadamardGate,
     MeasurementPattern,
@@ -67,7 +66,7 @@ def product_target(p, vecs):
 def full_build_run(p, inputs, bits):
     """Reference execution: the whole cluster first (build_cluster), then
     every measurement in step order. Returns (state, branch prob, frame)."""
-    state = build_cluster(p.graph, inputs)
+    state = build_cluster(p, inputs)
     src = sv.ForcedBranch(bits)
     outcomes, prob = {}, 1.0
     for node, role in p.steps:
@@ -92,42 +91,60 @@ def full_build_run(p, inputs, bits):
 # ------------------------------------------------------------ structure ----
 
 
+def two_node(steps, outputs=((1, 0),), edges=(((0, 0), (1, 0)),), inputs=((0, 0),)):
+    """A pattern over the given parts; the defaults make a valid one-hop wire."""
+    return MeasurementPattern(list(inputs), list(outputs), steps, list(edges), {}, {})
+
+
+X00 = [((0, 0), Role("x"))]
+
+
 def test_graph_rejects_duplicate_nodes():
+    # the node set is the measured nodes plus the outputs, each once
+    assert two_node(X00).nodes == [(0, 0), (1, 0)]
     with pytest.raises(StructuralError):
-        ClusterGraph([(0, 0), (0, 0)], [])
+        two_node(X00 + X00)  # measured twice
+    with pytest.raises(StructuralError):
+        two_node(X00, outputs=[(1, 0), (0, 0)])  # measured and an output
+    for bad in [(0, 0.0), (0, "1"), [0, 0], (0, 0, 0)]:  # not an (x, y) int pair
+        with pytest.raises(StructuralError):
+            two_node(X00, outputs=[bad], edges=[])
 
 
 def test_graph_rejects_self_loop_and_duplicate_edges():
     with pytest.raises(StructuralError):
-        ClusterGraph([(0, 0), (1, 0)], [((0, 0), (0, 0))])
+        two_node(X00, edges=[((0, 0), (0, 0))])
     with pytest.raises(StructuralError):
-        ClusterGraph([(0, 0), (1, 0)], [((0, 0), (1, 0)), ((1, 0), (0, 0))])
+        two_node(X00, edges=[((0, 0), (1, 0)), ((1, 0), (0, 0))])
 
 
 def test_graph_rejects_edge_to_missing_node():
+    # an edge endpoint or an input that is neither measured nor an output
     with pytest.raises(StructuralError):
-        ClusterGraph([(0, 0)], [((0, 0), (1, 0))])
+        two_node(X00, edges=[((0, 0), (1, 0)), ((1, 0), (2, 0))])
+    with pytest.raises(StructuralError):
+        two_node(X00, inputs=[(2, 0)])
 
 
 def test_graph_bounding_box():
-    g = ClusterGraph([(1, 0), (5, 2)], [])
-    assert g.bounding_grid() == (5, 3)
+    p = two_node([((1, 0), Role("z"))], outputs=[(5, 2)], edges=[], inputs=[(1, 0)])
+    assert p.bounding_grid() == (5, 3)
 
 
 def test_pattern_steps_must_cover_non_outputs():
-    g = ClusterGraph([(0, 0), (1, 0)], [((0, 0), (1, 0))])
+    # without a step for (0, 0), the input and the edge name a missing node
     with pytest.raises(StructuralError):
-        MeasurementPattern(g, [(0, 0)], [(1, 0)], [], {}, {})
+        two_node([])
 
 
 def test_pattern_rejects_acausal_dependency():
-    g = ClusterGraph([(0, 0), (1, 0), (2, 0)], [((0, 0), (1, 0)), ((1, 0), (2, 0))])
     steps = [
         ((0, 0), Role("rot", 0.3, [(1, 0)])),  # depends on a later node
         ((1, 0), Role("x")),
     ]
+    edges = [((0, 0), (1, 0)), ((1, 0), (2, 0))]
     with pytest.raises(StructuralError):
-        MeasurementPattern(g, [(0, 0)], [(2, 0)], steps, {}, {})
+        two_node(steps, outputs=[(2, 0)], edges=edges)
 
 
 def test_role_validation():
@@ -161,9 +178,9 @@ def test_role_basis_follows_the_kind():
 
 def hop_pattern(kind):
     b = PatternBuilder()
-    start = b.wire("w", 0, 0)
+    b.wire("w", 0, 0)
     b.hop("w", kind)
-    return b.build([start], ["w"], None)
+    return b.build(["w"], None)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 1.1, -2.0])
@@ -211,11 +228,20 @@ def test_hop_rejects_z_and_fixed_hops_with_an_angle():
     assert b.hop("w", "x") == (1, 0)
 
 
+def test_build_rejects_a_node_placed_twice():
+    b = PatternBuilder()
+    b.wire("w", 0, 0)
+    b.hop("w", "x")
+    b.eliminate(0, 0, ["w"])  # on top of the measured input node
+    with pytest.raises(StructuralError):
+        b.build(["w"], None)
+
+
 def test_z_elimination_is_neutral_after_correction():
     b = PatternBuilder()
-    start = b.wire("w", 0, 0)
+    b.wire("w", 0, 0)
     b.eliminate(0, 1, ["w"])
-    p = b.build([start], ["w"], np.eye(2))
+    p = b.build(["w"], np.eye(2))
     psi = sv.new_plus_theta(0.7).amps.reshape(-1)
     for s in (0, 1):
         state, transcript, frame = run_pattern(p, {(0, 0): psi}, sv.ForcedBranch([s]))
@@ -228,22 +254,24 @@ def test_z_elimination_is_neutral_after_correction():
 
 
 def test_even_bridge_composes_to_cz():
-    # two untouched wires joined by a 2-node X-measured bridge act as CZ
-    b = PatternBuilder()
-    s1 = b.wire("c", 1, 0)
-    s2 = b.wire("t", 1, 1)
-    b.bridge("c", "t", [(2, 0), (2, 1)])
-    p = b.build([s1, s2], ["c", "t"], sv.CZ.matrix)
-    for va in FIVE_STATES[:4]:
-        for vb in FIVE_STATES[:4]:
-            target = product_target(p, [va, vb])
-            total = 0.0
-            for bits, prob, state, _, frame in enumerate_branches(p, {s1: va, s2: vb}):
-                assert prob == pytest.approx(0.25, abs=1e-12)
-                total += prob
-                corrected = apply_byproducts(state, frame)
-                assert sv.fidelity(corrected, target) == pytest.approx(1.0, abs=1e-12)
-            assert total == pytest.approx(1.0, abs=1e-12)
+    # two untouched wires joined by an empty (a bare CZ edge) or 2-node
+    # X-measured bridge act as CZ
+    for coords in ([], [(2, 0), (2, 1)]):
+        b = PatternBuilder()
+        s1 = b.wire("c", 1, 0)
+        s2 = b.wire("t", 1, 1)
+        b.bridge("c", "t", coords)
+        p = b.build(["c", "t"], sv.CZ.matrix)
+        for va in FIVE_STATES[:4]:
+            for vb in FIVE_STATES[:4]:
+                target = product_target(p, [va, vb])
+                total = 0.0
+                for _, prob, state, _, frame in enumerate_branches(p, {s1: va, s2: vb}):
+                    assert prob == pytest.approx(0.5 ** len(coords), abs=1e-12)
+                    total += prob
+                    corrected = apply_byproducts(state, frame)
+                    assert sv.fidelity(corrected, target) == pytest.approx(1.0, abs=1e-12)
+                assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_odd_bridge_is_rejected():
@@ -391,7 +419,7 @@ def test_cnot_layout_grid_shape():
     # one intermediate row per unit of separation; width stays five columns
     for d in (1, 2, 3, 4):
         p = pattern_for_gate(CNOTGate(d))
-        w, h = p.graph.bounding_grid()
+        w, h = p.bounding_grid()
         assert h == d + 1
         assert w <= 5
 
@@ -436,9 +464,8 @@ def test_hop_outcomes_are_uniform_for_any_input():
 
 def test_enumerate_prunes_deterministic_branches():
     # an isolated |0> measured in Z has only one possible outcome
-    g = ClusterGraph([(0, 0), (1, 0)], [])
     p = MeasurementPattern(
-        g, [(0, 0)], [(1, 0)], [((0, 0), Role("z"))], {}, {(1, 0): frozenset()}
+        [(0, 0)], [(1, 0)], [((0, 0), Role("z"))], [], {}, {(1, 0): frozenset()}
     )
     zero = np.array([1.0, 0.0], dtype=complex)
     branches = list(enumerate_branches(p, {(0, 0): zero}))
@@ -493,9 +520,13 @@ def star_pattern(n_leaves):
     """A Z-measured input centre joined to n_leaves output leaves."""
     centre = (0, 0)
     leaves = [(1, y) for y in range(n_leaves)]
-    g = ClusterGraph([centre] + leaves, [(centre, leaf) for leaf in leaves])
     return MeasurementPattern(
-        g, [centre], leaves, [(centre, Role("z"))], {}, {leaf: frozenset() for leaf in leaves}
+        [centre],
+        leaves,
+        [(centre, Role("z"))],
+        [(centre, leaf) for leaf in leaves],
+        {},
+        {leaf: frozenset() for leaf in leaves},
     )
 
 
@@ -513,8 +544,7 @@ def test_live_width_cap_is_enforced():
 
 
 def test_build_cluster_matches_manual_preparation():
-    g = ClusterGraph([(0, 0), (1, 0)], [((0, 0), (1, 0))])
-    state = build_cluster(g)
+    state = build_cluster(two_node(X00))
     manual = sv.tensor(sv.new_plus_theta(0.0, (0, 0)), sv.new_plus_theta(0.0, (1, 0)))
     manual = sv.apply_gate(manual, sv.CZ, [(0, 0), (1, 0)])
     assert sv.fidelity(state, manual) == pytest.approx(1.0, abs=1e-12)
@@ -529,8 +559,8 @@ def test_build_cluster_matches_manual_preparation():
 def test_pattern_round_trips_through_text(gate):
     p = pattern_for_gate(gate)
     q = pattern_from_text(pattern_to_text(p))
-    assert sorted(q.graph.nodes) == sorted(p.graph.nodes)
-    assert sorted(q.graph.edges) == sorted(p.graph.edges)
+    assert sorted(q.nodes) == sorted(p.nodes)
+    assert sorted(q.edges) == sorted(p.edges)
     assert q.inputs == p.inputs
     assert q.outputs == p.outputs
     assert q.steps == p.steps

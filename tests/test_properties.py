@@ -1,9 +1,10 @@
-"""Property tests of the two text boundaries: pattern files and config files.
+"""Property tests of the two text boundaries (pattern files and config
+files) and of the resource estimate behind the config.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
-derandomized search so that a run is repeatable. The only error either
-parser may raise is its documented one: StructuralError for a pattern,
-UsageError for a config.
+derandomized search so that a run is repeatable. The only error each
+function may raise is its documented one: StructuralError for a pattern,
+UsageError for a config, EstimationError for an estimate.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from blindprep.cli import CONFIG_KEYS, UsageError, load_config
-from blindprep.errors import StructuralError
+from blindprep.errors import EstimationError, InputError, StructuralError
 from blindprep.mbqc import pattern_from_text, pattern_to_text
-from blindprep.resources import ExperimentParams
+from blindprep.resources import ExperimentParams, ResourceRow, estimate
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -100,3 +101,49 @@ def test_load_config_returns_params_or_raises_usage_error(text):
         except UsageError:
             return
     assert isinstance(params, ExperimentParams)
+
+
+# subnormals included: the failures this guards against were underflows
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@st.composite
+def _valid_params(draw):
+    mu = draw(st.floats(0.0, 1.0, exclude_min=True))
+    p_nu1 = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    p_nu2 = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    try:
+        return ExperimentParams(
+            alpha_db_km=draw(st.floats(0.0, 1e300)),
+            t_source=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            eta_det=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            mu=mu,
+            nu1=mu * draw(_OPEN_UNIT),
+            p_mu=1.0 - p_nu1 - p_nu2,
+            p_nu1=p_nu1,
+            p_nu2=p_nu2,
+            successes=draw(st.integers(1, 10**300)),
+            eps_fail=draw(_OPEN_UNIT),
+            err_rate=draw(_OPEN_UNIT),
+            block_overhead=draw(st.floats(0.0, 1e300)),
+            rep_rate_hz=draw(_POSITIVE),
+            y0_dark=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        )
+    except InputError:  # nu1 or p_mu rounded onto a bound
+        reject()
+
+
+@BOUNDED
+@given(_valid_params(), st.floats(0.0, 1e300))
+@example(ExperimentParams(err_rate=1e-20), 0.0)
+@example(ExperimentParams(err_rate=1e-200), 0.0)
+@example(ExperimentParams(mu=1e-200, nu1=1e-201), 0.0)
+@example(ExperimentParams(y0_dark=1e-7), 20000.0)
+@example(ExperimentParams(eps_fail=1e-300, successes=10**30), 0.0)
+def test_estimate_returns_a_row_or_raises_estimation_error(params, length):
+    try:
+        row = estimate(length, params)
+    except EstimationError:
+        return
+    assert isinstance(row, ResourceRow)

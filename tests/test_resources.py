@@ -244,6 +244,43 @@ def test_dark_counts_alone_still_give_a_bound():
     assert 0.0 < p1 < 1.0
 
 
+def test_repetition_factor_once_one_minus_e_to_the_s_rounds_to_one():
+    # (1 - e)^S and (1 - e^2)^S both round to 1.0 here, so 1 - (1 - e)^S is 0
+    # in floats; mpmath at 50 digits gives the quotient
+    mp = pytest.importorskip("mpmath")
+    p = ExperimentParams(err_rate=1e-20)
+    with mp.workdps(50):
+        e, s = mp.mpf("1e-20"), p.successes
+        want = mp.log(1 - (1 - e**2) ** s) / mp.log(1 - (1 - e) ** s)
+    assert repetition_factor(p) == pytest.approx(float(want), rel=1e-12)
+    assert estimate(0.0, p).k == repetition_factor(p)
+
+
+@pytest.mark.parametrize(
+    "fields, length",
+    [
+        ({"err_rate": 1e-200}, 0.0),  # e^2 underflows to 0
+        ({"mu": 1e-200, "nu1": 1e-201}, 0.0),  # mu nu1 - nu1^2 and mu^2 underflow
+        ({"y0_dark": 1e-7}, OPAQUE_KM),  # dark counts pass the bound, but T = 0
+    ],
+)
+def test_underflowing_inputs_raise_estimation_error(fields, length):
+    with pytest.raises(EstimationError):
+        estimate(length, ExperimentParams(**fields))
+
+
+def test_pulse_count_survives_an_underflowing_eps_over_s():
+    # eps_fail / S = 1e-330 underflows to 0 in floats
+    mp = pytest.importorskip("mpmath")
+    p = ExperimentParams(eps_fail=1e-300, successes=10**30)
+    t, p1 = 0.045, 0.5
+    with mp.workdps(50):
+        want = (p.successes / mp.mpf(t)) * mp.log(mp.mpf("1e-330")) / (
+            mp.mpf(p.p_mu) * mp.mpf(p.mu) * mp.log(1 - mp.mpf(p1))
+        )
+    assert pulses_needed(t, p1, p, 0.0) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_sweep_marks_failed_rows_and_keeps_good_ones():
     p = ExperimentParams()
     rows = sweep([0.0, 50.0], p)

@@ -75,6 +75,9 @@ def test_basis_state_int_form():
 def test_qubit_cap_enforced():
     with pytest.raises(InputError):
         sv.new_basis_state(sv.QUBIT_CAP + 1)
+    # a unitary on n wires is a 2n-qubit tensor; refused before allocation
+    with pytest.raises(InputError):
+        sv.circuit_unitary(sv.QUBIT_CAP // 2 + 1, [])
 
 
 def test_duplicate_labels_rejected():

@@ -234,10 +234,10 @@ def test_phase_check_with_plus_ancilla_control_disturbs_data():
 
 def test_compiled_encoder_size_and_shape():
     p = compile_encoder()
-    assert len(p.graph.nodes) == 169
+    assert len(p.nodes) == 169
     assert p.measured_count == 162
     assert len(p.inputs) == 7 and len(p.outputs) == 7
-    width, height = p.graph.bounding_grid()
+    width, height = p.bounding_grid()
     assert height == 7
     assert width < 50
     kinds = {role.kind for _, role in p.steps}
@@ -303,7 +303,7 @@ def test_shipped_encoder_fixture_matches_compiler():
     path = Path(__file__).resolve().parent.parent / "fixtures" / "encoder_pattern.txt"
     text = path.read_text(encoding="utf-8")
     parsed = pattern_from_text(text)
-    assert len(parsed.graph.nodes) == 169
+    assert len(parsed.nodes) == 169
     assert parsed.measured_count == 162
     compiled = pattern_to_text(compile_encoder())
     assert pattern_to_text(parsed) == compiled
