@@ -8,7 +8,8 @@ Five subcommands drive the library end to end:
   blindness      transcript-distribution comparison across phases
   resources      decoy-state pulse/efficiency sweep written as CSV
 
-Exit codes: 0 success, 1 usage or config error, 2 verification failure.
+Exit codes: 0 success, 1 usage, config or input error, 2 verification
+failure. A ContractViolation is a bug and keeps its traceback.
 Every command is deterministic given its flags, config file, and seed, so
 reports and CSVs are byte-identical across repeat runs.  The seed comes
 from --seed when given, else the BLINDPREP_SEED environment variable,
@@ -29,7 +30,7 @@ from . import mbqc
 from . import resources as rs
 from . import statevector as sv
 from . import steane
-from .errors import InputError
+from .errors import InputError, SequencingError, StructuralError
 
 __all__ = ["main", "load_config", "CONFIG_KEYS", "CSV_HEADER"]
 
@@ -467,10 +468,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as ex:
+    except (UsageError, InputError, StructuralError, SequencingError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -60,14 +60,16 @@ _PLUS.flags.writeable = False
 # ----------------------------------------------------------------- roles ----
 
 
-FIXED_BASES = {"z": sv.COMPUTATIONAL, "x": sv.rotated(0.0), "y": sv.rotated(math.pi / 2)}
+# kind -> the delta sv.measure takes: None is Z, a float is M(delta)
+FIXED_BASES = {"z": None, "x": 0.0, "y": math.pi / 2}
 
 
 @dataclass(frozen=True)
 class Role:
-    """How a node is consumed: z, x or y measure in FIXED_BASES (Z, M(0),
-    M(pi/2)); rot measures M(angle), negated when the parity of the deps'
-    outcomes is odd. Only rot carries an angle, which must be finite, or deps."""
+    """How a node is consumed: z, x or y measure at their FIXED_BASES delta
+    (Z, M(0), M(pi/2)); rot measures M(angle), negated when the parity of the
+    deps' outcomes is odd. Only rot carries an angle, which must be finite, or
+    deps."""
 
     kind: str
     angle: float = 0.0
@@ -85,10 +87,10 @@ class Role:
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "deps", deps)
 
-    def basis(self, outcomes: dict) -> sv.MeasBasis:
-        """The basis to measure in, given the outcomes recorded so far."""
+    def basis(self, outcomes: dict) -> float | None:
+        """The delta to measure in (None for Z), given the outcomes so far."""
         if self.kind == "rot":
-            return sv.rotated(adapt_angle(self.angle, self.deps, outcomes))
+            return adapt_angle(self.angle, self.deps, outcomes)
         return FIXED_BASES[self.kind]
 
 
@@ -176,25 +178,6 @@ class MeasurementPattern:
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
 
 
-def build_cluster(p: MeasurementPattern, inputs: dict | None = None) -> sv.PureState:
-    """Materialize the full cluster state: |+> everywhere except supplied inputs,
-    then CZ along every edge. Intended for small patterns and tests."""
-    inputs = dict(inputs or {})
-    nodes = p.nodes
-    for node in inputs:
-        if node not in nodes:
-            raise InputError(f"input node {node} is not in the pattern")
-    state = None
-    for node in nodes:
-        q = _one_qubit(inputs.get(node), node)
-        state = q if state is None else sv.tensor(state, q)
-    if state is None:
-        raise InputError("pattern has no nodes")
-    for a, b in p.edges:
-        state = sv.apply_gate(state, sv.CZ, [a, b])
-    return state
-
-
 def _one_qubit(spec, label) -> sv.PureState:
     """A node's state: the supplied spec, else the shared |+>."""
     return sv.PureState(_PLUS, [label]) if spec is None else sv.qubit_state(spec, label)
@@ -203,7 +186,7 @@ def _one_qubit(spec, label) -> sv.PureState:
 @dataclass
 class TranscriptEntry:
     node: Node
-    basis: sv.MeasBasis
+    basis: float | None  # the delta measured in; None is Z
     outcome: int
     prob: float
 

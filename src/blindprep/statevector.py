@@ -5,9 +5,10 @@ Design notes:
   destructive: the measured qubit's axis is removed and the survivors keep
   their labels, which is what a one-way computation needs (nodes disappear
   as they are consumed).
-- Measurement bases: Computational (|0>,|1>) and Rotated(delta), the
-  equatorial basis |+/-_delta> = (|0> +/- e^{i delta} |1>)/sqrt(2).
-  Outcome 0 always means collapse onto the + ("plus") branch.
+- A measurement basis is given by its angle: None means Z (|0>, |1>), a
+  float delta means M(delta), the equatorial basis
+  |+/-_delta> = (|0> +/- e^{i delta} |1>)/sqrt(2). Outcome 0 always means
+  collapse onto |0> or the + ("plus") branch.
 - Outcomes are drawn through an OutcomeSource so the same code path serves
   seeded Born sampling and forced-branch enumeration.
 - States are compared with global-phase-insensitive fidelity; nothing in
@@ -15,7 +16,7 @@ Design notes:
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order
 matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
-eating the machine. Diagonal gates (CZ, Z, S, Rz) are applied by broadcast
+eating the machine. Diagonal gates (CZ, Z, Rz) are applied by broadcast
 multiply instead of a matrix contraction.
 """
 
@@ -73,12 +74,10 @@ class Gate:
         return self.matrix.shape[0].bit_length() - 1
 
 
-I2 = Gate("I", np.eye(2))
 X = Gate("X", np.array([[0, 1], [1, 0]]))
 Y = Gate("Y", np.array([[0, -1j], [1j, 0]]))
 Z = Gate("Z", np.array([[1, 0], [0, -1]]))
 H = Gate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-S = Gate("S", np.array([[1, 0], [0, 1j]]))
 CZ = Gate("CZ", np.diag([1, 1, 1, -1]))
 CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
 
@@ -86,30 +85,6 @@ CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1
 def rz(phi: float) -> Gate:
     """Phase rotation diag(1, e^{i phi}); new_plus_theta(t) == rz(t) H |0>."""
     return Gate(f"Rz({phi:g})", np.diag([1.0, cmath.exp(1j * phi)]))
-
-
-# ---------------------------------------------------------------- bases ----
-
-
-@dataclass(frozen=True)
-class MeasBasis:
-    """Measurement basis: Computational, or Rotated(delta) on the equator."""
-
-    kind: str  # "computational" | "rotated"
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("computational", "rotated"):
-            raise InputError(f"unknown basis kind {self.kind!r}")
-        if not math.isfinite(self.delta):
-            raise InputError(f"basis angle must be finite, got {self.delta!r}")
-
-
-COMPUTATIONAL = MeasBasis("computational")
-
-
-def rotated(delta: float) -> MeasBasis:
-    return MeasBasis("rotated", float(delta))
 
 
 # -------------------------------------------------------- outcome source ----
@@ -176,6 +151,8 @@ class PureState:
         if len(set(self.labels)) != n:
             raise InputError("qubit labels must be unique")
         if self.amps.shape != (2,) * n:
+            if self.amps.size != 2**n:
+                raise InputError(f"{self.amps.size} amplitudes do not fit {n} qubits")
             self.amps = self.amps.reshape((2,) * n)
         norm = float(np.vdot(self.amps, self.amps).real)
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails
@@ -198,24 +175,10 @@ class PureState:
         if order is None:
             return self.amps.reshape(-1)
         order = list(order)
-        if sorted(map(repr, order)) != sorted(map(repr, self.labels)):
+        if len(order) != self.n or set(order) != set(self.labels):
             raise InputError("order must be a permutation of the state's labels")
         perm = [self.labels.index(lb) for lb in order]
         return np.transpose(self.amps, perm).reshape(-1)
-
-
-def new_basis_state(n: int, bits: Sequence[int] | int = 0, labels: Sequence[Label] | None = None) -> PureState:
-    """|b_0 b_1 ... b_{n-1}> with labels 0..n-1 unless given explicitly."""
-    if n < 1 or n > QUBIT_CAP:
-        raise InputError(f"qubit count {n} outside 1..{QUBIT_CAP}")
-    if isinstance(bits, int):
-        bits = [(bits >> (n - 1 - i)) & 1 for i in range(n)]
-    bits = [int(b) for b in bits]
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise InputError("bits must be 0/1 of length n")
-    amps = np.zeros((2,) * n, dtype=complex)
-    amps[tuple(bits)] = 1.0
-    return PureState(amps, list(labels) if labels is not None else list(range(n)))
 
 
 def qubit_state(spec, label: Label) -> PureState:
@@ -307,23 +270,26 @@ def _derived(amps: np.ndarray, labels: list) -> PureState:
 
 
 def measure(
-    s: PureState, q: Label, basis: MeasBasis, src: OutcomeSource
+    s: PureState, q: Label, delta: float | None, src: OutcomeSource
 ) -> tuple[int, float, PureState]:
-    """Destructively measure qubit q. Returns (outcome, Born probability, residual state).
+    """Destructively measure qubit q in Z (delta None) or in M(delta), delta
+    finite. Returns (outcome, Born probability, residual state).
 
     Outcome 0 is the |0> / |+_delta> branch. The measured qubit is removed;
     the residual state is renormalized. A state may become empty (n == 0), in
     which case the residual has a 0-dim amplitude scalar of modulus 1.
     """
+    if delta is not None and not math.isfinite(delta):
+        raise InputError(f"basis angle must be finite, got {delta!r}")
     ax = s.axis(q)
     a0 = np.take(s.amps, 0, axis=ax)
     a1 = np.take(s.amps, 1, axis=ax)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division
-    if basis.kind == "computational":
+    if delta is None:
         b0, b1 = a0, a1
     else:
-        phase = cmath.exp(-1j * basis.delta)
+        phase = cmath.exp(-1j * delta)
         b0 = (a0 + phase * a1) * _INV_SQRT2
         b1 = (a0 - phase * a1) * _INV_SQRT2
     p0 = float(np.vdot(b0, b0).real)
@@ -342,8 +308,6 @@ def measure(
 
 def fidelity(s1: PureState, s2: PureState) -> float:
     """|<s1|s2>|^2, insensitive to global phase; labels are aligned first."""
-    if sorted(map(repr, s1.labels)) != sorted(map(repr, s2.labels)):
-        raise InputError("fidelity: states cover different qubits")
     v1 = s1.vector()
     v2 = s2.vector(order=s1.labels)
     return float(abs(np.vdot(v1, v2)) ** 2)

@@ -204,7 +204,7 @@ def extract_syndrome(
         joint = sv.apply_gate(joint, sv.CNOT, [d, a])
     bit_word = []
     for a in anc:
-        outcome, _, joint = sv.measure(joint, a, sv.COMPUTATIONAL, src)
+        outcome, _, joint = sv.measure(joint, a, None, src)
         bit_word.append(outcome)
 
     anc = [("phase", i) for i in range(1, 8)]
@@ -213,7 +213,7 @@ def extract_syndrome(
         joint = sv.apply_gate(joint, sv.CNOT, [a, d])
     phase_word = []
     for a in anc:
-        outcome, _, joint = sv.measure(joint, a, sv.rotated(0.0), src)
+        outcome, _, joint = sv.measure(joint, a, 0.0, src)
         phase_word.append(outcome)
 
     bit_syn = _row_parities(bit_word)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import blindprep.cli as cli
 from blindprep.cli import CONFIG_KEYS, CSV_HEADER, load_config, main
 from blindprep.cli import UsageError
+from blindprep.errors import ContractViolation, InputError, SequencingError, StructuralError
 from blindprep.resources import ExperimentParams
 
 
@@ -120,6 +122,25 @@ def test_zero_step_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "resources", "--step", "0")
     assert code == 1
     assert "positive" in err
+
+
+@pytest.mark.parametrize("error", [UsageError, InputError, StructuralError, SequencingError])
+def test_input_type_errors_exit_one_with_one_line(capsys, monkeypatch, error):
+    # no current flag reaches StructuralError or SequencingError, so a stub raises them
+    def cmd(args):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr(cli, "cmd_prepare", cmd)
+    assert_one_line_usage_error(run_cli(capsys, "prepare"), "stubbed failure")
+
+
+def test_contract_violation_keeps_its_traceback(capsys, monkeypatch):
+    def cmd(args):
+        raise ContractViolation("a bug")
+
+    monkeypatch.setattr(cli, "cmd_prepare", cmd)
+    with pytest.raises(ContractViolation):
+        main(["prepare"])
 
 
 def test_bad_seed_env_is_usage_error(capsys, monkeypatch):

@@ -27,7 +27,6 @@ from blindprep.mbqc import (
     RotationGate,
     adapt_angle,
     apply_byproducts,
-    build_cluster,
     choi_probe,
     enumerate_branches,
     pattern_for_gate,
@@ -36,6 +35,7 @@ from blindprep.mbqc import (
     rotation_unitary,
     run_pattern,
 )
+from helpers import build_cluster
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -71,11 +71,11 @@ def full_build_run(p, inputs, bits):
     outcomes, prob = {}, 1.0
     for node, role in p.steps:
         if role.kind == "z":
-            basis = sv.COMPUTATIONAL
+            basis = None
         elif role.kind == "rot":
-            basis = sv.rotated(adapt_angle(role.angle, role.deps, outcomes))
+            basis = adapt_angle(role.angle, role.deps, outcomes)
         else:
-            basis = sv.rotated({"x": 0.0, "y": math.pi / 2}[role.kind])
+            basis = {"x": 0.0, "y": math.pi / 2}[role.kind]
         outcomes[node], step_prob, state = sv.measure(state, node, basis, src)
         prob *= step_prob
     frame = {
@@ -164,13 +164,13 @@ def test_role_validation():
 
 
 def test_role_basis_follows_the_kind():
-    assert Role("z").basis({}) is sv.COMPUTATIONAL
-    assert Role("x").basis({}) is FIXED_BASES["x"] == sv.rotated(0.0)
-    assert Role("y").basis({}) is FIXED_BASES["y"] == sv.rotated(math.pi / 2)
+    assert Role("z").basis({}) is FIXED_BASES["z"] is None
+    assert Role("x").basis({}) == FIXED_BASES["x"] == 0.0
+    assert Role("y").basis({}) == FIXED_BASES["y"] == math.pi / 2
     rot = Role("rot", 0.3, [(1, 0), (2, 0)])
     assert rot.deps == frozenset({(1, 0), (2, 0)})
-    assert rot.basis({(1, 0): 1, (2, 0): 0}) == sv.rotated(-0.3)
-    assert rot.basis({(1, 0): 1, (2, 0): 1}) == sv.rotated(0.3)
+    assert rot.basis({(1, 0): 1, (2, 0): 0}) == -0.3
+    assert rot.basis({(1, 0): 1, (2, 0): 1}) == 0.3
 
 
 # ---------------------------------------------------- single-hop identities ----
@@ -245,7 +245,7 @@ def test_z_elimination_is_neutral_after_correction():
     psi = sv.new_plus_theta(0.7).amps.reshape(-1)
     for s in (0, 1):
         state, transcript, frame = run_pattern(p, {(0, 0): psi}, sv.ForcedBranch([s]))
-        assert transcript.entries[0].basis == sv.COMPUTATIONAL
+        assert transcript.entries[0].basis is None
         assert transcript.entries[0].prob == pytest.approx(0.5, abs=1e-12)
         raw = sv.Z.matrix @ psi if s else psi
         assert sv.fidelity(state, sv.PureState(raw, [(0, 0)])) == pytest.approx(1.0, abs=1e-12)
@@ -298,7 +298,7 @@ def test_hadamard_correction_sets_are_pinned():
         ((3, 0), "y", 0.0, frozenset()),
         ((4, 0), "y", 0.0, frozenset()),
     ]
-    deltas = [role.basis({}).delta for _, role in p.steps]
+    deltas = [role.basis({}) for _, role in p.steps]
     assert deltas == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
 
 

@@ -18,6 +18,7 @@ from blindprep.errors import (
     InputError,
     SequencingError,
 )
+from helpers import I2, S, new_basis_state
 
 ATOL = 1e-12
 
@@ -38,7 +39,7 @@ def test_pauli_products():
         assert np.allclose(p @ p, np.eye(2), atol=ATOL)
 
 
-@pytest.mark.parametrize("g", [sv.I2, sv.X, sv.Y, sv.Z, sv.H, sv.S, sv.CZ, sv.CNOT, sv.rz(0.7)])
+@pytest.mark.parametrize("g", [I2, sv.X, sv.Y, sv.Z, sv.H, S, sv.CZ, sv.CNOT, sv.rz(0.7)])
 def test_gates_unitary(g):
     m = g.matrix
     assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
@@ -63,18 +64,20 @@ def test_plus_theta_at_half_pi():
 
 
 def test_basis_state_bits():
-    s = sv.new_basis_state(3, [1, 0, 1])
+    s = new_basis_state(3, [1, 0, 1])
     v = s.vector()
     assert v[0b101] == 1.0 and np.count_nonzero(v) == 1
 
 
 def test_basis_state_int_form():
-    assert np.allclose(sv.new_basis_state(3, 5).vector(), sv.new_basis_state(3, [1, 0, 1]).vector())
+    assert np.allclose(new_basis_state(3, 5).vector(), new_basis_state(3, [1, 0, 1]).vector())
 
 
 def test_qubit_cap_enforced():
     with pytest.raises(InputError):
-        sv.new_basis_state(sv.QUBIT_CAP + 1)
+        new_basis_state(sv.QUBIT_CAP + 1)
+    with pytest.raises(InputError):  # refused before the amplitudes are reshaped
+        sv.PureState(np.zeros(1), range(sv.QUBIT_CAP + 1))
     # a unitary on n wires is a 2n-qubit tensor; refused before allocation
     with pytest.raises(InputError):
         sv.circuit_unitary(sv.QUBIT_CAP // 2 + 1, [])
@@ -83,6 +86,13 @@ def test_qubit_cap_enforced():
 def test_duplicate_labels_rejected():
     with pytest.raises(InputError):
         sv.PureState(np.array([[1, 0], [0, 0]], dtype=complex) / 1.0, ["a", "a"])
+
+
+def test_mis_sized_amplitudes_rejected():
+    with pytest.raises(InputError, match="3 amplitudes"):
+        sv.PureState(np.ones(3) / 3**0.5, [0])
+    with pytest.raises(InputError, match="2 amplitudes"):
+        sv.PureState(np.array([1.0, 0.0]), ["a", "b"])
 
 
 # -------------------------------------------------------------- apply_gate
@@ -98,14 +108,14 @@ def test_cz_on_plus_plus_matches_matrix_oracle():
 
 
 def test_gate_on_missing_qubit_is_sequencing_error():
-    s = sv.new_basis_state(1)
+    s = new_basis_state(1)
     with pytest.raises(SequencingError):
         sv.apply_gate(s, sv.X, ["nope"])
 
 
 def test_two_qubit_gate_axis_order():
     # CNOT with control "c", target "t" on |10> -> |11>, regardless of storage order
-    s = sv.tensor(sv.new_basis_state(1, [0], labels=["t"]), sv.new_basis_state(1, [1], labels=["c"]))
+    s = sv.tensor(new_basis_state(1, [0], labels=["t"]), new_basis_state(1, [1], labels=["c"]))
     out = sv.apply_gate(s, sv.CNOT, ["c", "t"])
     assert abs(out.vector(order=["c", "t"])[0b11]) == pytest.approx(1.0, abs=ATOL)
 
@@ -178,7 +188,7 @@ def test_rz_acts_as_phase_on_one():
 
 def test_measure_plus_in_x_basis_is_deterministic():
     s = sv.new_plus_theta(0.0)
-    outcome, prob, rest = sv.measure(s, 0, sv.rotated(0.0), sv.ForcedBranch([0]))
+    outcome, prob, rest = sv.measure(s, 0, 0.0, sv.ForcedBranch([0]))
     assert outcome == 0
     assert prob == pytest.approx(1.0, abs=ATOL)
     assert rest.n == 0
@@ -186,7 +196,7 @@ def test_measure_plus_in_x_basis_is_deterministic():
 
 def test_measure_zero_in_x_basis_is_even():
     for bit in (0, 1):
-        _, prob, _ = sv.measure(sv.new_basis_state(1), 0, sv.rotated(0.0), sv.ForcedBranch([bit]))
+        _, prob, _ = sv.measure(new_basis_state(1), 0, 0.0, sv.ForcedBranch([bit]))
         assert prob == pytest.approx(0.5, abs=ATOL)
 
 
@@ -195,27 +205,27 @@ def test_branch_probabilities_sum_to_one():
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
     s = sv.PureState(v.reshape(2, 2, 2), ["a", "b", "c"])
-    for basis in (sv.COMPUTATIONAL, sv.rotated(0.0), sv.rotated(1.234)):
+    for basis in (None, 0.0, 1.234):
         _, p0, _ = sv.measure(s, "b", basis, sv.ForcedBranch([0]))
         _, p1, _ = sv.measure(s, "b", basis, sv.ForcedBranch([1]))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_is_destructive_and_renormalized():
-    s = sv.tensor(sv.new_plus_theta(0.4, "d"), sv.new_basis_state(1, [0], labels=["anc"]))
-    outcome, prob, rest = sv.measure(s, "anc", sv.COMPUTATIONAL, sv.ForcedBranch([0]))
+    s = sv.tensor(sv.new_plus_theta(0.4, "d"), new_basis_state(1, [0], labels=["anc"]))
+    outcome, prob, rest = sv.measure(s, "anc", None, sv.ForcedBranch([0]))
     assert rest.labels == ["d"]
     assert np.vdot(rest.vector(), rest.vector()).real == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(SequencingError):
-        sv.measure(rest, "anc", sv.COMPUTATIONAL, sv.ForcedBranch([0]))
+        sv.measure(rest, "anc", None, sv.ForcedBranch([0]))
 
 
-@pytest.mark.parametrize("basis", [sv.COMPUTATIONAL, sv.rotated(0.4)])
+@pytest.mark.parametrize("basis", [None, 0.4])
 def test_measure_residual_does_not_alias_input(basis):
     rng = np.random.default_rng(11)
     mixed = _random_state(rng, 3, ["a", "m", "b"])
     # measured qubit in |0>: outcome 0 has probability 1 in the Z basis
-    certain = sv.tensor(sv.new_basis_state(1, 0, ["m"]), _random_state(rng, 2))
+    certain = sv.tensor(new_basis_state(1, 0, ["m"]), _random_state(rng, 2))
     for s in (mixed, certain):
         _, _, rest = sv.measure(s, "m", basis, sv.ForcedBranch([0]))
         before = rest.amps.copy()
@@ -226,29 +236,29 @@ def test_measure_residual_does_not_alias_input(basis):
 def test_measure_residual_has_the_bits_of_division_by_root_prob():
     # the CLI's recorded fidelities were made by dividing by sqrt(p)
     rng = np.random.default_rng(13)
-    for n, q, basis in ((3, 2, sv.COMPUTATIONAL), (5, 1, sv.rotated(2.2)), (10, 9, sv.rotated(-0.7))):
+    for n, q, basis in ((3, 2, None), (5, 1, 2.2), (10, 9, -0.7)):
         s = _random_state(rng, n)
         _, prob, rest = sv.measure(s, q, basis, sv.ForcedBranch([1]))
         a0, a1 = np.take(s.amps, 0, axis=q), np.take(s.amps, 1, axis=q)
-        if basis.kind == "computational":
+        if basis is None:
             b1 = a1
         else:
-            b1 = (a0 - cmath.exp(-1j * basis.delta) * a1) / math.sqrt(2)
+            b1 = (a0 - cmath.exp(-1j * basis) * a1) / math.sqrt(2)
         assert prob == float(np.vdot(b1, b1).real)
         assert rest.amps.tobytes() == (b1 / math.sqrt(prob)).tobytes()
 
 
 def test_forced_impossible_branch_raises():
-    s = sv.new_basis_state(1, [0])
+    s = new_basis_state(1, [0])
     with pytest.raises(DegenerateBranchError):
-        sv.measure(s, 0, sv.COMPUTATIONAL, sv.ForcedBranch([1]))
+        sv.measure(s, 0, None, sv.ForcedBranch([1]))
 
 
 def test_rotated_basis_projects_correctly():
     # |+_theta> measured in Rotated(theta) must give + deterministically
     theta = 2.1
     s = sv.new_plus_theta(theta)
-    outcome, prob, _ = sv.measure(s, 0, sv.rotated(theta), sv.ForcedBranch([0]))
+    outcome, prob, _ = sv.measure(s, 0, theta, sv.ForcedBranch([0]))
     assert prob == pytest.approx(1.0, abs=ATOL)
 
 
@@ -257,7 +267,7 @@ def test_born_sampler_reproducible():
         src = sv.BornSampler(seed)
         bits = []
         for _ in range(20):
-            outcome, _, _ = sv.measure(sv.new_basis_state(1), 0, sv.rotated(0.0), src)
+            outcome, _, _ = sv.measure(new_basis_state(1), 0, 0.0, src)
             bits.append(outcome)
         return bits
 
@@ -309,14 +319,31 @@ def test_fidelity_of_plus_and_plus_i():
 
 
 def test_fidelity_aligns_label_order():
-    a = sv.tensor(sv.new_basis_state(1, [0], labels=["x"]), sv.new_plus_theta(0.3, "y"))
-    b = sv.tensor(sv.new_plus_theta(0.3, "y"), sv.new_basis_state(1, [0], labels=["x"]))
+    a = sv.tensor(new_basis_state(1, [0], labels=["x"]), sv.new_plus_theta(0.3, "y"))
+    b = sv.tensor(sv.new_plus_theta(0.3, "y"), new_basis_state(1, [0], labels=["x"]))
     assert sv.fidelity(a, b) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_fidelity_rejects_mismatched_labels():
     with pytest.raises(InputError):
         sv.fidelity(sv.new_plus_theta(0.0, "a"), sv.new_plus_theta(0.0, "b"))
+
+
+class _SameRepr:
+    """Distinct labels that all print alike."""
+
+    def __repr__(self):
+        return "q"
+
+
+def test_label_order_must_be_a_permutation_by_identity():
+    a, b = _SameRepr(), _SameRepr()
+    with pytest.raises(InputError):
+        sv.fidelity(sv.new_plus_theta(0.0, a), sv.new_plus_theta(0.0, b))
+    s = sv.tensor(sv.new_plus_theta(0.0, "a"), sv.new_plus_theta(0.3, "b"))
+    for order in (["a", "a"], ["a", "b", "a"]):
+        with pytest.raises(InputError):
+            s.vector(order=order)
 
 
 # ------------------------------------------------------------ norm guards
@@ -330,20 +357,20 @@ def test_norm_drift_detected():
 
 
 def test_kernels_reject_a_nan_state_that_skipped_validation():
-    bad = sv.new_basis_state(1)
+    bad = new_basis_state(1)
     bad.amps = np.array([math.nan, 0.0], dtype=complex)
     with pytest.raises(ContractViolation):
-        sv.measure(bad, 0, sv.COMPUTATIONAL, sv.BornSampler(0))
+        sv.measure(bad, 0, None, sv.BornSampler(0))
     with pytest.raises(ContractViolation):
         sv.apply_gate(bad, sv.X, [0])
     with pytest.raises(ContractViolation):
-        sv.tensor(bad, sv.new_basis_state(1, labels=["b"]))
+        sv.tensor(bad, new_basis_state(1, labels=["b"]))
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_non_finite_basis_angle_is_rejected(delta):
     with pytest.raises(InputError):
-        sv.rotated(delta)
+        sv.measure(sv.new_plus_theta(0.0), 0, delta, sv.ForcedBranch([0]))
 
 
 def test_qubit_state_copies_a_vector_or_a_one_qubit_state():
@@ -357,6 +384,6 @@ def test_qubit_state_copies_a_vector_or_a_one_qubit_state():
     assert np.array_equal(from_vec.amps, [0.6, 0.8j])
     assert np.array_equal(from_state.amps, sv.new_plus_theta(0.4).amps)
     with pytest.raises(InputError):
-        sv.qubit_state(sv.new_basis_state(2), "d")
+        sv.qubit_state(new_basis_state(2), "d")
     with pytest.raises(InputError):
         sv.qubit_state([1.0, 0.0, 0.0], "d")
