@@ -10,16 +10,17 @@ There is no residual quantum side information either: after the run the
 only unmeasured qubits are the outputs handed back, so the server's
 environment is the transcript alone.
 
-This module makes that argument executable two ways:
+This module makes that argument executable two ways, through mbqc.runs:
 - exactly, by enumerating every branch of small patterns (the two-node
   minimal cluster, single-gate patterns) and computing the full TV distance;
 - by sampling full preparation runs, where each sampled path carries its
-  exact branch probability, every per-step probability is checked against
-  1/2, and the TV is compared over the visited words.
+  exact branch probability and the TV is compared over the visited words.
+In both modes every per-step probability is checked against 1/2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,33 +82,20 @@ def min_cluster_residual(theta: float, basis: str, outcome: int) -> sv.PureState
 # ----------------------------------------------------------- distributions ----
 
 
-def transcript_distribution(p: mbqc.MeasurementPattern, inputs) -> dict:
-    """Exact branch-word distribution {outcome tuple: probability}."""
-    if p.measured_count > MAX_EXACT:
+def transcript_distribution(
+    p: mbqc.MeasurementPattern, inputs, paths: int = 0, seed: int = 0
+) -> tuple[dict, float]:
+    """Branch-word distribution over every branch (paths 0) or over `paths`
+    seeded runs: ({outcome tuple: exact branch probability}, worst per-step
+    |p - 1/2| seen). Repeat visits of a sampled word collapse onto one entry."""
+    if paths == 0 and p.measured_count > MAX_EXACT:
         raise InputError(
             f"pattern measures {p.measured_count} nodes; exact enumeration is "
             f"capped at {MAX_EXACT}"
         )
-    dist = {}
-    for bits, prob, _, _, _ in mbqc.enumerate_branches(p, inputs):
-        dist[tuple(bits)] = prob
-    return dist
-
-
-def sampled_transcripts(
-    p: mbqc.MeasurementPattern, inputs, paths: int, seed: int
-) -> tuple[dict, float]:
-    """Sample complete runs; each visited word keeps its exact probability.
-
-    Returns ({word: exact branch probability}, max per-step deviation from
-    1/2 seen anywhere). Repeat visits collapse onto one dictionary entry.
-    """
-    if paths < 1:
-        raise InputError("need at least one sampled path")
     dist: dict = {}
     max_dev = 0.0
-    for i in range(paths):
-        _, transcript, _ = mbqc.run_pattern(p, inputs, sv.BornSampler(seed + i))
+    for _, transcript, _ in mbqc.runs(p, inputs, paths, seed):
         for entry in transcript.entries:
             max_dev = max(max_dev, abs(entry.prob - 0.5))
         dist[tuple(transcript.branch_word())] = transcript.branch_prob
@@ -126,30 +114,32 @@ def tv_distance(d1: dict, d2: dict) -> float:
 # ------------------------------------------------------------ full checks ----
 
 
-@dataclass(frozen=True)
-class BlindnessReport:
-    """Outcome of comparing transcript distributions across input phases."""
-
-    thetas: tuple
-    measured_count: int
-    exact: bool
-    sampled_paths: int  # 0 when exact
-    coverage: tuple  # per theta, total probability mass of compared words
-    max_prob_deviation: float  # worst |p - 1/2| per step (sampled) or
-    #                            |p_word - 2^-M| per word (exact)
-    tv_max: float  # largest pairwise TV distance over the theta grid
-    note: str
-
-    @property
-    def blind(self) -> bool:
-        return self.tv_max <= 1e-10 and self.max_prob_deviation <= 1e-9
-
-
-_NOTE = (
+NOTE = (
     "no quantum side information remains with the server: every non-output "
     "node is consumed by measurement, so the server's view is the classical "
     "transcript compared here"
 )
+
+
+@dataclass(frozen=True)
+class BlindnessReport:
+    """Outcome of comparing transcript distributions across input phases;
+    max_prob_deviation is the worst per-step |p - 1/2|, exact or sampled."""
+
+    thetas: tuple
+    measured_count: int
+    sampled_paths: int  # 0 when every branch was enumerated
+    coverage: tuple  # per theta, total probability mass of compared words
+    max_prob_deviation: float
+    tv_max: float  # largest pairwise TV distance over the theta grid
+
+    @property
+    def exact(self) -> bool:
+        return self.sampled_paths == 0
+
+    def passes(self, epsilon: float = 1e-10) -> bool:
+        """Pairwise TV within epsilon, and every step 50/50 within 1e-9."""
+        return self.tv_max <= epsilon and self.max_prob_deviation <= 1e-9
 
 
 def blindness_over_thetas(
@@ -159,49 +149,29 @@ def blindness_over_thetas(
     paths: int = 0,
     seed: int = 0,
 ) -> BlindnessReport:
-    """Compare transcript distributions when data_node carries |+_theta>.
-
-    paths = 0 enumerates exactly (small patterns); otherwise each theta is
-    sampled along `paths` seeded runs and the comparison uses the visited
-    words' exact probabilities.
-    """
+    """Compare transcript distributions when data_node carries |+_theta>,
+    over every branch (paths 0) or over `paths` seeded runs per theta."""
     if data_node not in p.inputs:
         raise InputError(f"{data_node} is not an input node of the pattern")
     thetas = tuple(thetas)
     if len(thetas) < 2:
         raise InputError("need at least two phases to compare")
 
-    dists = []
-    coverage = []
-    max_dev = 0.0
-    exact = paths == 0
+    dists, coverage, max_dev = [], [], 0.0
     for theta in thetas:
         inputs = {data_node: sv.new_plus_theta(theta).amps.reshape(-1)}
-        if exact:
-            dist = transcript_distribution(p, inputs)
-            uniform = 0.5**p.measured_count
-            for prob in dist.values():
-                max_dev = max(max_dev, abs(prob - uniform))
-        else:
-            dist, dev = sampled_transcripts(p, inputs, paths, seed)
-            max_dev = max(max_dev, dev)
+        dist, dev = transcript_distribution(p, inputs, paths, seed)
+        max_dev = max(max_dev, dev)
         dists.append(dist)
         coverage.append(sum(dist.values()))
-
-    tv_max = 0.0
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            tv_max = max(tv_max, tv_distance(dists[i], dists[j]))
 
     return BlindnessReport(
         thetas=thetas,
         measured_count=p.measured_count,
-        exact=exact,
-        sampled_paths=0 if exact else paths,
+        sampled_paths=paths,
         coverage=tuple(coverage),
         max_prob_deviation=max_dev,
-        tv_max=tv_max,
-        note=_NOTE,
+        tv_max=max(tv_distance(a, b) for a, b in itertools.combinations(dists, 2)),
     )
 
 

@@ -159,23 +159,16 @@ def _pattern_probes(p: mbqc.MeasurementPattern) -> list:
 
 
 def _pattern_min_fidelity(
-    p: mbqc.MeasurementPattern, mode: str, paths: int, seed: int
+    p: mbqc.MeasurementPattern, paths: int, seed: int
 ) -> tuple[float, int]:
-    """Worst corrected-output fidelity across branches, plus the run count."""
-    worst, runs = math.inf, 0
+    """Worst corrected-output fidelity over every branch (paths 0) or over
+    `paths` sampled runs per probe, plus the run count."""
+    worst, count = math.inf, 0
     for inputs, target in _pattern_probes(p):
-        if mode == "exhaustive":
-            for _, _, state, _, frame in mbqc.enumerate_branches(p, inputs):
-                got = mbqc.apply_byproducts(state, frame)
-                worst = min(worst, sv.fidelity(got, target))
-                runs += 1
-        else:
-            for i in range(paths):
-                state, _, frame = mbqc.run_pattern(p, inputs, sv.BornSampler(seed + i))
-                got = mbqc.apply_byproducts(state, frame)
-                worst = min(worst, sv.fidelity(got, target))
-                runs += 1
-    return worst, runs
+        for state, _, frame in mbqc.runs(p, inputs, paths, seed):
+            worst = min(worst, sv.fidelity(mbqc.apply_byproducts(state, frame), target))
+            count += 1
+    return worst, count
 
 
 def cmd_verify_gates(args) -> int:
@@ -197,9 +190,10 @@ def cmd_verify_gates(args) -> int:
         for d in seps:
             suite.append((f"cnot[sep={d}]", mbqc.pattern_for_gate(mbqc.CNOTGate(d))))
 
+    paths = args.paths if args.branches == "sample" else 0
     all_ok = True
     for name, p in suite:
-        worst, runs = _pattern_min_fidelity(p, args.branches, args.paths, seed)
+        worst, runs = _pattern_min_fidelity(p, paths, seed)
         ok = worst >= 1.0 - GATE_THRESHOLD
         all_ok = all_ok and ok
         verdict = "PASS" if ok else "FAIL"
@@ -292,13 +286,13 @@ def cmd_correct(args) -> int:
 # ------------------------------------------------------------- blindness ----
 
 
-def _report_lines(tag: str, rep: bl.BlindnessReport) -> list:
+def _report_line(tag: str, rep: bl.BlindnessReport) -> str:
     kind = "exact enumeration" if rep.exact else f"{rep.sampled_paths} sampled paths"
-    return [
+    return (
         f"{tag}: {kind} over {rep.measured_count} measurements; "
         f"coverage {min(rep.coverage)!r}; "
         f"max TV {rep.tv_max!r}; max |p - 1/2| {rep.max_prob_deviation!r}"
-    ]
+    )
 
 
 def cmd_blindness(args) -> int:
@@ -309,23 +303,15 @@ def cmd_blindness(args) -> int:
     seed = _resolve_seed(args)
 
     print(f"blindness: {args.protocol} protocol, 8 phases k*pi/4")
-    reports = []
     if args.protocol == "min-cluster":
-        for basis in ("x", "y", "z"):
-            rep = bl.min_cluster_blindness(basis)
-            reports.append(rep)
-            for line in _report_lines(f"basis {basis}", rep):
-                print(line)
+        tagged = [(f"basis {b}", bl.min_cluster_blindness(b)) for b in ("x", "y", "z")]
     else:
-        rep = bl.preparation_blindness(paths=args.paths, seed=seed)
-        reports.append(rep)
-        for line in _report_lines("prepare", rep):
-            print(line)
-    print(f"note: {reports[0].note}")
+        tagged = [("prepare", bl.preparation_blindness(paths=args.paths, seed=seed))]
+    for tag, rep in tagged:
+        print(_report_line(tag, rep))
+    print(f"note: {bl.NOTE}")
 
-    ok = all(
-        r.tv_max <= args.epsilon and r.max_prob_deviation <= 1e-9 for r in reports
-    )
+    ok = all(rep.passes(args.epsilon) for _, rep in tagged)
     print(f"blindness: {'PASS' if ok else 'FAIL'} (epsilon {args.epsilon!r})")
     return EXIT_OK if ok else EXIT_FAIL
 

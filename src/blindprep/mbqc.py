@@ -217,12 +217,16 @@ class ByproductFrame:
 
 def adapt_angle(base: float, deps: Iterable[Node], outcomes: dict) -> float:
     """Measurement angle +/-base with sign fixed by the dep outcomes' parity."""
-    parity = 0
-    for node in deps:
+    return -base if _parity(deps, outcomes) else base
+
+
+def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
+    par = 0
+    for node in nodes:
         if node not in outcomes:
             raise SequencingError(f"dependency {node} has no recorded outcome")
-        parity ^= outcomes[node] & 1
-    return -base if parity else base
+        par ^= outcomes[node] & 1
+    return par
 
 
 def apply_byproducts(state: sv.PureState, frame: ByproductFrame) -> sv.PureState:
@@ -322,13 +326,6 @@ def run_pattern(
     return live, transcript, frame
 
 
-def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
-    par = 0
-    for node in nodes:
-        par ^= outcomes[node] & 1
-    return par
-
-
 def enumerate_branches(
     p: MeasurementPattern, inputs
 ) -> Iterator[tuple[list, float, sv.PureState, Transcript, ByproductFrame]]:
@@ -352,6 +349,20 @@ def enumerate_branches(
             continue
         yield bits, transcript.branch_prob, state, transcript, frame
         word += 1
+
+
+def runs(
+    p: MeasurementPattern, inputs, paths: int = 0, seed: int = 0
+) -> Iterator[tuple[sv.PureState, Transcript, ByproductFrame]]:
+    """Yield (residual state, transcript, frame) for every branch (paths 0)
+    or for `paths` Born-sampled runs, seeded seed, seed + 1, ..."""
+    if paths < 0:
+        raise InputError(f"paths must be non-negative, got {paths}")
+    if paths == 0:
+        for _, _, state, transcript, frame in enumerate_branches(p, inputs):
+            yield state, transcript, frame
+    for i in range(paths):
+        yield run_pattern(p, inputs, sv.BornSampler(seed + i))
 
 
 # --------------------------------------------------------------- builder ----

@@ -215,12 +215,18 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     """Apply gate g to the given target qubits (order matters for multi-qubit gates)."""
+    axes = [s.axis(t) for t in _targets(g, targets)]
+    return _derived(_contract(g, s.amps, axes), list(s.labels))
+
+
+def _targets(g: Gate, targets: Sequence) -> list:
+    """targets as a list, once g's arity is met and no target repeats."""
     targets = list(targets)
     if len(targets) != g.arity:
         raise InputError(f"gate {g.kind} expects {g.arity} targets, got {len(targets)}")
     if len(set(targets)) != len(targets):
         raise InputError("duplicate target labels")
-    return _derived(_contract(g, s.amps, [s.axis(t) for t in targets]), list(s.labels))
+    return targets
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
@@ -243,9 +249,10 @@ def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
 def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
     """Matrix of a gate sequence on n wires (wire 0 most significant).
 
-    ops are (gate, wires) pairs applied in order; each acts on the identity's
-    row axes, so column j of the result is the circuit applied to |j>. The
-    matrix is a 2n-qubit tensor, so n is capped at QUBIT_CAP // 2.
+    ops are (gate, wires) pairs applied in order, each wire an int in 0..n-1;
+    each acts on the identity's row axes, so column j of the result is the
+    circuit applied to |j>. The matrix is a 2n-qubit tensor, so n is capped
+    at QUBIT_CAP // 2.
     """
     if n > QUBIT_CAP // 2:
         raise InputError(
@@ -254,7 +261,11 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g, wires in ops:
-        u = _contract(g, u, list(wires))
+        wires = _targets(g, wires)
+        # axis n of u is the column axis, which an unchecked wire could reach
+        if not all(isinstance(w, int) and 0 <= w < n for w in wires):
+            raise InputError(f"wires {wires} are not all in 0..{n - 1}")
+        u = _contract(g, u, wires)
     return u.reshape(dim, dim)
 
 

@@ -170,10 +170,6 @@ class SyndromeResult:
     bit_position: int  # 0 = clean, else the flagged qubit (1..7)
     phase_position: int
 
-    @property
-    def clean(self) -> bool:
-        return self.bit_position == 0 and self.phase_position == 0
-
 
 def _row_parities(word) -> tuple:
     return tuple(

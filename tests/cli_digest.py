@@ -1,0 +1,91 @@
+"""One sha256 over the CLI's stdout and exit codes for a fixed list of runs.
+
+Run as `python3 tests/cli_digest.py` from the repository root. Two checkouts
+whose CLI behaves byte for byte the same print the same digest, so comparing
+the digest before and after a refactor checks far more output than the
+golden records alone. Each invocation contributes its argv, its stdout and
+its exit code; stderr is not hashed. Every command runs in-process through
+`cli.main` with BLINDPREP_SEED unset.
+
+The file name does not match pytest's test patterns, so it is not collected.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from blindprep.cli import main  # noqa: E402
+
+GOLDEN = [
+    ["prepare", "--theta", "3", "--seed", "5"],
+    ["prepare", "--branches", "zero"],
+    ["verify-gates", "--pattern", "hadamard"],
+    ["verify-gates", "--pattern", "cnot", "--sep", "1"],
+    ["correct", "--pauli", "Y", "--pos", "4"],
+    ["blindness"],
+    ["verify-gates", "--pattern", "rotation"],
+    ["prepare", "--theta", "6", "--seed", "9"],
+    ["verify-gates", "--pattern", "rotation", "--branches", "sample", "--paths", "20",
+     "--seed", "7"],
+    ["blindness", "--protocol", "prepare", "--paths", "4", "--seed", "1"],
+]
+
+PREPARE = [
+    ["prepare", "--theta", str(t), *branch]
+    for t in range(8)
+    for branch in (["--seed", "0"], ["--seed", "1"], ["--seed", "2"], ["--branches", "zero"])
+]
+
+CORRECT = [
+    ["correct", "--pauli", pauli, "--pos", str(pos)] for pauli in "XYZ" for pos in range(1, 8)
+]
+
+SAMPLED_GATES = [
+    ["verify-gates", "--pattern", "hadamard", "--branches", "sample", "--paths", "5"],
+    ["verify-gates", "--pattern", "rotation", "--branches", "sample", "--paths", "20",
+     "--seed", "3"],
+] + [
+    ["verify-gates", "--pattern", "cnot", "--sep", str(d), "--branches", "sample",
+     "--paths", "10", "--seed", "3"]
+    for d in (1, 2, 3)
+]
+
+BLINDNESS = [
+    ["blindness", "--protocol", "min-cluster"],
+    ["blindness", "--protocol", "prepare"],
+    ["blindness", "--epsilon", "1e-300"],  # exits 2
+]
+
+RESOURCES = [["resources"]]
+
+USAGE_ERRORS = [
+    ["verify-gates", "--paths", "0", "--branches", "sample"],
+    ["prepare", "--theta", "9"],
+    ["correct", "--pauli", "X", "--pos", "8"],
+    ["blindness", "--paths", "0"],
+    ["resources", "--step", "0"],
+]
+
+INVOCATIONS = GOLDEN + PREPARE + CORRECT + SAMPLED_GATES + BLINDNESS + RESOURCES + USAGE_ERRORS
+
+
+def digest() -> str:
+    os.environ.pop("BLINDPREP_SEED", None)
+    h = hashlib.sha256()
+    for argv in INVOCATIONS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        h.update(f"### {' '.join(argv)}\n{out.getvalue()}exit={code}\n".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(f"sha256 over {len(INVOCATIONS)} invocations: {digest()}")

@@ -9,13 +9,13 @@ import pytest
 import blindprep.statevector as sv
 from blindprep.blindness import (
     DEFAULT_THETAS,
+    NOTE,
     BlindnessReport,
     blindness_over_thetas,
     min_cluster_blindness,
     min_cluster_pattern,
     min_cluster_residual,
     preparation_blindness,
-    sampled_transcripts,
     transcript_distribution,
     tv_distance,
 )
@@ -53,7 +53,7 @@ def test_min_cluster_blindness_is_exact_zero(basis):
     assert report.coverage == pytest.approx((1.0,) * len(DEFAULT_THETAS), abs=1e-12)
     assert report.tv_max <= 1e-12
     assert report.max_prob_deviation <= 1e-12
-    assert report.blind
+    assert report.passes()
 
 
 # ------------------------------------------------------------ tv distance ----
@@ -83,7 +83,7 @@ def test_tv_distance_triangle_inequality():
 def test_exact_distribution_is_uniform_for_gate_patterns():
     p = pattern_for_gate(HadamardGate())
     psi = sv.new_plus_theta(0.9).amps.reshape(-1)
-    dist = transcript_distribution(p, {(1, 0): psi})
+    dist, _ = transcript_distribution(p, {(1, 0): psi})
     assert len(dist) == 16
     for prob in dist.values():
         assert prob == pytest.approx(1.0 / 16.0, abs=1e-12)
@@ -96,10 +96,16 @@ def test_exact_distribution_refuses_large_patterns():
         transcript_distribution(compile_encoder(), None)
 
 
+def test_distribution_rejects_negative_paths():
+    p = pattern_for_gate(HadamardGate())
+    with pytest.raises(InputError):
+        transcript_distribution(p, None, paths=-1)
+
+
 def test_sampled_transcripts_carry_exact_probabilities():
     p = pattern_for_gate(RotationGate(0.3, 0.5, 0.7))
     psi = sv.new_plus_theta(0.4).amps.reshape(-1)
-    dist, max_dev = sampled_transcripts(p, {(1, 0): psi}, paths=24, seed=1)
+    dist, max_dev = transcript_distribution(p, {(1, 0): psi}, paths=24, seed=1)
     assert max_dev <= 1e-12
     for prob in dist.values():
         assert prob == pytest.approx(1.0 / 16.0, abs=1e-12)
@@ -114,7 +120,7 @@ def test_gate_pattern_blindness_exact_over_theta_grid():
     assert report.exact
     assert report.tv_max <= 1e-12
     assert report.coverage == pytest.approx((1.0,) * 8, abs=1e-12)
-    assert report.blind
+    assert report.passes()
 
 
 def test_preparation_blindness_sampled_runs():
@@ -126,8 +132,8 @@ def test_preparation_blindness_sampled_runs():
     assert report.tv_max <= 1e-10
     # distinct runs visit distinct words, all carrying the same tiny mass
     assert report.coverage[0] == pytest.approx(4 * 0.5**162, rel=1e-9)
-    assert report.blind
-    assert "transcript" in report.note
+    assert report.passes()
+    assert "transcript" in NOTE
 
 
 def test_blindness_requires_valid_data_node_and_grid():
@@ -142,12 +148,17 @@ def test_report_blind_property_thresholds():
     base = dict(
         thetas=(0.0, 1.0),
         measured_count=3,
-        exact=True,
         sampled_paths=0,
         coverage=(1.0, 1.0),
-        note="",
     )
     good = BlindnessReport(max_prob_deviation=0.0, tv_max=0.0, **base)
     leaky = BlindnessReport(max_prob_deviation=0.0, tv_max=0.3, **base)
-    assert good.blind
-    assert not leaky.blind
+    assert good.exact
+    assert good.passes()
+    assert not leaky.passes()
+    # epsilon is the TV bound; the per-step bound stays 1e-9
+    assert leaky.passes(epsilon=0.3)
+    assert not BlindnessReport(max_prob_deviation=2e-9, tv_max=0.0, **base).passes(1.0)
+    # the old property name is gone, not a bound method that is always truthy
+    with pytest.raises(AttributeError):
+        good.blind

@@ -49,6 +49,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("blindness_min_cluster", ["blindness"]),
         ("verify_gates_rotation", ["verify-gates", "--pattern", "rotation"]),
         ("prepare_theta6_seed9", ["prepare", "--theta", "6", "--seed", "9"]),
+        (
+            "verify_gates_rotation_sample",
+            ["verify-gates", "--pattern", "rotation", "--branches", "sample",
+             "--paths", "20", "--seed", "7"],
+        ),
+        (
+            "blindness_prepare_sampled",
+            ["blindness", "--protocol", "prepare", "--paths", "4", "--seed", "1"],
+        ),
     ],
 )
 def test_stdout_matches_golden_record(capsys, name, argv):

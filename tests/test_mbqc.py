@@ -34,6 +34,7 @@ from blindprep.mbqc import (
     pattern_to_text,
     rotation_unitary,
     run_pattern,
+    runs,
 )
 from helpers import build_cluster
 
@@ -492,6 +493,46 @@ def test_run_pattern_defaults_missing_inputs_to_plus():
         assert ref_tr.branch_prob == pytest.approx(prob, abs=1e-12)
         assert sv.fidelity(ref_state, state) == pytest.approx(1.0, abs=1e-12)
         assert ref_frame.exps == frame.exps
+
+
+def _driver_case(gate):
+    p = pattern_for_gate(gate)
+    if isinstance(gate, CNOTGate):
+        return p, choi_probe(p)[0]
+    return p, {(1, 0): FIVE_STATES[4]}
+
+
+DRIVER_GATES = pytest.mark.parametrize(
+    "gate", [HadamardGate(), CNOTGate(1)], ids=["hadamard", "cnot_sep1_choi"]
+)
+
+
+@DRIVER_GATES
+def test_runs_without_paths_yields_every_enumerated_branch(gate):
+    p, inputs = _driver_case(gate)
+    got = list(runs(p, inputs))
+    want = list(enumerate_branches(p, inputs))
+    assert len(got) == len(want) == 2**p.measured_count
+    for (state, transcript, frame), (bits, prob, ref_state, _, ref_frame) in zip(got, want):
+        assert transcript.branch_word() == bits
+        assert transcript.branch_prob == prob
+        assert state.labels == ref_state.labels
+        assert np.array_equal(state.amps, ref_state.amps)
+        assert frame.exps == ref_frame.exps
+
+
+@DRIVER_GATES
+def test_runs_with_paths_replays_seeded_run_pattern(gate):
+    p, inputs = _driver_case(gate)
+    got = list(runs(p, inputs, 3, seed=5))
+    assert len(got) == 3
+    for i, (state, transcript, frame) in enumerate(got):
+        ref_state, ref_transcript, ref_frame = run_pattern(p, inputs, sv.BornSampler(5 + i))
+        assert transcript.branch_word() == ref_transcript.branch_word()
+        assert transcript.branch_prob == ref_transcript.branch_prob
+        assert state.labels == ref_state.labels
+        assert np.array_equal(state.amps, ref_state.amps)
+        assert frame.exps == ref_frame.exps
 
 
 def test_run_pattern_rejects_state_on_non_input():

@@ -135,6 +135,16 @@ def test_circuit_unitary_matches_kron_and_permutation_oracles():
     assert np.allclose(got, sv.CNOT.matrix @ np.kron(sv.H.matrix, np.eye(2)), atol=ATOL)
 
 
+@pytest.mark.parametrize(
+    "gate, wires",
+    [(sv.X, [5]), (sv.X, [-1]), (sv.X, [2]), (sv.CNOT, [0, 0]), (sv.CNOT, [0])],
+    ids=["past_the_end", "negative", "column_axis", "repeated", "too_few"],
+)
+def test_circuit_unitary_rejects_bad_wires(gate, wires):
+    with pytest.raises(InputError):
+        sv.circuit_unitary(2, [(gate, wires)])
+
+
 def _random_state(rng, n, labels=None):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return sv.PureState(v / np.linalg.norm(v), labels if labels is not None else list(range(n)))

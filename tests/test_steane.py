@@ -158,7 +158,7 @@ BASES = [
 def test_clean_state_reports_clean(name, make):
     state = make()
     result, survived = extract_syndrome(state, sv.BornSampler(7))
-    assert result.clean
+    assert result.bit_position == result.phase_position == 0
     assert sv.fidelity(survived, make()) == pytest.approx(1.0, abs=1e-12)
 
 
