@@ -392,29 +392,17 @@ class PatternBuilder:
     def carrier(self, key) -> Node:
         return self._wires[key]["carrier"]
 
-    def row(self, key) -> int:
-        return self._wires[key]["input"][1]
-
-    def hop(
-        self, key, kind: str, angle: float = 0.0, x: int | None = None, y: int | None = None
-    ) -> Node:
-        """Advance a wire one node: measure the carrier, move to a new node.
-
-        kind: "x", "y", or "rot" with its base angle, whose sign adapts to
-        the carrier's pending X. Default placement is one column right of
-        the carrier.
-        """
+    def hop(self, key, kind: str, angle: float = 0.0, x: int | None = None) -> Node:
+        """Advance a wire one node along its row: measure the carrier as kind
+        ("x", "y", or "rot" with its base angle, whose sign adapts to the
+        pending X) and move to column x, by default one right of it."""
         if kind == "z":
             raise InputError("a Z measurement ends a wire; use eliminate")
         w = self._wires[key]
         u = w["carrier"]
         a, b = w["a"], w["b"]
         role = Role(kind, angle, a if kind == "rot" else ())
-        if x is None:
-            x = u[0] + 1
-        if y is None:
-            y = w["input"][1]
-        v = (x, y)
+        v = (u[0] + 1 if x is None else x, u[1])
         self._edges.append((u, v))
         self._steps.append((u, role))
         # a pending X flips a fixed M(pi/2)'s sign, which re-reads the
@@ -514,32 +502,24 @@ def lay_cnot(b: PatternBuilder, keys: Sequence) -> None:
     """CNOT from keys[0] (control) to keys[-1] (target); keys in between pass
     through unchanged. Wire rows must be consecutive top-to-bottom."""
     control, target = keys[0], keys[-1]
-    rows = [b.row(k) for k in keys]
+    rows = [b.carrier(k)[1] for k in keys]
     if rows != list(range(rows[0], rows[0] + len(keys))):
         raise InputError("lay_cnot expects consecutive rows, control on top")
-    d = rows[-1] - rows[0]
-    base = max(b.carrier(k)[0] for k in keys)
     rc, rt = rows[0], rows[-1]
-
+    base = max(b.carrier(k)[0] for k in keys)
+    # the target's column before the bridge, its columns after, the jog that keeps it even
+    if (rt - rc) % 2:
+        before, after, jog = base + 2, (base + 3,), []
+    else:
+        before, after, jog = base + 1, (base + 2, base + 3, base + 4), [(base + 1, rt - 1)]
     b.hop(control, "x", x=base + 1)
     b.hop(control, "x", x=base + 2)  # carrier now at the coupling column
-
-    if d % 2 == 1:
-        b.hop(target, "x", x=base + 2)  # 3-node target chain
-        bridge_coords = [(base + 2, r) for r in range(rc + 1, rt)]
-    else:
-        b.hop(target, "x", x=base + 1)  # 5-node target chain
-        bridge_coords = [(base + 2, r) for r in range(rc + 1, rt)] + [(base + 1, rt - 1)]
-
-    b.bridge(control, target, bridge_coords)
-
+    b.hop(target, "x", x=before)
+    b.bridge(control, target, [(base + 2, r) for r in range(rc + 1, rt)] + jog)
     b.hop(control, "x", x=base + 3)
     b.hop(control, "x", x=base + 4)
-    if d % 2 == 1:
-        b.hop(target, "x", x=base + 3)
-    else:
-        for x in (base + 2, base + 3, base + 4):
-            b.hop(target, "x", x=x)
+    for x in after:
+        b.hop(target, "x", x=x)
     for key in keys[1:-1]:
         b.hop(key, "x", x=base + 3)
         b.hop(key, "x", x=base + 4)
@@ -633,8 +613,10 @@ def pattern_from_text(text: str) -> MeasurementPattern:
       xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
       zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
     The node set is the measured nodes plus the outputs; inputs and edge
-    endpoints must be among them. The declared unitary is not serialized;
-    fixtures carry structure only.
+    endpoints must be among them. No directive repeats for one node, edge or
+    output, and no node repeats within one DEP, xcorr or zcorr list (each is
+    a GF(2) parity). The declared unitary is not serialized; fixtures carry
+    structure only.
     """
     inputs: list = []
     outputs: list = []
@@ -657,14 +639,16 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 kind, colon, angle = parts[2].partition(":")
                 if colon != (":" if kind == "rot" else ""):
                     raise StructuralError(f"bad role {parts[2]!r}")
-                deps = [_parse_c(t) for t in parts[3:]]
+                deps = _parse_set(parts[3:])
                 steps.append((node, Role(kind, float(angle) if colon else 0.0, deps)))
             elif parts[0] == "edge":
                 edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
             elif parts[0] in ("xcorr", "zcorr"):
                 out = _parse_c(parts[1])
-                dep_nodes = frozenset(_parse_c(t) for t in parts[2:])
-                (x_corr if parts[0] == "xcorr" else z_corr)[out] = dep_nodes
+                corr = x_corr if parts[0] == "xcorr" else z_corr
+                if out in corr:
+                    raise StructuralError(f"a second {parts[0]} for {_c(out)}")
+                corr[out] = _parse_set(parts[2:])
             else:
                 raise StructuralError(f"unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -679,3 +663,11 @@ def _c(node: Node) -> str:
 def _parse_c(token: str) -> Node:
     x, y = token.split(",")
     return (int(x), int(y))
+
+
+def _parse_set(tokens: Sequence[str]) -> frozenset:
+    """A DEP, xcorr or zcorr node list: a GF(2) parity, so no node repeats."""
+    nodes = [_parse_c(t) for t in tokens]
+    if len(set(nodes)) != len(nodes):
+        raise StructuralError("a node repeats in a parity list")
+    return frozenset(nodes)

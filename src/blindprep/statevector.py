@@ -90,27 +90,17 @@ def rz(phi: float) -> Gate:
 # -------------------------------------------------------- outcome source ----
 
 
-class OutcomeSource:
-    """Decides measurement outcomes given the two branch probabilities."""
+class BornSampler:
+    """Samples outcomes by the Born rule from a generator seeded with an int."""
 
-    def choose(self, p0: float, p1: float) -> int:
-        raise NotImplementedError
-
-
-class BornSampler(OutcomeSource):
-    """Samples outcomes by the Born rule from a seeded generator."""
-
-    def __init__(self, seed: int | np.random.Generator | None = 0):
-        if isinstance(seed, np.random.Generator):
-            self.rng = seed
-        else:
-            self.rng = np.random.default_rng(seed)
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
 
     def choose(self, p0: float, p1: float) -> int:
         return 0 if self.rng.random() < p0 else 1
 
 
-class ForcedBranch(OutcomeSource):
+class ForcedBranch:
     """Replays an explicit branch word.
 
     Used for exhaustive enumeration: measure raises DegenerateBranchError on
@@ -131,6 +121,9 @@ class ForcedBranch(OutcomeSource):
         self.pos += 1
         return bit
 
+
+# decides a measurement's outcome, given the two branch probabilities
+OutcomeSource = BornSampler | ForcedBranch
 
 # --------------------------------------------------------------- states ----
 

@@ -194,29 +194,26 @@ def extract_syndrome(
         if lb not in state.labels:
             raise InputError("state does not carry the encoded-block labels")
 
-    anc = [("bit", i) for i in range(1, 8)]
-    joint = sv.tensor(state, sv.PureState(logical_plus_theta(0.0).amps, anc))
-    for d, a in zip(DATA_LABELS, anc):
-        joint = sv.apply_gate(joint, sv.CNOT, [d, a])
-    bit_word = []
-    for a in anc:
-        outcome, _, joint = sv.measure(joint, a, None, src)
-        bit_word.append(outcome)
+    # per round: tag, fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
+    joint, words = state, []
+    for tag, ancilla, anc_controls, delta in (
+        ("bit", logical_plus_theta(0.0), False, None),
+        ("phase", logical_zero(), True, 0.0),
+    ):
+        anc = [(tag, i) for i in range(1, 8)]
+        joint = sv.tensor(joint, sv.PureState(ancilla.amps, anc))
+        for d, a in zip(DATA_LABELS, anc):
+            joint = sv.apply_gate(joint, sv.CNOT, [a, d] if anc_controls else [d, a])
+        word = []
+        for a in anc:
+            outcome, _, joint = sv.measure(joint, a, delta, src)
+            word.append(outcome)
+        words.append(tuple(word))
 
-    anc = [("phase", i) for i in range(1, 8)]
-    joint = sv.tensor(joint, sv.PureState(logical_zero().amps, anc))
-    for d, a in zip(DATA_LABELS, anc):
-        joint = sv.apply_gate(joint, sv.CNOT, [a, d])
-    phase_word = []
-    for a in anc:
-        outcome, _, joint = sv.measure(joint, a, 0.0, src)
-        phase_word.append(outcome)
-
-    bit_syn = _row_parities(bit_word)
-    phase_syn = _row_parities(phase_word)
+    bit_syn, phase_syn = map(_row_parities, words)
     result = SyndromeResult(
-        bit_word=tuple(bit_word),
-        phase_word=tuple(phase_word),
+        bit_word=words[0],
+        phase_word=words[1],
         bit_syndrome=bit_syn,
         phase_syndrome=phase_syn,
         bit_position=_position(bit_syn),

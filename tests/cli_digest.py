@@ -1,11 +1,13 @@
 """One sha256 over the CLI's stdout and exit codes for a fixed list of runs.
 
 Run as `python3 tests/cli_digest.py` from the repository root. Two checkouts
-whose CLI behaves byte for byte the same print the same digest, so comparing
-the digest before and after a refactor checks far more output than the
-golden records alone. Each invocation contributes its argv, its stdout and
-its exit code; stderr is not hashed. Every command runs in-process through
-`cli.main` with BLINDPREP_SEED unset.
+whose CLI behaves byte for byte the same print the same digest, so the digest
+checks far more output than the golden records alone. Each invocation
+contributes its argv, its stdout and its exit code; stderr is not hashed.
+Every command runs in-process through `cli.main` with BLINDPREP_SEED unset.
+The script prints the digest and exits 0 when it equals the value recorded
+in `tests/cli_digest.sha256`; otherwise it prints both values and exits 1.
+That value is re-recorded under the same rule as the golden records.
 
 The file name does not match pytest's test patterns, so it is not collected.
 """
@@ -87,5 +89,11 @@ def digest() -> str:
     return h.hexdigest()
 
 
+RECORDED = Path(__file__).with_name("cli_digest.sha256")
+
 if __name__ == "__main__":
-    print(f"sha256 over {len(INVOCATIONS)} invocations: {digest()}")
+    got, want = digest(), RECORDED.read_text(encoding="utf-8").strip()
+    print(f"sha256 over {len(INVOCATIONS)} invocations: {got}")
+    if got != want:
+        print(f"recorded in {RECORDED.name}: {want}")
+        sys.exit(1)

@@ -8,6 +8,7 @@ pattern on the full input space, which keeps multi-wire checks tractable.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -621,6 +622,47 @@ def test_round_tripped_pattern_runs_identically():
     assert sv.fidelity(state_p, state_q) == pytest.approx(1.0, abs=1e-12)
 
 
+# one sha256 per layout; a new value means the executor may create nodes in
+# another order and so change float bits: re-record it as the golden records
+LAYOUT_DIGESTS = {
+    "hadamard": "8135c9c64c733d65da543afe2c315fd75c2feb599f1e9ab2af1de679ec5089f2",
+    "rotation": "3646e925eaacd1335732c3e04872b475986782325e8d260a2530756c392d86ef",
+    "cnot1": "8fa4c5059f1c8f16336c49eb5087d5c082aa03ad4958bf43f196d3f66a8bedd8",
+    "cnot2": "53d76f28dc933d865e064a25b24ab483a71c5e914eeceda595282c358b56cd7c",
+    "cnot3": "9c69f53410f33d7d4c17cf9bcf5ab82077b1466309cc9ea2e0aa8bd35b81271c",
+    "cnot4": "bc73d5766f4d5ab1fcb7d7db6c66d61cb2945f6179421b03c9c3ab6a2a54c8f9",
+    "cnot5": "c2ea0df2767ddbf01df47e89e28a4222faf7073e564a3e856b4389c8bccac201",
+    "cnot6": "8656469f0c859ca97afe194cefb834ee6126720c5ee86befae264d12b6fd2e75",
+    "cnot7": "6681353544fcf362c824e9e484013fbe99e2ff6afa4c3c7c39afaf4dea055ae5",
+    "cnot8": "dbcffee364a9180648d53f6a92eff54e4a23606d95fa2c2515625c048c80631e",
+    "cnot9": "5286adecda18bece367453da19b221dd95c14b3463fa7752b4f8d1d07c444f11",
+    "encoder": "fb8e340915d3202465df1b5ddb20c94fbe9f18dd495577d1bb4eec105e039fa3",
+}
+
+
+def _layout(name):
+    if name == "hadamard":
+        return pattern_for_gate(HadamardGate())
+    if name == "rotation":
+        return pattern_for_gate(RotationGate(1.1, 0.4, -0.9))
+    if name == "encoder":
+        from blindprep.steane import compile_encoder
+
+        return compile_encoder()
+    return pattern_for_gate(CNOTGate(int(name[4:])))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
+def test_layouts_are_pinned_in_edge_order(name):
+    # the text form sorts edges, but the executor creates nodes in edge-list
+    # order, which fixes the float bits; so the edges are hashed as listed
+    p = _layout(name)
+    steps = [(node, role.kind, role.angle, sorted(role.deps)) for node, role in p.steps]
+    corr = [sorted((out, sorted(nodes)) for out, nodes in c.items()) for c in (p.x_corr, p.z_corr)]
+    text = repr((p.inputs, p.outputs, steps, p.edges, corr))
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[name]
+
+
 def test_parser_rejects_malformed_lines():
     with pytest.raises(StructuralError):
         pattern_from_text("node 0,0 q\n")
@@ -628,6 +670,20 @@ def test_parser_rejects_malformed_lines():
         pattern_from_text("frobnicate 1,2\n")
     with pytest.raises(StructuralError):
         pattern_from_text("edge 0,0\n")
+
+
+@pytest.mark.parametrize(
+    "tail, line",
+    [
+        ("xcorr 1,0 0,0\nxcorr 1,0\n", 5),  # a second xcorr would replace the first
+        ("zcorr 1,0 0,0 0,0\n", 4),  # a repeat in a parity list would cancel
+        ("node 2,0 rot:0.5 0,0 0,0\n", 4),
+    ],
+)
+def test_parser_rejects_repeated_corrections_and_list_nodes(tail, line):
+    text = "input 0,0\nnode 0,0 x\noutput 1,0\n" + tail
+    with pytest.raises(StructuralError, match=f"^line {line}: "):
+        pattern_from_text(text)
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def _wellformed_lines(draw):
     for i, node in enumerate(nodes):
         token = draw(st.one_of(st.sampled_from("zxy"), st.floats().map(lambda f: f"rot:{f!r}")))
         rot = i and token.startswith("rot")
-        deps = draw(st.lists(st.sampled_from(nodes[:i]), max_size=2)) if rot else []
+        deps = draw(st.lists(st.sampled_from(nodes[:i]), max_size=2, unique=True)) if rot else []
         lines.append(" ".join(["node", node, token, *deps]))
     return "\n".join(lines)
 
