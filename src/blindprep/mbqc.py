@@ -651,6 +651,8 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 corr[out] = _parse_set(parts[2:])
             else:
                 raise StructuralError(f"unknown directive {parts[0]!r}")
+        except StructuralError as exc:
+            raise StructuralError(f"line {ln}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise StructuralError(f"line {ln}: cannot parse {raw!r}") from exc
     return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)

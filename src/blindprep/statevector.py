@@ -16,8 +16,10 @@ Design notes:
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order
 matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
-eating the machine. Diagonal gates (CZ, Z, Rz) are applied by broadcast
-multiply instead of a matrix contraction.
+eating the machine. Monomial gates (one non-zero per row: CZ, Z, Rz, X, Y,
+CNOT) skip the matrix contraction: each moved row is one slice copy into a
+fresh contiguous array and each phase other than 1 one broadcast multiply,
+so only H and rotations go through ``tensordot``.
 """
 
 from __future__ import annotations
@@ -47,13 +49,17 @@ Label = object  # any hashable
 class Gate:
     """A named unitary on k qubits (matrix is 2^k x 2^k, row-major).
 
-    ``diag`` holds the diagonal when the matrix has no off-diagonal entries,
-    else None.
+    ``monomial`` says the matrix has one non-zero per row. Then ``perm``
+    holds the source row of each output row, None when no row moves, and
+    ``phase`` holds each row's entry, None when every entry is exactly 1.
+    Both are None for any other matrix.
     """
 
     kind: str
     matrix: np.ndarray
-    diag: np.ndarray | None = field(init=False, repr=False, compare=False)
+    monomial: bool = field(init=False, repr=False, compare=False)
+    perm: tuple | None = field(init=False, repr=False, compare=False)
+    phase: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -65,9 +71,13 @@ class Gate:
         if not np.allclose(m @ m.conj().T, np.eye(n), atol=_UNITARY_TOL):
             raise InputError(f"gate {self.kind}: matrix is not unitary within {_UNITARY_TOL}")
         object.__setattr__(self, "matrix", m)
-        d = np.diagonal(m)
-        diagonal = np.count_nonzero(m) == np.count_nonzero(d)
-        object.__setattr__(self, "diag", d.copy() if diagonal else None)
+        # a unitary with n non-zeros has one per row and one per column
+        monomial = np.count_nonzero(m) == n
+        perm = tuple(int(j) for j in np.argmax(m != 0, axis=1))
+        phase = m[range(n), perm]
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "perm", perm if monomial and perm != tuple(range(n)) else None)
+        object.__setattr__(self, "phase", phase if monomial and (phase != 1).any() else None)
 
     @property
     def arity(self) -> int:
@@ -223,20 +233,31 @@ def _targets(g: Gate, targets: Sequence) -> list:
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
-    """Apply gate g to the given k axes of an amplitude tensor."""
+    """Apply gate g to the given k axes of an amplitude tensor, as a new array."""
     k = len(axes)
-    if g.diag is not None:
-        # diagonal axes in sorted target order, size 1 on every other axis
-        shape = [1] * amps.ndim
-        for ax in axes:
-            shape[ax] = 2
-        d = g.diag.reshape((2,) * k).transpose(sorted(range(k), key=axes.__getitem__))
-        return amps * d.reshape(shape)
-    op = g.matrix.reshape((2,) * (2 * k))
-    # contract op's input axes (k..2k-1) with the target axes
-    amps = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
-    # tensordot puts the gate's output axes first; move them home
-    return np.moveaxis(amps, list(range(k)), axes)
+    if not g.monomial:
+        op = g.matrix.reshape((2,) * (2 * k))
+        # contract op's input axes (k..2k-1) with the target axes
+        amps = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
+        # tensordot puts the gate's output axes first; move them home
+        return np.moveaxis(amps, list(range(k)), axes)
+    out = amps
+    if g.perm is not None:
+        # output row r of the target axes is input row perm[r]: one slice copy each
+        out = np.empty(amps.shape, dtype=complex)
+        dst, src = [slice(None)] * amps.ndim, [slice(None)] * amps.ndim
+        for r, p in enumerate(g.perm):
+            for j, ax in enumerate(axes):
+                dst[ax], src[ax] = r >> (k - 1 - j) & 1, p >> (k - 1 - j) & 1
+            out[tuple(dst)] = amps[tuple(src)]
+    if g.phase is None:
+        return amps.copy() if out is amps else out
+    # phases on the target axes in sorted target order, size 1 on every other axis
+    shape = [1] * amps.ndim
+    for ax in axes:
+        shape[ax] = 2
+    d = g.phase.reshape((2,) * k).transpose(sorted(range(k), key=axes.__getitem__))
+    return out * d.reshape(shape)
 
 
 def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
@@ -286,8 +307,8 @@ def measure(
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
     ax = s.axis(q)
-    a0 = np.take(s.amps, 0, axis=ax)
-    a1 = np.take(s.amps, 1, axis=ax)
+    a0 = s.amps.take(0, axis=ax)
+    a1 = s.amps.take(1, axis=ax)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division
     if delta is None:

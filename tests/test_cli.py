@@ -121,6 +121,12 @@ def test_cnot_separation_over_the_qubit_cap_is_usage_error(capsys, sep):
     assert_one_line_usage_error(result, "over the cap of 24")
 
 
+def test_cnot_separation_past_the_enumeration_limit_is_usage_error(capsys):
+    # sep 6 is 24 measurements: under the qubit cap, over the 22-bit branch limit
+    code, out, err = run_cli(capsys, "verify-gates", "--pattern", "cnot", "--sep", "6")
+    assert (code, out, err) == (1, "", "error: refusing to enumerate 2^24 branches\n")
+
+
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("BLINDPREP_SEED", "-3")
     result = run_cli(capsys, "prepare")

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import blindprep.mbqc as mbqc
 import blindprep.statevector as sv
 from blindprep.errors import InputError, SequencingError, StructuralError
 from blindprep.mbqc import (
@@ -476,6 +477,27 @@ def test_enumerate_prunes_deterministic_branches():
     assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def _x_chain(m):
+    """A one-wire pattern of m X measurements."""
+    b = PatternBuilder()
+    b.wire("w", 0, 0)
+    for _ in range(m):
+        b.hop("w", "x")
+    return b.build(["w"], None)
+
+
+def test_enumeration_stops_at_22_measurements_before_running_anything(monkeypatch):
+    calls = []
+    real = mbqc.run_pattern
+    monkeypatch.setattr(mbqc, "run_pattern", lambda *a: calls.append(a) or real(*a))
+    bits, _, _, _, _ = next(enumerate_branches(_x_chain(22), None))
+    assert bits == [0] * 22 and len(calls) == 1
+    branches = enumerate_branches(_x_chain(23), None)
+    with pytest.raises(InputError, match=r"^refusing to enumerate 2\^23 branches$"):
+        next(branches)
+    assert len(calls) == 1
+
+
 def test_transcript_follows_column_major_order():
     p = pattern_for_gate(CNOTGate(2))
     _, transcript, _ = run_pattern(p, None, sv.BornSampler(3))
@@ -684,6 +706,22 @@ def test_parser_rejects_repeated_corrections_and_list_nodes(tail, line):
     text = "input 0,0\nnode 0,0 x\noutput 1,0\n" + tail
     with pytest.raises(StructuralError, match=f"^line {line}: "):
         pattern_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "tail, reason",
+    [
+        ("xcorr 1,0 0,0\nxcorr 1,0\n", "a second xcorr for 1,0"),
+        ("node 2,0 rot:nan\n", "rot angle must be finite, got nan"),
+        ("node 2,0 rot:0.5 0,0 0,0\n", "a node repeats in a parity list"),
+        ("node 2,0 rot:0.5x\n", "cannot parse 'node 2,0 rot:0.5x'"),
+    ],
+)
+def test_parser_errors_name_the_line_and_the_reason(tail, reason):
+    text = "input 0,0\nnode 0,0 x\noutput 1,0\n" + tail
+    with pytest.raises(StructuralError) as info:
+        pattern_from_text(text)
+    assert str(info.value) == f"line {text.count(chr(10))}: {reason}"
 
 
 @pytest.mark.parametrize(

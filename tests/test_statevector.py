@@ -150,28 +150,114 @@ def _random_state(rng, n, labels=None):
     return sv.PureState(v / np.linalg.norm(v), labels if labels is not None else list(range(n)))
 
 
-def test_diagonal_gate_matches_tensordot_and_matrix_oracles():
-    # asymmetric in its two targets, so a wrong axis order shows
+def _dense(g, amps, axes):
+    """The tensordot + moveaxis contraction the monomial path replaces."""
+    k = len(axes)
+    op = g.matrix.reshape((2,) * (2 * k))
+    out = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _full(g, n, targets):
+    """The 2^n x 2^n matrix of g on the target wires, built entry by entry."""
+    k = len(targets)
+    rest = [q for q in range(n) if q not in targets]
+
+    def split(x):
+        bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+        return sum(bits[t] << (k - 1 - j) for j, t in enumerate(targets)), [bits[q] for q in rest]
+
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for x in range(2**n):
+        for y in range(2**n):
+            (r, xr), (c, yr) = split(x), split(y)
+            if xr == yr:
+                full[x, y] = g.matrix[r, c]
+    return full
+
+
+def test_monomial_gate_matches_tensordot_and_matrix_oracles():
+    # diagonal and asymmetric in its two targets, so a wrong axis order shows
     d = np.array([1, 1j, -1, -1j])
     g = sv.Gate("D", np.diag(d))
-    assert np.array_equal(g.diag, d)
-    assert np.array_equal(sv.CZ.diag, [1, 1, 1, -1])
-    assert sv.H.diag is None and sv.CNOT.diag is None and sv.X.diag is None
+    assert g.monomial and g.perm is None and np.array_equal(g.phase, d)
+    assert sv.CZ.monomial and sv.CZ.perm is None and np.array_equal(sv.CZ.phase, [1, 1, 1, -1])
     s = _random_state(np.random.default_rng(3), 4)
-
-    def bit(x, q):
-        return (x >> (3 - q)) & 1
-
     for targets in ([0, 2], [2, 0], [3, 1], [1, 3]):
         out = sv.apply_gate(s, g, targets)
-        # the dense contraction the diagonal path replaces
-        op = g.matrix.reshape((2,) * 4)
-        dense = np.moveaxis(np.tensordot(op, s.amps, axes=([2, 3], targets)), [0, 1], targets)
-        assert np.array_equal(out.amps, dense)
-        # full 16x16 matrix: entry x picks d at (bit of targets[0], bit of targets[1])
-        full = np.diag([d[2 * bit(x, targets[0]) + bit(x, targets[1])] for x in range(16)])
+        assert np.array_equal(out.amps, _dense(g, s.amps, targets))
+        full = _full(g, 4, targets)
         assert np.allclose(out.vector(), full @ s.vector(), atol=ATOL)
         assert np.allclose(sv.circuit_unitary(4, [(g, targets)]), full, atol=ATOL)
+
+
+SWAP = sv.Gate("SWAP", np.eye(4)[[0, 2, 1, 3]])
+TOFFOLI = sv.Gate("CCX", np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]])
+PHASED_X = sv.Gate("SX", np.diag([1, 1j]) @ sv.X.matrix)
+# not an involution, so reading perm backwards shows
+PHASED_CYCLE = sv.Gate("INC", np.diag([1, 1j, -1, -1j]) @ np.eye(4)[[1, 2, 3, 0]])
+
+
+def _target_lists(arity, n):
+    """Both orders, adjacent and non-adjacent axes, the first and the last."""
+    return {
+        1: [[0], [2], [n - 1]],
+        2: [[0, n - 1], [n - 1, 0], [1, 3], [3, 1], [1, 2]],
+        3: [[2, 0, n - 1], [n - 1, 1, 2], [0, 1, 2], [3, 2, 1]],
+    }[arity]
+
+
+PERMUTATIONS = [
+    (sv.X, (1, 0), None),
+    (sv.Y, (1, 0), [-1j, 1j]),
+    (sv.CNOT, (0, 1, 3, 2), None),
+    (SWAP, (0, 2, 1, 3), None),
+    (TOFFOLI, (0, 1, 2, 3, 4, 5, 7, 6), None),
+    (PHASED_X, (1, 0), [1, 1j]),
+    (PHASED_CYCLE, (1, 2, 3, 0), [1, 1j, -1, -1j]),
+]
+
+
+@pytest.mark.parametrize("g, perm, phase", PERMUTATIONS, ids=[c[0].kind for c in PERMUTATIONS])
+def test_permutation_gate_matches_tensordot_and_matrix_oracles(g, perm, phase):
+    assert g.monomial and g.perm == perm
+    assert (g.phase is None) if phase is None else np.array_equal(g.phase, phase)
+    rng = np.random.default_rng(11)
+    for n in (4, 5, 6):
+        s = _random_state(rng, n)
+        for targets in _target_lists(g.arity, n):
+            out = sv.apply_gate(s, g, targets)
+            dense = _dense(g, s.amps, targets)
+            assert np.array_equal(out.amps, dense)
+            # copies keep every bit; only the sign of an exact zero may differ
+            assert (out.amps + 0.0).tobytes() == (dense + 0.0).tobytes()
+            full = _full(g, n, targets)
+            assert np.allclose(out.vector(), full @ s.vector(), atol=ATOL)
+            assert np.array_equal(sv.circuit_unitary(n, [(g, targets)]), full)
+
+
+@pytest.mark.parametrize("g", [sv.X, sv.Y, sv.CZ, sv.Gate("I", np.eye(4))], ids=lambda g: g.kind)
+def test_monomial_result_does_not_alias_the_input(g):
+    s = _random_state(np.random.default_rng(5), 3)
+    before = s.amps.copy()
+    out = sv.apply_gate(s, g, [2, 0][: g.arity])
+    assert not np.shares_memory(out.amps, s.amps)
+    out.amps[...] = 0
+    assert np.array_equal(s.amps, before)
+
+
+def test_identity_gate_is_monomial_and_keeps_every_bit():
+    g = sv.Gate("I", np.eye(4))
+    assert g.monomial and g.perm is None and g.phase is None
+    s = _random_state(np.random.default_rng(6), 3)
+    assert sv.apply_gate(s, g, [2, 0]).amps.tobytes() == s.amps.tobytes()
+
+
+def test_h_is_dense_and_rz_is_a_diagonal_monomial():
+    assert not sv.H.monomial and sv.H.perm is None and sv.H.phase is None
+    r = sv.rz(0.3)
+    assert r.monomial and r.perm is None
+    assert np.array_equal(r.phase, [1, cmath.exp(0.3j)])
 
 
 def test_tensor_matches_kron():
