@@ -307,6 +307,7 @@ def cmd_blindness(args) -> int:
         tagged = [(f"basis {b}", bl.min_cluster_blindness(b)) for b in ("x", "y", "z")]
     else:
         tagged = [("prepare", bl.preparation_blindness(paths=args.paths, seed=seed))]
+        print("note: sampled TV cannot fail; only max |p - 1/2| carries evidence", file=sys.stderr)
     for tag, rep in tagged:
         print(_report_line(tag, rep))
     print(f"note: {bl.NOTE}")

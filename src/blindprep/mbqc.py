@@ -615,8 +615,8 @@ def pattern_from_text(text: str) -> MeasurementPattern:
     The node set is the measured nodes plus the outputs; inputs and edge
     endpoints must be among them. No directive repeats for one node, edge or
     output, and no node repeats within one DEP, xcorr or zcorr list (each is
-    a GF(2) parity). The declared unitary is not serialized; fixtures carry
-    structure only.
+    a GF(2) parity); a repeat names its line and the earlier one. The
+    declared unitary is not serialized; fixtures carry structure only.
     """
     inputs: list = []
     outputs: list = []
@@ -624,6 +624,12 @@ def pattern_from_text(text: str) -> MeasurementPattern:
     edges: list = []
     x_corr: dict = {}
     z_corr: dict = {}
+    first: dict = {}  # an input, node or edge -> the line that declared it
+
+    def once(key, what: str) -> None:
+        if first.setdefault(key, ln) != ln:
+            raise StructuralError(f"{what} is already declared on line {first[key]}")
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -632,10 +638,13 @@ def pattern_from_text(text: str) -> MeasurementPattern:
         try:
             if parts[0] == "input":
                 inputs.append(_parse_c(parts[1]))
+                once(("input", inputs[-1]), f"input {_c(inputs[-1])}")
             elif parts[0] == "output":
                 outputs.append(_parse_c(parts[1]))
+                once(outputs[-1], f"output {_c(outputs[-1])}")
             elif parts[0] == "node":
                 node = _parse_c(parts[1])
+                once(node, f"node {_c(node)}")
                 kind, colon, angle = parts[2].partition(":")
                 if colon != (":" if kind == "rot" else ""):
                     raise StructuralError(f"bad role {parts[2]!r}")
@@ -643,6 +652,7 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 steps.append((node, Role(kind, float(angle) if colon else 0.0, deps)))
             elif parts[0] == "edge":
                 edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
+                once(frozenset(edges[-1]), "edge " + " ".join(map(_c, edges[-1])))
             elif parts[0] in ("xcorr", "zcorr"):
                 out = _parse_c(parts[1])
                 corr = x_corr if parts[0] == "xcorr" else z_corr

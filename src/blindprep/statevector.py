@@ -16,10 +16,10 @@ Design notes:
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order
 matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
-eating the machine. Monomial gates (one non-zero per row: CZ, Z, Rz, X, Y,
-CNOT) skip the matrix contraction: each moved row is one slice copy into a
-fresh contiguous array and each phase other than 1 one broadcast multiply,
-so only H and rotations go through ``tensordot``.
+eating the machine. Every gate takes one kernel: the input is copied into a
+fresh contiguous array, and each row of the gate that differs from the
+identity's is rewritten from that row's non-zero entries, one slice of the
+input each. CZ rewrites one row, CNOT two, H both.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ Label = object  # any hashable
 class Gate:
     """A named unitary on k qubits (matrix is 2^k x 2^k, row-major).
 
-    ``monomial`` says the matrix has one non-zero per row. Then ``perm``
-    holds the source row of each output row, None when no row moves, and
-    ``phase`` holds each row's entry, None when every entry is exactly 1.
-    Both are None for any other matrix.
+    ``rows`` lists each output row that is not the identity's row as (row
+    bits, terms): one (column bits, entry) term per non-zero entry, entry
+    None when it is exactly 1. Bits hold one 0/1 per target, first target first.
     """
 
     kind: str
     matrix: np.ndarray
-    monomial: bool = field(init=False, repr=False, compare=False)
-    perm: tuple | None = field(init=False, repr=False, compare=False)
-    phase: np.ndarray | None = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -71,13 +68,14 @@ class Gate:
         if not np.allclose(m @ m.conj().T, np.eye(n), atol=_UNITARY_TOL):
             raise InputError(f"gate {self.kind}: matrix is not unitary within {_UNITARY_TOL}")
         object.__setattr__(self, "matrix", m)
-        # a unitary with n non-zeros has one per row and one per column
-        monomial = np.count_nonzero(m) == n
-        perm = tuple(int(j) for j in np.argmax(m != 0, axis=1))
-        phase = m[range(n), perm]
-        object.__setattr__(self, "monomial", monomial)
-        object.__setattr__(self, "perm", perm if monomial and perm != tuple(range(n)) else None)
-        object.__setattr__(self, "phase", phase if monomial and (phase != 1).any() else None)
+        bits = list(np.ndindex((2,) * self.arity))
+        rows = []
+        for r in np.flatnonzero((m != np.eye(n)).any(axis=1)):
+            cols = np.flatnonzero(m[r])
+            # a 0-d array multiplies a slice faster than a numpy scalar, same bits
+            terms = tuple((bits[c], None if m[r, c] == 1 else np.array(m[r, c])) for c in cols)
+            rows.append((bits[r], terms))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def arity(self) -> int:
@@ -208,7 +206,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise InputError("tensor: overlapping qubit labels")
     if a.n + b.n > QUBIT_CAP:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
-    # a rank-1 matrix product: the bits of tensordot(axes=0), without its overhead
+    # one rank-1 matrix product of the two flat amplitude vectors
     amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
     return _derived(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
 
@@ -233,31 +231,22 @@ def _targets(g: Gate, targets: Sequence) -> list:
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
-    """Apply gate g to the given k axes of an amplitude tensor, as a new array."""
-    k = len(axes)
-    if not g.monomial:
-        op = g.matrix.reshape((2,) * (2 * k))
-        # contract op's input axes (k..2k-1) with the target axes
-        amps = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
-        # tensordot puts the gate's output axes first; move them home
-        return np.moveaxis(amps, list(range(k)), axes)
-    out = amps
-    if g.perm is not None:
-        # output row r of the target axes is input row perm[r]: one slice copy each
-        out = np.empty(amps.shape, dtype=complex)
-        dst, src = [slice(None)] * amps.ndim, [slice(None)] * amps.ndim
-        for r, p in enumerate(g.perm):
-            for j, ax in enumerate(axes):
-                dst[ax], src[ax] = r >> (k - 1 - j) & 1, p >> (k - 1 - j) & 1
-            out[tuple(dst)] = amps[tuple(src)]
-    if g.phase is None:
-        return amps.copy() if out is amps else out
-    # phases on the target axes in sorted target order, size 1 on every other axis
-    shape = [1] * amps.ndim
-    for ax in axes:
-        shape[ax] = 2
-    d = g.phase.reshape((2,) * k).transpose(sorted(range(k), key=axes.__getitem__))
-    return out * d.reshape(shape)
+    """Apply gate g to the given k axes of amps as a new C-contiguous array:
+    each row in g.rows is the sum of its terms, slice * entry (entry * slice
+    rounds differently), and every other row is a copy of the input's."""
+    out = amps.copy()
+    idx = [slice(None)] * amps.ndim
+    for r, terms in g.rows:
+        acc = None
+        for c, entry in terms:
+            for ax, b in zip(axes, c):
+                idx[ax] = b
+            term = amps[tuple(idx)] if entry is None else amps[tuple(idx)] * entry
+            acc = term if acc is None else acc + term
+        for ax, b in zip(axes, r):
+            idx[ax] = b
+        out[tuple(idx)] = acc
+    return out
 
 
 def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:

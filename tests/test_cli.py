@@ -267,6 +267,18 @@ def test_blindness_prepare_sampled_passes(capsys):
     assert "blindness: PASS" in out
 
 
+SAMPLED_TV_NOTE = "note: sampled TV cannot fail; only max |p - 1/2| carries evidence\n"
+
+
+def test_blindness_prepare_says_on_stderr_that_its_tv_cannot_fail(capsys):
+    code, out, err = run_cli(capsys, "blindness", "--protocol", "prepare",
+                             "--paths", "4", "--seed", "1")
+    assert (code, err) == (0, SAMPLED_TV_NOTE)
+    assert out == (GOLDEN / "blindness_prepare_sampled.txt").read_text(encoding="utf-8")
+    code, _, err = run_cli(capsys, "blindness", "--protocol", "min-cluster")
+    assert (code, err) == (0, "")
+
+
 def test_blindness_impossible_epsilon_fails(capsys):
     # an epsilon far below float resolution forces the FAIL exit path
     code, out, _ = run_cli(capsys, "blindness", "--protocol", "min-cluster",

@@ -725,6 +725,28 @@ def test_parser_errors_name_the_line_and_the_reason(tail, reason):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("input 0,0\nnode 0,0 x\nnode 0,0 x\noutput 1,0\n",
+         "line 3: node 0,0 is already declared on line 2"),
+        ("input 0,0\nnode 0,0 x\noutput 1,0\noutput 0,0\n",
+         "line 4: output 0,0 is already declared on line 2"),
+        ("input 0,0\nnode 0,0 x\noutput 1,0\nedge 0,0 1,0\nedge 1,0 0,0\n",
+         "line 5: edge 1,0 0,0 is already declared on line 4"),
+        ("input 0,0\nnode 0,0 x\noutput 1,0\nedge 1,0 0,0\nedge 1,0 0,0\n",
+         "line 5: edge 1,0 0,0 is already declared on line 4"),
+        ("input 0,0\ninput 0,0\nnode 0,0 x\noutput 1,0\n",
+         "line 2: input 0,0 is already declared on line 1"),
+    ],
+    ids=["node", "measured_output", "edge_reversed", "edge", "input"],
+)
+def test_parser_names_both_lines_of_a_repeat(text, message):
+    with pytest.raises(StructuralError) as info:
+        pattern_from_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "role", ["rot", "rot:", "x:0", "rot:nan", "rot:inf", "rot:1e400", "x 5,5", "z 1,1"]
 )
 def test_parser_rejects_bad_role_tokens(role):

@@ -151,7 +151,8 @@ def _random_state(rng, n, labels=None):
 
 
 def _dense(g, amps, axes):
-    """The tensordot + moveaxis contraction the monomial path replaces."""
+    """The gate as one tensordot + moveaxis contraction, independent of the
+    row-by-row kernel."""
     k = len(axes)
     op = g.matrix.reshape((2,) * (2 * k))
     out = np.tensordot(op, amps, axes=(list(range(k, 2 * k)), axes))
@@ -180,8 +181,6 @@ def test_monomial_gate_matches_tensordot_and_matrix_oracles():
     # diagonal and asymmetric in its two targets, so a wrong axis order shows
     d = np.array([1, 1j, -1, -1j])
     g = sv.Gate("D", np.diag(d))
-    assert g.monomial and g.perm is None and np.array_equal(g.phase, d)
-    assert sv.CZ.monomial and sv.CZ.perm is None and np.array_equal(sv.CZ.phase, [1, 1, 1, -1])
     s = _random_state(np.random.default_rng(3), 4)
     for targets in ([0, 2], [2, 0], [3, 1], [1, 3]):
         out = sv.apply_gate(s, g, targets)
@@ -207,21 +206,11 @@ def _target_lists(arity, n):
     }[arity]
 
 
-PERMUTATIONS = [
-    (sv.X, (1, 0), None),
-    (sv.Y, (1, 0), [-1j, 1j]),
-    (sv.CNOT, (0, 1, 3, 2), None),
-    (SWAP, (0, 2, 1, 3), None),
-    (TOFFOLI, (0, 1, 2, 3, 4, 5, 7, 6), None),
-    (PHASED_X, (1, 0), [1, 1j]),
-    (PHASED_CYCLE, (1, 2, 3, 0), [1, 1j, -1, -1j]),
-]
+PERMUTATIONS = [sv.X, sv.Y, sv.CNOT, SWAP, TOFFOLI, PHASED_X, PHASED_CYCLE]
 
 
-@pytest.mark.parametrize("g, perm, phase", PERMUTATIONS, ids=[c[0].kind for c in PERMUTATIONS])
-def test_permutation_gate_matches_tensordot_and_matrix_oracles(g, perm, phase):
-    assert g.monomial and g.perm == perm
-    assert (g.phase is None) if phase is None else np.array_equal(g.phase, phase)
+@pytest.mark.parametrize("g", PERMUTATIONS, ids=[g.kind for g in PERMUTATIONS])
+def test_permutation_gate_matches_tensordot_and_matrix_oracles(g):
     rng = np.random.default_rng(11)
     for n in (4, 5, 6):
         s = _random_state(rng, n)
@@ -248,16 +237,57 @@ def test_monomial_result_does_not_alias_the_input(g):
 
 def test_identity_gate_is_monomial_and_keeps_every_bit():
     g = sv.Gate("I", np.eye(4))
-    assert g.monomial and g.perm is None and g.phase is None
+    assert g.rows == ()
     s = _random_state(np.random.default_rng(6), 3)
     assert sv.apply_gate(s, g, [2, 0]).amps.tobytes() == s.amps.tobytes()
 
 
 def test_h_is_dense_and_rz_is_a_diagonal_monomial():
-    assert not sv.H.monomial and sv.H.perm is None and sv.H.phase is None
-    r = sv.rz(0.3)
-    assert r.monomial and r.perm is None
-    assert np.array_equal(r.phase, [1, cmath.exp(0.3j)])
+    # a gate lists only the rows that differ from the identity's
+    h = sv.H.matrix[0, 0]
+    assert sv.H.rows == (
+        ((0,), (((0,), h), ((1,), h))),
+        ((1,), (((0,), h), ((1,), -h))),
+    )
+    assert sv.rz(0.3).rows == (((1,), (((1,), cmath.exp(0.3j)),)),)
+    assert sv.CZ.rows == (((1, 1), (((1, 1), -1),)),)
+    assert sv.CNOT.rows == (((1, 0), (((1, 1), None),)), ((1, 1), (((1, 0), None),)))
+
+
+def _random_unitary(rng, k):
+    """A 2^k x 2^k unitary from the QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    q, r = np.linalg.qr(z)
+    return sv.Gate(f"U{k}", q * (np.diag(r) / abs(np.diag(r))))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_dense_gate_matches_tensordot_and_matrix_oracles(k):
+    rng = np.random.default_rng(20 + k)
+    g = _random_unitary(rng, k)
+    for n in (4, 5):
+        s = _random_state(rng, n)
+        for targets in _target_lists(k, n):
+            out = sv.apply_gate(s, g, targets)
+            assert np.allclose(out.amps, _dense(g, s.amps, targets), atol=ATOL)
+            assert np.allclose(out.vector(), _full(g, n, targets) @ s.vector(), atol=ATOL)
+
+
+RY = sv.Gate("Ry", [[math.cos(0.45), -math.sin(0.45)], [math.sin(0.45), math.cos(0.45)]])
+FRESH = [sv.H, RY, sv.X, sv.CZ, sv.CNOT, sv.Gate("I", np.eye(4))]
+FRESH.append(_random_unitary(np.random.default_rng(9), 3))
+
+
+@pytest.mark.parametrize("g", FRESH, ids=[g.kind for g in FRESH])
+def test_every_gate_result_is_fresh_and_c_contiguous(g):
+    s = _random_state(np.random.default_rng(5), 3)
+    before = s.amps.copy()
+    # the first target is the last axis, not the leading one
+    out = sv.apply_gate(s, g, [2, 0, 1][: g.arity])
+    assert out.amps.flags.c_contiguous and out.amps.flags.owndata
+    assert not np.shares_memory(out.amps, s.amps)
+    out.amps[...] = 0
+    assert np.array_equal(s.amps, before)
 
 
 def test_tensor_matches_kron():

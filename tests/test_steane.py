@@ -134,9 +134,19 @@ def test_encoder_unitary_is_one_shared_read_only_array():
     assert not u.flags.writeable
     with pytest.raises(ValueError):
         u[0, 0] = 0.0
-    ops = [(sv.H, [w - 1]) for w in ZEROED_WIRES]
-    ops += [(sv.CNOT, [c - 1, t - 1]) for c, t in ENCODER_CNOTS]
-    assert np.array_equal(u, sv.circuit_unitary(7, ops))
+
+
+def test_encoder_unitary_is_cnot_permutation_times_three_hadamards():
+    # numpy only: H on wires 5-7, then the CNOTs as one permutation of basis states
+    assert ZEROED_WIRES == (5, 6, 7)
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    perm = np.zeros((128, 128))
+    for x in range(128):
+        y = x
+        for c, t in ENCODER_CNOTS:
+            y ^= (y >> (7 - c) & 1) << (7 - t)
+        perm[y, x] = 1.0
+    assert np.array_equal(encoder_unitary(), perm @ np.kron(np.eye(16), np.kron(h, np.kron(h, h))))
 
 
 def test_encoder_cnots_point_down_the_block():
