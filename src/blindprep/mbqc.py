@@ -613,7 +613,10 @@ def pattern_from_text(text: str) -> MeasurementPattern:
       xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
       zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
     The node set is the measured nodes plus the outputs; inputs and edge
-    endpoints must be among them. No directive repeats for one node, edge or
+    endpoints must be among them, in any order of lines. A DEP must be
+    measured on an earlier node line, an xcorr/zcorr must be for an output
+    and cite measured nodes, and an edge joins two distinct nodes. Every
+    fault names its line. No directive repeats for one node, edge or
     output, and no node repeats within one DEP, xcorr or zcorr list (each is
     a GF(2) parity); a repeat names its line and the earlier one. The
     declared unitary is not serialized; fixtures carry structure only.
@@ -625,6 +628,9 @@ def pattern_from_text(text: str) -> MeasurementPattern:
     x_corr: dict = {}
     z_corr: dict = {}
     first: dict = {}  # an input, node or edge -> the line that declared it
+    measured: set = set()
+    # (line, what, nodes, the set they must lie in): checked once every line is read
+    refs: list = []
 
     def once(key, what: str) -> None:
         if first.setdefault(key, ln) != ln:
@@ -639,6 +645,7 @@ def pattern_from_text(text: str) -> MeasurementPattern:
             if parts[0] == "input":
                 inputs.append(_parse_c(parts[1]))
                 once(("input", inputs[-1]), f"input {_c(inputs[-1])}")
+                refs.append((ln, "input", [inputs[-1]], "a measured node or an output"))
             elif parts[0] == "output":
                 outputs.append(_parse_c(parts[1]))
                 once(outputs[-1], f"output {_c(outputs[-1])}")
@@ -648,23 +655,39 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 kind, colon, angle = parts[2].partition(":")
                 if colon != (":" if kind == "rot" else ""):
                     raise StructuralError(f"bad role {parts[2]!r}")
-                deps = _parse_set(parts[3:])
-                steps.append((node, Role(kind, float(angle) if colon else 0.0, deps)))
+                role = Role(kind, float(angle) if colon else 0.0, _parse_set(parts[3:]))
+                late = sorted(role.deps - measured)
+                if late:
+                    raise StructuralError(f"dep {_c(late[0])} is not measured earlier")
+                steps.append((node, role))
+                measured.add(node)
             elif parts[0] == "edge":
                 edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
-                once(frozenset(edges[-1]), "edge " + " ".join(map(_c, edges[-1])))
+                what = "edge " + " ".join(map(_c, edges[-1]))
+                if edges[-1][0] == edges[-1][1]:
+                    raise StructuralError(f"{what} is a self-loop")
+                once(frozenset(edges[-1]), what)
+                refs.append((ln, "edge end", edges[-1], "a measured node or an output"))
             elif parts[0] in ("xcorr", "zcorr"):
                 out = _parse_c(parts[1])
                 corr = x_corr if parts[0] == "xcorr" else z_corr
                 if out in corr:
                     raise StructuralError(f"a second {parts[0]} for {_c(out)}")
                 corr[out] = _parse_set(parts[2:])
+                refs.append((ln, f"{parts[0]} target", [out], "an output"))
+                refs.append((ln, f"{parts[0]} node", sorted(corr[out]), "a measured node"))
             else:
                 raise StructuralError(f"unknown directive {parts[0]!r}")
         except StructuralError as exc:
             raise StructuralError(f"line {ln}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise StructuralError(f"line {ln}: cannot parse {raw!r}") from exc
+    among = {"a measured node": measured, "an output": set(outputs)}
+    among["a measured node or an output"] = measured | among["an output"]
+    for ln, what, nodes, where in refs:
+        for node in nodes:
+            if node not in among[where]:
+                raise StructuralError(f"line {ln}: {what} {_c(node)} is not {where}")
     return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)
 
 

@@ -19,12 +19,15 @@ matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
 eating the machine. Every gate takes one kernel: the input is copied into a
 fresh contiguous array, and each row of the gate that differs from the
 identity's is rewritten from that row's non-zero entries, one slice of the
-input each. CZ rewrites one row, CNOT two, H both.
+input each. CZ rewrites one row, CNOT two, H both. A run of CNOTs is a
+permutation of basis states, so apply_cnots moves the amplitudes once, by a
+cached gather index that the same kernel builds from the run.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -220,6 +223,23 @@ def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     return _derived(_contract(g, s.amps, axes), list(s.labels))
 
 
+def apply_cnots(s: PureState, pairs: Sequence[Sequence[Label]]) -> PureState:
+    """Apply CNOT to each (control, target) pair in order, as one gather;
+    the result equals the same apply_gate calls bit for bit."""
+    axes = tuple(tuple(s.axis(t) for t in _targets(CNOT, pair)) for pair in pairs)
+    return _derived(s.amps.reshape(-1).take(_cnot_index(s.n, axes)), list(s.labels))
+
+
+@functools.lru_cache(maxsize=8)
+def _cnot_index(n: int, axes: tuple) -> np.ndarray:
+    """Read-only gather index of a CNOT run: the input's position of each output amplitude."""
+    idx = np.arange(2**n).reshape((2,) * n)
+    for pair in axes:
+        idx = _contract(CNOT, idx, list(pair))
+    idx.flags.writeable = False
+    return idx
+
+
 def _targets(g: Gate, targets: Sequence) -> list:
     """targets as a list, once g's arity is met and no target repeats."""
     targets = list(targets)
@@ -303,9 +323,9 @@ def measure(
     if delta is None:
         b0, b1 = a0, a1
     else:
-        phase = cmath.exp(-1j * delta)
-        b0 = (a0 + phase * a1) * _INV_SQRT2
-        b1 = (a0 - phase * a1) * _INV_SQRT2
+        turned = cmath.exp(-1j * delta) * a1
+        b0 = (a0 + turned) * _INV_SQRT2
+        b1 = (a0 - turned) * _INV_SQRT2
     p0 = float(np.vdot(b0, b0).real)
     p1 = float(np.vdot(b1, b1).real)
     if not abs(p0 + p1 - 1.0) <= _NORM_TOL:

@@ -25,7 +25,8 @@ Syndrome extraction is ancilla-coupled and non-destructive:
   transversal CNOT onto the data, ancilla read out in the X basis.
 The roles are not interchangeable: flipping either ancilla choice still
 produces a valid-looking syndrome but collapses or overwrites the encoded
-data, which the tests demonstrate explicitly.
+data, which the tests demonstrate explicitly. Both ancillas are built once,
+and each round's seven CNOTs are applied as one sv.apply_cnots gather.
 """
 
 from __future__ import annotations
@@ -133,9 +134,7 @@ def encode_circuit(data) -> sv.PureState:
         else:
             q = sv.PureState(zero.copy(), [("d", i)])
         state = q if state is None else sv.tensor(state, q)
-    for c, t in ENCODER_CNOTS:
-        state = sv.apply_gate(state, sv.CNOT, [("d", c), ("d", t)])
-    return state
+    return sv.apply_cnots(state, [(("d", c), ("d", t)) for c, t in ENCODER_CNOTS])
 
 
 # ------------------------------------------------------------------ errors ----
@@ -159,6 +158,12 @@ def inject_error(state: sv.PureState, err: PauliError) -> sv.PureState:
 
 
 # --------------------------------------------------------------- syndromes ----
+
+
+# the amplitudes of the two syndrome ancillas, |+>_L and |0>_L, built once
+_PLUS_L = logical_plus_theta(0.0).amps
+_ZERO_L = logical_zero().amps
+_PLUS_L.flags.writeable = _ZERO_L.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -197,13 +202,13 @@ def extract_syndrome(
     # per round: tag, fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
     joint, words = state, []
     for tag, ancilla, anc_controls, delta in (
-        ("bit", logical_plus_theta(0.0), False, None),
-        ("phase", logical_zero(), True, 0.0),
+        ("bit", _PLUS_L, False, None),
+        ("phase", _ZERO_L, True, 0.0),
     ):
         anc = [(tag, i) for i in range(1, 8)]
-        joint = sv.tensor(joint, sv.PureState(ancilla.amps, anc))
-        for d, a in zip(DATA_LABELS, anc):
-            joint = sv.apply_gate(joint, sv.CNOT, [a, d] if anc_controls else [d, a])
+        joint = sv.tensor(joint, sv.PureState(ancilla, anc))
+        pairs = zip(anc, DATA_LABELS) if anc_controls else zip(DATA_LABELS, anc)
+        joint = sv.apply_cnots(joint, list(pairs))
         word = []
         for a in anc:
             outcome, _, joint = sv.measure(joint, a, delta, src)

@@ -747,6 +747,31 @@ def test_parser_names_both_lines_of_a_repeat(text, message):
 
 
 @pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("edge 0,0 0,0\n", "line 4: edge 0,0 0,0 is a self-loop"),
+        ("edge 0,0 2,0\nnode 3,0 x\n", "line 4: edge end 2,0 is not a measured node or an output"),
+        ("input 5,5\n", "line 4: input 5,5 is not a measured node or an output"),
+        ("xcorr 1,0 0,0\nzcorr 0,0\n", "line 5: zcorr target 0,0 is not an output"),
+        ("xcorr 1,0 0,0 3,3\n", "line 4: xcorr node 3,3 is not a measured node"),
+        ("node 2,0 rot:0.5 3,0\nnode 3,0 x\n", "line 4: dep 3,0 is not measured earlier"),
+    ],
+    ids=["self_loop", "undeclared_edge_end", "loose_input", "corr_not_output",
+         "corr_unmeasured", "late_dep"],
+)
+def test_parser_names_the_line_of_a_structural_fault(tail, message):
+    with pytest.raises(StructuralError) as info:
+        pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
+    assert str(info.value) == message
+
+
+def test_parser_resolves_references_to_later_lines():
+    p = pattern_from_text("xcorr 1,0 0,0\nedge 0,0 1,0\ninput 0,0\nnode 0,0 x\noutput 1,0\n")
+    assert p.inputs == [(0, 0)] and p.edges == [((0, 0), (1, 0))]
+    assert p.x_corr == {(1, 0): frozenset({(0, 0)})}
+
+
+@pytest.mark.parametrize(
     "role", ["rot", "rot:", "x:0", "rot:nan", "rot:inf", "rot:1e400", "x 5,5", "z 1,1"]
 )
 def test_parser_rejects_bad_role_tokens(role):

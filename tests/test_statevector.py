@@ -276,18 +276,66 @@ def test_random_dense_gate_matches_tensordot_and_matrix_oracles(k):
 RY = sv.Gate("Ry", [[math.cos(0.45), -math.sin(0.45)], [math.sin(0.45), math.cos(0.45)]])
 FRESH = [sv.H, RY, sv.X, sv.CZ, sv.CNOT, sv.Gate("I", np.eye(4))]
 FRESH.append(_random_unitary(np.random.default_rng(9), 3))
+# the first target is the last axis, not the leading one
+FRESH_OPS = [(g.kind, lambda s, g=g: sv.apply_gate(s, g, [2, 0, 1][: g.arity])) for g in FRESH]
+FRESH_OPS.append(("cnots", lambda s: sv.apply_cnots(s, [(2, 0), (0, 1)])))
 
 
-@pytest.mark.parametrize("g", FRESH, ids=[g.kind for g in FRESH])
-def test_every_gate_result_is_fresh_and_c_contiguous(g):
+@pytest.mark.parametrize("op", [op for _, op in FRESH_OPS], ids=[kind for kind, _ in FRESH_OPS])
+def test_every_gate_result_is_fresh_and_c_contiguous(op):
     s = _random_state(np.random.default_rng(5), 3)
     before = s.amps.copy()
-    # the first target is the last axis, not the leading one
-    out = sv.apply_gate(s, g, [2, 0, 1][: g.arity])
+    out = op(s)
     assert out.amps.flags.c_contiguous and out.amps.flags.owndata
     assert not np.shares_memory(out.amps, s.amps)
     out.amps[...] = 0
     assert np.array_equal(s.amps, before)
+
+
+def _cnot_runs(rng, n):
+    """CNOT runs on n qubits: reversed pairs, pairs that share a qubit, a
+    qubit used by no pair, and every pair of a random order."""
+    yield [(0, 1), (1, 0), (0, 1)]
+    yield [(0, n - 1), (0, 1), (n - 1, 1), (1, n - 1)]
+    yield [(n - 2, 0)]  # every other qubit is a spectator
+    perm = [int(q) for q in rng.permutation(n)]
+    yield list(zip(perm, perm[1:] + perm[:1]))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_apply_cnots_matches_sequential_cnot_gates_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for shuffled in (False, True):
+        labels = [("q", int(i)) for i in (rng.permutation(n) if shuffled else range(n))]
+        s = _random_state(rng, n, labels)
+        for run in _cnot_runs(rng, n):
+            pairs = [(("q", c), ("q", t)) for c, t in run]
+            want = s
+            for pair in pairs:
+                want = sv.apply_gate(want, sv.CNOT, pair)
+            got = sv.apply_cnots(s, pairs)
+            assert got.labels == s.labels
+            assert (got.amps + 0.0).tobytes() == (want.amps + 0.0).tobytes()
+
+
+def test_apply_cnots_index_is_cached_and_read_only():
+    s = _random_state(np.random.default_rng(6), 4)
+    sv.apply_cnots(s, [(0, 1), (2, 3)])
+    idx = sv._cnot_index(4, ((0, 1), (2, 3)))
+    assert idx is sv._cnot_index(4, ((0, 1), (2, 3)))
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[(0,) * 4] = 1
+
+
+def test_apply_cnots_rejects_a_repeated_target_and_an_unknown_label():
+    s = _random_state(np.random.default_rng(7), 3)
+    with pytest.raises(InputError, match="duplicate target labels"):
+        sv.apply_cnots(s, [(0, 1), (2, 2)])
+    with pytest.raises(InputError):
+        sv.apply_cnots(s, [(0, 1, 2)])
+    with pytest.raises(SequencingError, match="not part of this state"):
+        sv.apply_cnots(s, [(0, 1), (0, "z")])
 
 
 def test_tensor_matches_kron():
