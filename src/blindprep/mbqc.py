@@ -287,12 +287,13 @@ def run_pattern(
         nonlocal live
         if node in created:
             return
+        # checked before the tensor, so no state past the cap is ever built
+        alive = (0 if live is None else live.n) + 1 - spectators
+        if alive > LIVE_CAP:
+            raise InputError(f"live width {alive} exceeds the cap of {LIVE_CAP}")
         q = _one_qubit(seeded.get(node), node)
         live = q if live is None else sv.tensor(live, q)
         created.add(node)
-        alive = live.n - spectators
-        if alive > LIVE_CAP:
-            raise InputError(f"live width {alive} exceeds the cap of {LIVE_CAP}")
 
     transcript = Transcript()
     outcomes: dict = {}

@@ -21,7 +21,10 @@ fresh contiguous array, and each row of the gate that differs from the
 identity's is rewritten from that row's non-zero entries, one slice of the
 input each. CZ rewrites one row, CNOT two, H both. A run of CNOTs is a
 permutation of basis states, so apply_cnots moves the amplitudes once, by a
-cached gather index that the same kernel builds from the run.
+cached gather index that the same kernel builds from the run. A measurement
+takes the measured qubit's two halves as copies and works on them in place:
+the residual is a fresh array, and the call's peak is those two halves plus
+one more for the new branch in M(delta).
 """
 
 from __future__ import annotations
@@ -312,20 +315,30 @@ def measure(
     Outcome 0 is the |0> / |+_delta> branch. The measured qubit is removed;
     the residual state is renormalized. A state may become empty (n == 0), in
     which case the residual has a 0-dim amplitude scalar of modulus 1.
+
+    The residual is a fresh array that shares no memory with s: one of the
+    two half-size copies the call takes from s. Those two are the call's peak
+    in Z; M(delta) adds one more half for the new branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
     ax = s.axis(q)
+    # take copies, so the in-place updates below never reach s.amps; at
+    # n == 1 the halves are numpy scalars, which augmented assignment rebinds
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
     # numpy divides a complex array by a real s as a product with 1/s, so
-    # the products below give the same bits without the complex division
+    # the products below give the same bits without the complex division;
+    # each keeps the operand order, since c * x and x * c round differently
     if delta is None:
         b0, b1 = a0, a1
     else:
-        turned = cmath.exp(-1j * delta) * a1
-        b0 = (a0 + turned) * _INV_SQRT2
-        b1 = (a0 - turned) * _INV_SQRT2
+        a1 = cmath.exp(-1j * delta) * a1
+        b0 = a0 + a1
+        b0 *= _INV_SQRT2
+        a0 -= a1
+        a0 *= _INV_SQRT2
+        b1 = a0
     p0 = float(np.vdot(b0, b0).real)
     p1 = float(np.vdot(b1, b1).real)
     if not abs(p0 + p1 - 1.0) <= _NORM_TOL:
@@ -336,7 +349,8 @@ def measure(
     prob = p0 if outcome == 0 else p1
     if prob < _DEGENERATE_TOL:
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
-    branch = (b0 if outcome == 0 else b1) * (1.0 / math.sqrt(prob))
+    branch = b0 if outcome == 0 else b1
+    branch *= 1.0 / math.sqrt(prob)
     return outcome, prob, _derived(branch, [lb for lb in s.labels if lb != q])
 
 

@@ -247,7 +247,26 @@ def compile_encoder() -> mbqc.MeasurementPattern:
     the |0>-prepared wires come first, then each CNOT tile in fan-out order.
     All measurement angles are fixed (X or Y), so the pattern needs no
     adaptivity and every correction is a static output-frame update.
+
+    The layout is built once; every call returns a fresh, validated pattern
+    whose lists and dicts no other call shares.
     """
+    p = _encoder_layout()
+    return mbqc.MeasurementPattern(
+        list(p.inputs),
+        list(p.outputs),
+        list(p.steps),
+        list(p.edges),
+        dict(p.x_corr),
+        dict(p.z_corr),
+        declared_unitary=encoder_unitary(),
+    )
+
+
+@functools.cache
+def _encoder_layout() -> mbqc.MeasurementPattern:
+    """The encoder pattern without its unitary; compile_encoder copies its
+    fields, so this one is never handed out or changed."""
     b = mbqc.PatternBuilder()
     for w in range(1, 8):
         b.wire(w, 1, w - 1)
@@ -255,7 +274,7 @@ def compile_encoder() -> mbqc.MeasurementPattern:
         mbqc.lay_hadamard(b, w)
     for c, t in ENCODER_CNOTS:
         mbqc.lay_cnot(b, list(range(c, t + 1)))
-    return b.build(list(range(1, 8)), encoder_unitary())
+    return b.build(list(range(1, 8)), None)
 
 
 @dataclass

@@ -607,6 +607,29 @@ def test_live_width_cap_is_enforced():
         run_pattern(star_pattern(LIVE_CAP), bell, sv.BornSampler(0))
 
 
+def test_live_width_cap_is_checked_before_the_tensor(monkeypatch):
+    widths = []
+    tensor = sv.tensor
+
+    def recording_tensor(a, b):
+        out = tensor(a, b)
+        widths.append(out.n)
+        return out
+
+    monkeypatch.setattr(sv, "tensor", recording_tensor)
+    with pytest.raises(InputError, match=f"live width 21 exceeds the cap of {LIVE_CAP}"):
+        run_pattern(star_pattern(21), None, sv.BornSampler(0))
+    assert max(widths) == LIVE_CAP
+    # with one spectator, the largest state carries LIVE_CAP graph qubits
+    widths.clear()
+    amps = np.zeros((2, 2), dtype=complex)
+    amps[0, 0] = amps[1, 1] = SQ2
+    bell = sv.PureState(amps, [(0, 0), "spec"])
+    with pytest.raises(InputError, match="live width"):
+        run_pattern(star_pattern(LIVE_CAP), bell, sv.BornSampler(0))
+    assert max(widths) == LIVE_CAP + 1
+
+
 def test_build_cluster_matches_manual_preparation():
     state = build_cluster(two_node(X00))
     manual = sv.tensor(sv.new_plus_theta(0.0, (0, 0)), sv.new_plus_theta(0.0, (1, 0)))

@@ -7,6 +7,7 @@ einsum partial traces), not from the module under test.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,64 @@ def test_measure_residual_has_the_bits_of_division_by_root_prob():
             b1 = (a0 - cmath.exp(-1j * basis) * a1) / math.sqrt(2)
         assert prob == float(np.vdot(b1, b1).real)
         assert rest.amps.tobytes() == (b1 / math.sqrt(prob)).tobytes()
+
+
+def _out_of_place_measure(s, q, delta, outcome):
+    """(prob, residual amplitudes) by measure's formula with a fresh array at
+    every step, each product in the same operand order."""
+    ax = s.labels.index(q)
+    a0, a1 = s.amps.take(0, axis=ax), s.amps.take(1, axis=ax)
+    if delta is None:
+        b0, b1 = a0, a1
+    else:
+        turned = cmath.exp(-1j * delta) * a1
+        b0 = (a0 + turned) * (1.0 / math.sqrt(2))
+        b1 = (a0 - turned) * (1.0 / math.sqrt(2))
+    branch = b0 if outcome == 0 else b1
+    prob = float(np.vdot(branch, branch).real)
+    return prob, branch * (1.0 / math.sqrt(prob))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_measure_matches_the_out_of_place_formula_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    s = _random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
+    for q in s.labels:
+        for delta in (None, 0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi))):
+            for outcome in (0, 1):
+                got, prob, rest = sv.measure(s, q, delta, sv.ForcedBranch([outcome]))
+                want_prob, want = _out_of_place_measure(s, q, delta, outcome)
+                assert got == outcome
+                assert prob == want_prob
+                assert rest.labels == [lb for lb in s.labels if lb != q]
+                assert (rest.amps + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("delta, halves", [(None, 2), (0.0, 3), (0.7, 3)])
+def test_measure_peak_memory_is_the_two_halves_plus_the_new_branch(delta, halves):
+    # bytes that Python's tracer sees, not page faults, which depend on the allocator
+    s = _random_state(np.random.default_rng(17), 14)
+    half = s.amps.nbytes // 2
+    for q in (0, 6, 13):
+        tracemalloc.start()
+        try:
+            sv.measure(s, q, delta, sv.ForcedBranch([1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (halves + 0.1) * half
+
+
+@pytest.mark.parametrize("basis", [None, 0.0, 0.4])
+def test_measure_leaves_the_input_amplitudes_unchanged(basis):
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5):
+        s = _random_state(rng, n)
+        before = s.amps.copy()
+        for q in range(n):
+            for outcome in (0, 1):
+                sv.measure(s, q, basis, sv.ForcedBranch([outcome]))
+                assert s.amps.tobytes() == before.tobytes()
 
 
 def test_forced_impossible_branch_raises():

@@ -254,6 +254,23 @@ def test_compiled_encoder_size_and_shape():
     assert kinds == {"x", "y"}  # fully non-adaptive
 
 
+def test_compiled_encoder_calls_are_equal_but_share_nothing_mutable():
+    from blindprep.mbqc import pattern_to_text
+
+    first, second = compile_encoder(), compile_encoder()
+    assert first is not second
+    assert pattern_to_text(first) == pattern_to_text(second)
+    assert first.declared_unitary is second.declared_unitary is encoder_unitary()
+    for field in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
+        assert getattr(first, field) == getattr(second, field)
+        assert getattr(first, field) is not getattr(second, field)
+    text = pattern_to_text(second)
+    first.steps.pop()
+    first.edges.clear()
+    first.x_corr.clear()
+    assert pattern_to_text(compile_encoder()) == text
+
+
 def test_compiled_encoder_forced_zero_branch():
     p = compile_encoder()
     theta = math.pi / 4
