@@ -2,7 +2,10 @@
 
 Conventions (fixed once, everything else is derived):
 - Cluster nodes are prepared as |+> (or a supplied input state), entangled by
-  CZ along the pattern's edges, and consumed by destructive measurement.
+  CZ along the pattern's edges, and consumed by destructive measurement. The
+  executor folds each edge's CZ into the measurement of its first measured
+  endpoint (the E-then-M pairing of the measurement calculus); only an edge
+  between two outputs goes through sv.apply_gate.
 - M(delta) is the equatorial basis |+/-_delta>; outcome s=0 is the + branch.
 - Head-of-chain identity: measuring the first node of an edge pair in M(delta)
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
@@ -252,9 +255,10 @@ def run_pattern(
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    Nodes are created only when first needed and each CZ edge is applied
-    just before its first endpoint is measured, so the live width
-    (spectators excluded) stays within LIVE_CAP.
+    Nodes are created only when first needed and each CZ edge is folded
+    into the measurement of its first measured endpoint, so the live width
+    (spectators excluded) stays within LIVE_CAP. Only an edge between two
+    outputs goes through sv.apply_gate, once every step is done.
     """
     nodes = set(p.nodes)
     input_set = set(p.inputs)
@@ -299,13 +303,12 @@ def run_pattern(
     outcomes: dict = {}
     for node, role in p.steps:
         ensure(node)
-        # edges to measured neighbours were applied at those neighbours' steps
-        for other in adjacent[node]:
-            if other not in outcomes:
-                ensure(other)
-                live = sv.apply_gate(live, sv.CZ, [node, other])
+        # edges to measured neighbours were folded into those neighbours' steps
+        partners = [other for other in adjacent[node] if other not in outcomes]
+        for other in partners:
+            ensure(other)
         basis = role.basis(outcomes)
-        outcome, prob, live = sv.measure(live, node, basis, src)
+        outcome, prob, live = sv.measure(live, node, basis, src, partners)
         outcomes[node] = outcome
         transcript.entries.append(TranscriptEntry(node, basis, outcome, prob))
 

@@ -24,7 +24,9 @@ permutation of basis states, so apply_cnots moves the amplitudes once, by a
 cached gather index that the same kernel builds from the run. A measurement
 takes the measured qubit's two halves as copies and works on them in place:
 the residual is a fresh array, and the call's peak is those two halves plus
-one more for the new branch in M(delta).
+one more for the new branch in M(delta). A measurement can also take the
+measured qubit's CZ partners: each partner's CZ negates, in place, the slice
+of the |1> half where that partner is 1, so the peak stays the same.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ Z = Gate("Z", np.array([[1, 0], [0, -1]]))
 H = Gate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 CZ = Gate("CZ", np.diag([1, 1, 1, -1]))
 CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+# CZ rewrites one row, (1, 1), with one term: its -1 entry as a 0-d array;
+# measure folds CZ in by the same product that _contract makes
+_CZ_SIGN = CZ.rows[0][1][0][1]
+_ONE = np.array([False, True])  # selects the |1> half of one axis
 
 
 def rz(phi: float) -> Gate:
@@ -307,18 +313,25 @@ def _derived(amps: np.ndarray, labels: list) -> PureState:
 
 
 def measure(
-    s: PureState, q: Label, delta: float | None, src: OutcomeSource
+    s: PureState, q: Label, delta: float | None, src: OutcomeSource, cz: Sequence[Label] = ()
 ) -> tuple[int, float, PureState]:
     """Destructively measure qubit q in Z (delta None) or in M(delta), delta
-    finite. Returns (outcome, Born probability, residual state).
+    finite, after CZ between q and each of its partners cz. Returns
+    (outcome, Born probability, residual state).
 
     Outcome 0 is the |0> / |+_delta> branch. The measured qubit is removed;
     the residual state is renormalized. A state may become empty (n == 0), in
     which case the residual has a 0-dim amplitude scalar of modulus 1.
 
+    CZ only negates the amplitudes where both of its qubits are 1, so each
+    partner's CZ is applied in place to q's |1> half, with the same bits as
+    apply_gate(s, CZ, [q, partner]) per partner before the measurement.
+    The p0 + p1 check then stands in for apply_gate's norm check.
+
     The residual is a fresh array that shares no memory with s: one of the
     two half-size copies the call takes from s. Those two are the call's peak
-    in Z; M(delta) adds one more half for the new branch.
+    in Z, with or without partners; M(delta) adds one more half for the new
+    branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
@@ -327,6 +340,16 @@ def measure(
     # n == 1 the halves are numpy scalars, which augmented assignment rebinds
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
+    if cz:
+        if q in cz or len(set(cz)) != len(cz):
+            raise InputError("duplicate target labels")
+        for partner in cz:
+            at = s.axis(partner)
+            at = at if at < ax else at - 1
+            # a ufunc over the strided slice a1[..., 1, ...] would make numpy
+            # buffer up to 256 KiB; over the contiguous half with where= it does not
+            where = _ONE.reshape((2,) + (1,) * (a1.ndim - 1 - at))
+            np.multiply(a1, _CZ_SIGN, out=a1, where=where)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently

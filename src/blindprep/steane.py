@@ -31,6 +31,7 @@ and each round's seven CNOTs are applied as one sv.apply_cnots gather.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -248,25 +249,21 @@ def compile_encoder() -> mbqc.MeasurementPattern:
     All measurement angles are fixed (X or Y), so the pattern needs no
     adaptivity and every correction is a static output-frame update.
 
-    The layout is built once; every call returns a fresh, validated pattern
-    whose lists and dicts no other call shares.
+    The layout is built and validated once; every call returns a fresh copy
+    of it whose lists and dicts no other call shares, without validating
+    again.
     """
-    p = _encoder_layout()
-    return mbqc.MeasurementPattern(
-        list(p.inputs),
-        list(p.outputs),
-        list(p.steps),
-        list(p.edges),
-        dict(p.x_corr),
-        dict(p.z_corr),
-        declared_unitary=encoder_unitary(),
-    )
+    p = copy.copy(_encoder_layout())
+    p.inputs, p.outputs, p.steps, p.edges = map(list, (p.inputs, p.outputs, p.steps, p.edges))
+    p.x_corr, p.z_corr = dict(p.x_corr), dict(p.z_corr)
+    p.declared_unitary = encoder_unitary()  # the array whose shape the layout checked
+    return p
 
 
 @functools.cache
 def _encoder_layout() -> mbqc.MeasurementPattern:
-    """The encoder pattern without its unitary; compile_encoder copies its
-    fields, so this one is never handed out or changed."""
+    """The validated encoder pattern; compile_encoder copies its fields, so
+    this one is never handed out or changed."""
     b = mbqc.PatternBuilder()
     for w in range(1, 8):
         b.wire(w, 1, w - 1)
@@ -274,7 +271,7 @@ def _encoder_layout() -> mbqc.MeasurementPattern:
         mbqc.lay_hadamard(b, w)
     for c, t in ENCODER_CNOTS:
         mbqc.lay_cnot(b, list(range(c, t + 1)))
-    return b.build(list(range(1, 8)), None)
+    return b.build(list(range(1, 8)), encoder_unitary())
 
 
 @dataclass

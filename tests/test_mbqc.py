@@ -435,13 +435,24 @@ def test_cnot_rejects_bad_separation():
 # ------------------------------------------------------------- execution ----
 
 
+def output_edge_pattern():
+    """Two one-hop wires whose outputs share a CZ edge."""
+    edges = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))]
+    steps = [((0, 0), Role("x")), ((0, 1), Role("x"))]
+    return MeasurementPattern([(0, 0), (0, 1)], [(1, 0), (1, 1)], steps, edges, {}, {})
+
+
 def test_jit_and_full_build_agree_branchwise():
     # run_pattern creates nodes and edges just in time; the reference builds
-    # the whole cluster first. Rotation adds adaptive angles, CNOT a 2-D graph.
+    # the whole cluster first. Rotation adds adaptive angles, CNOT a 2-D graph,
+    # the star a measurement with three CZ partners, and the last pattern an
+    # edge between two outputs.
     cases = [
         (pattern_for_gate(HadamardGate()), [FIVE_STATES[4]]),
         (pattern_for_gate(RotationGate(0.3, 0.5, 0.7)), [FIVE_STATES[4]]),
         (pattern_for_gate(CNOTGate(1)), [FIVE_STATES[2], FIVE_STATES[4]]),
+        (star_pattern(3, "x"), [FIVE_STATES[4]]),
+        (output_edge_pattern(), [FIVE_STATES[0], FIVE_STATES[4]]),
     ]
     for p, vecs in cases:
         inputs = dict(zip(p.inputs, vecs))
@@ -453,6 +464,24 @@ def test_jit_and_full_build_agree_branchwise():
             assert sv.fidelity(state, ref_state) == pytest.approx(1.0, abs=1e-12)
             seen += 1
         assert seen == 2**p.measured_count
+
+
+def test_only_edges_between_two_outputs_go_through_apply_gate(monkeypatch):
+    from blindprep.steane import compile_encoder
+
+    real, cz_calls = sv.apply_gate, []
+
+    def counted(s, g, targets):
+        if g is sv.CZ:
+            cz_calls.append(list(targets))
+        return real(s, g, targets)
+
+    monkeypatch.setattr(sv, "apply_gate", counted)
+    p = compile_encoder()
+    run_pattern(p, {}, sv.BornSampler(3))
+    assert cz_calls == []
+    run_pattern(output_edge_pattern(), {}, sv.BornSampler(3))
+    assert cz_calls == [[(1, 0), (1, 1)]]
 
 
 def test_hop_outcomes_are_uniform_for_any_input():
@@ -580,14 +609,14 @@ def test_run_pattern_rejects_colliding_spectator_labels():
         run_pattern(p, bad, sv.BornSampler(0))
 
 
-def star_pattern(n_leaves):
-    """A Z-measured input centre joined to n_leaves output leaves."""
+def star_pattern(n_leaves, kind="z"):
+    """An input centre, measured as kind, joined to n_leaves output leaves."""
     centre = (0, 0)
     leaves = [(1, y) for y in range(n_leaves)]
     return MeasurementPattern(
         [centre],
         leaves,
-        [(centre, Role("z"))],
+        [(centre, Role(kind))],
         [(centre, leaf) for leaf in leaves],
         {},
         {leaf: frozenset() for leaf in leaves},

@@ -6,6 +6,7 @@ einsum partial traces), not from the module under test.
 """
 
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -454,15 +455,44 @@ def test_measure_matches_the_out_of_place_formula_bit_for_bit(n):
                 assert (rest.amps + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_measure_with_cz_partners_equals_cz_gates_then_measure_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    s = _random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
+    for q in s.labels:
+        others = [lb for lb in s.labels if lb != q]
+        for k in range(min(3, n - 1) + 1):
+            partners = [others[i] for i in rng.choice(len(others), k, replace=False)]
+            gated = s
+            for partner in partners:
+                gated = sv.apply_gate(gated, sv.CZ, [q, partner])
+            for delta in (None, 0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi))):
+                for outcome in (0, 1):
+                    got = sv.measure(s, q, delta, sv.ForcedBranch([outcome]), partners)
+                    want = sv.measure(gated, q, delta, sv.ForcedBranch([outcome]))
+                    assert got[:2] == want[:2]
+                    assert got[2].labels == want[2].labels
+                    assert got[2].amps.tobytes() == want[2].amps.tobytes()
+
+
+def test_measure_rejects_a_repeated_or_unknown_cz_partner():
+    s = _random_state(np.random.default_rng(23), 3)
+    for cz in ([0], [1, 1], [2, 1, 2]):
+        with pytest.raises(InputError, match="duplicate target labels"):
+            sv.measure(s, 0, None, sv.ForcedBranch([0]), cz)
+    with pytest.raises(SequencingError, match="not part of this state"):
+        sv.measure(s, 0, 0.0, sv.ForcedBranch([0]), [1, "z"])
+
+
 @pytest.mark.parametrize("delta, halves", [(None, 2), (0.0, 3), (0.7, 3)])
 def test_measure_peak_memory_is_the_two_halves_plus_the_new_branch(delta, halves):
     # bytes that Python's tracer sees, not page faults, which depend on the allocator
     s = _random_state(np.random.default_rng(17), 14)
     half = s.amps.nbytes // 2
-    for q in (0, 6, 13):
+    for q, cz in itertools.product((0, 6, 13), ((), (3, 9))):
         tracemalloc.start()
         try:
-            sv.measure(s, q, delta, sv.ForcedBranch([1]))
+            sv.measure(s, q, delta, sv.ForcedBranch([1]), cz)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,9 +506,11 @@ def test_measure_leaves_the_input_amplitudes_unchanged(basis):
         s = _random_state(rng, n)
         before = s.amps.copy()
         for q in range(n):
-            for outcome in (0, 1):
-                sv.measure(s, q, basis, sv.ForcedBranch([outcome]))
-                assert s.amps.tobytes() == before.tobytes()
+            others = [lb for lb in range(n) if lb != q]
+            for cz in ((), others[:1], others[:3]):
+                for outcome in (0, 1):
+                    sv.measure(s, q, basis, sv.ForcedBranch([outcome]), cz)
+                    assert s.amps.tobytes() == before.tobytes()
 
 
 def test_forced_impossible_branch_raises():
