@@ -88,6 +88,7 @@ def load_config(path: str) -> rs.ExperimentParams:
     except OSError as ex:
         raise UsageError(f"cannot read config {path}: {ex}")
     overrides: dict = {}
+    first: dict = {}  # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +100,8 @@ def load_config(path: str) -> rs.ExperimentParams:
         if key not in CONFIG_KEYS:
             known = ", ".join(sorted(CONFIG_KEYS))
             raise UsageError(f"{path}:{ln}: unknown key {key!r} (known keys: {known})")
+        if first.setdefault(key, ln) != ln:
+            raise UsageError(f"{path}:{ln}: key {key!r} is already set on line {first[key]}")
         field, cast = CONFIG_KEYS[key]
         try:
             overrides[field] = cast(value)
@@ -320,10 +323,6 @@ def cmd_blindness(args) -> int:
 # ------------------------------------------------------------- resources ----
 
 
-def _csv_cell(value) -> str:
-    return str(value) if isinstance(value, int) else repr(float(value))
-
-
 def cmd_resources(args) -> int:
     for flag in ("lmin", "lmax", "step"):
         if not math.isfinite(getattr(args, flag)):
@@ -346,22 +345,10 @@ def cmd_resources(args) -> int:
     for length, row, err in rs.sweep(lengths, params):
         if row is None:
             print(f"warning: L = {length} km: {err}", file=sys.stderr)
-            lines.append(",".join([_csv_cell(length)] + ["NA"] * 10))
+            lines.append(",".join([repr(length)] + ["NA"] * CSV_HEADER.count(",")))
             continue
-        cells = [
-            _csv_cell(row.length_km),
-            _csv_cell(row.t),
-            _csv_cell(row.p1_lower),
-            str(row.n_coded),
-            str(row.n_direct),
-            _csv_cell(row.k),
-            str(row.k_n_direct),
-            str(row.n_asym),
-            _csv_cell(row.e_coded),
-            _csv_cell(row.e_direct_k),
-            _csv_cell(row.e_asym),
-        ]
-        lines.append(",".join(cells))
+        # every field is a Python int or float, whose repr is its cell
+        lines.append(",".join(map(repr, vars(row).values())))
     text = "\n".join(lines) + "\n"
 
     if args.out:

@@ -13,7 +13,13 @@ class InputError(ValueError):
 
 
 class StructuralError(ValueError):
-    """A graph/pattern/file is malformed (duplicate edge, bad role, parse error)."""
+    """A graph/pattern/file is malformed (duplicate edge, bad role, parse error).
+    at: the declaration at fault, when a pattern check names one: a node,
+    ("input", node), frozenset(edge) or ("xcorr" | "zcorr", output)."""
+
+    def __init__(self, message: str, at=None):
+        super().__init__(message)
+        self.at = at
 
 
 class SequencingError(RuntimeError):

@@ -133,34 +133,43 @@ class MeasurementPattern:
             ):
                 raise StructuralError(f"node {node!r} is not an (x, y) int pair")
             if node in nodes:
-                raise StructuralError(f"node {node} is measured twice or also an output")
+                raise StructuralError(f"node {_c(node)} is measured twice or also an output", node)
             nodes.add(node)
-        if len(set(self.inputs)) != len(self.inputs):
-            raise StructuralError("duplicate input nodes")
-        for node in self.inputs:
+        for i, node in enumerate(self.inputs):
+            at = ("input", node)
             if node not in nodes:
-                raise StructuralError(f"input node {node} is neither measured nor an output")
+                raise StructuralError(f"input {_c(node)} is not a measured node or an output", at)
+            if node in self.inputs[:i]:
+                raise StructuralError(f"input {_c(node)} is declared twice", at)
         measured: set = set()
         for node, role in self.steps:
-            if not role.deps <= measured:
-                raise StructuralError(f"rot node {node} depends on later outcomes")
+            late = role.deps - measured
+            if late:
+                raise StructuralError(f"dep {_c(min(late))} is not measured earlier", node)
             measured.add(node)
         pairs: set = set()
         for a, b in self.edges:
+            pair = frozenset((a, b))
             if a == b:
-                raise StructuralError(f"self-loop at {a}")
-            if a not in nodes or b not in nodes:
-                raise StructuralError(f"edge ({a}, {b}) references a missing node")
-            if frozenset((a, b)) in pairs:
-                raise StructuralError(f"duplicate edge ({a}, {b})")
-            pairs.add(frozenset((a, b)))
+                raise StructuralError(f"edge {_c(a)} {_c(b)} is a self-loop", pair)
+            for end in (a, b):
+                if end not in nodes:
+                    raise StructuralError(
+                        f"edge end {_c(end)} is not a measured node or an output", pair
+                    )
+            if pair in pairs:
+                raise StructuralError(f"edge {_c(a)} {_c(b)} is declared twice", pair)
+            pairs.add(pair)
         self.edges = [tuple(sorted(e)) for e in self.edges]
-        for corr in (self.x_corr, self.z_corr):
+        for kind, corr in (("xcorr", self.x_corr), ("zcorr", self.z_corr)):
             for out, dep_nodes in corr.items():
                 if out not in self.outputs:
-                    raise StructuralError(f"correction for non-output node {out}")
+                    raise StructuralError(f"{kind} target {_c(out)} is not an output", (kind, out))
                 if not frozenset(dep_nodes) <= measured:
-                    raise StructuralError(f"correction for {out} cites unmeasured nodes")
+                    cited = min(frozenset(dep_nodes) - measured)
+                    raise StructuralError(
+                        f"{kind} node {_c(cited)} is not a measured node", (kind, out)
+                    )
         if self.declared_unitary is not None:
             d = 2 ** len(self.inputs)
             if self.declared_unitary.shape != (d, d):
@@ -616,14 +625,14 @@ def pattern_from_text(text: str) -> MeasurementPattern:
       edge X1,Y1 X2,Y2              a CZ edge
       xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
       zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
-    The node set is the measured nodes plus the outputs; inputs and edge
-    endpoints must be among them, in any order of lines. A DEP must be
-    measured on an earlier node line, an xcorr/zcorr must be for an output
-    and cite measured nodes, and an edge joins two distinct nodes. Every
-    fault names its line. No directive repeats for one node, edge or
-    output, and no node repeats within one DEP, xcorr or zcorr list (each is
-    a GF(2) parity); a repeat names its line and the earlier one. The
-    declared unitary is not serialized; fixtures carry structure only.
+    The node set is the measured nodes plus the outputs. MeasurementPattern
+    checks the references between lines, which may come in any order: inputs
+    and edge ends are nodes, an edge joins two distinct nodes, a DEP is
+    measured on an earlier node line, and an xcorr/zcorr is for an output and
+    cites measured nodes. No directive repeats for one node, edge or output,
+    and no node repeats within one DEP, xcorr or zcorr list (each is a GF(2)
+    parity); a repeat names its line and the earlier one. Every fault names
+    its line. The declared unitary is not serialized.
     """
     inputs: list = []
     outputs: list = []
@@ -631,10 +640,8 @@ def pattern_from_text(text: str) -> MeasurementPattern:
     edges: list = []
     x_corr: dict = {}
     z_corr: dict = {}
-    first: dict = {}  # an input, node or edge -> the line that declared it
-    measured: set = set()
-    # (line, what, nodes, the set they must lie in): checked once every line is read
-    refs: list = []
+    # a node, ("input", node), frozenset(edge) or (xcorr | zcorr, output) -> its line
+    first: dict = {}
 
     def once(key, what: str) -> None:
         if first.setdefault(key, ln) != ln:
@@ -649,7 +656,6 @@ def pattern_from_text(text: str) -> MeasurementPattern:
             if parts[0] == "input":
                 inputs.append(_parse_c(parts[1]))
                 once(("input", inputs[-1]), f"input {_c(inputs[-1])}")
-                refs.append((ln, "input", [inputs[-1]], "a measured node or an output"))
             elif parts[0] == "output":
                 outputs.append(_parse_c(parts[1]))
                 once(outputs[-1], f"output {_c(outputs[-1])}")
@@ -660,39 +666,25 @@ def pattern_from_text(text: str) -> MeasurementPattern:
                 if colon != (":" if kind == "rot" else ""):
                     raise StructuralError(f"bad role {parts[2]!r}")
                 role = Role(kind, float(angle) if colon else 0.0, _parse_set(parts[3:]))
-                late = sorted(role.deps - measured)
-                if late:
-                    raise StructuralError(f"dep {_c(late[0])} is not measured earlier")
                 steps.append((node, role))
-                measured.add(node)
             elif parts[0] == "edge":
                 edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
-                what = "edge " + " ".join(map(_c, edges[-1]))
-                if edges[-1][0] == edges[-1][1]:
-                    raise StructuralError(f"{what} is a self-loop")
-                once(frozenset(edges[-1]), what)
-                refs.append((ln, "edge end", edges[-1], "a measured node or an output"))
+                once(frozenset(edges[-1]), "edge " + " ".join(map(_c, edges[-1])))
             elif parts[0] in ("xcorr", "zcorr"):
                 out = _parse_c(parts[1])
-                corr = x_corr if parts[0] == "xcorr" else z_corr
-                if out in corr:
+                if first.setdefault((parts[0], out), ln) != ln:
                     raise StructuralError(f"a second {parts[0]} for {_c(out)}")
-                corr[out] = _parse_set(parts[2:])
-                refs.append((ln, f"{parts[0]} target", [out], "an output"))
-                refs.append((ln, f"{parts[0]} node", sorted(corr[out]), "a measured node"))
+                (x_corr if parts[0] == "xcorr" else z_corr)[out] = _parse_set(parts[2:])
             else:
                 raise StructuralError(f"unknown directive {parts[0]!r}")
         except StructuralError as exc:
             raise StructuralError(f"line {ln}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise StructuralError(f"line {ln}: cannot parse {raw!r}") from exc
-    among = {"a measured node": measured, "an output": set(outputs)}
-    among["a measured node or an output"] = measured | among["an output"]
-    for ln, what, nodes, where in refs:
-        for node in nodes:
-            if node not in among[where]:
-                raise StructuralError(f"line {ln}: {what} {_c(node)} is not {where}")
-    return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)
+    try:
+        return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)
+    except StructuralError as exc:
+        raise StructuralError(f"line {first[exc.at]}: {exc}", exc.at) from exc
 
 
 def _c(node: Node) -> str:

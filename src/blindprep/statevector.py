@@ -129,9 +129,10 @@ class ForcedBranch:
     """
 
     def __init__(self, bits: Sequence[int]):
-        self.bits = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in self.bits):
+        # checked before int(), which would truncate 0.5 to 0
+        if any(b not in (0, 1) for b in bits):
             raise InputError("branch word must contain only bits")
+        self.bits = [int(b) for b in bits]
         self.pos = 0
 
     def choose(self, p0: float, p1: float) -> int:

@@ -7,12 +7,13 @@ Code conventions:
   1010101 for both X and Z checks. Reading the three check parities
   most-significant-first yields the binary position of a single error
   (0 means no error), the classic single-error-correcting property.
-- Logical X is X on qubits {3, 5, 6}; together with the X stabilizers it
-  generates the full 16-string group underlying both codewords.
+- |0>_L is the uniform superposition over the span of the rows (8 words);
+  logical X is X on qubits {3, 5, 6} and maps it to |1>_L, the other coset.
 
-Encoder (data on wire 3, everything else arriving as |+>): wires 1, 2, 4
-are the row pivots and stay |+>; wires 5, 6, 7 are Hadamard-ed to |0>;
-the data then fans out over the logical-X support and each pivot fans out
+Encoder (data on wire 3, everything else arriving as |+>), its wiring read
+off the rows: the first qubit of each row is its pivot (wires 1, 2, 4),
+which stays |+>; the remaining wires 5, 6, 7 are Hadamard-ed to |0>; the
+data then fans out over the logical-X support and each pivot fans out
 over its row. Eleven CNOTs total, each compiled to a cluster tile between
 consecutive rows, giving a 7-row measurement pattern for the whole block.
 
@@ -46,35 +47,27 @@ DATA_LABELS = tuple(("d", i) for i in range(1, 8))
 
 PARITY_ROWS = ("0001111", "0110011", "1010101")
 
-ZERO_STRINGS = (
-    "0000000",
-    "0001111",
-    "0110011",
-    "0111100",
-    "1010101",
-    "1011010",
-    "1100110",
-    "1101001",
-)
-
 LOGICAL_X_SUPPORT = (3, 5, 6)
 
-# encoder wiring: data wire, pivot wires, |0>-prepared wires, CNOT fan-outs
-DATA_WIRE = 3
-PIVOT_WIRES = (1, 2, 4)
-ZEROED_WIRES = (5, 6, 7)
-ENCODER_CNOTS = (
-    (3, 5),
-    (3, 6),
-    (1, 3),
-    (1, 5),
-    (1, 7),
-    (2, 3),
-    (2, 6),
-    (2, 7),
-    (4, 5),
-    (4, 6),
-    (4, 7),
+
+def _span(rows) -> tuple:
+    """Every GF(2) sum of the rows, as sorted bit strings."""
+    words = {0}
+    for row in rows:
+        words |= {w ^ int(row, 2) for w in words}
+    return tuple(sorted(f"{w:07b}" for w in words))
+
+
+ZERO_STRINGS = _span(PARITY_ROWS)
+
+# encoder wiring: the qubits set in each row, rows sorted by their first (pivot)
+_ROW_SUPPORTS = sorted(tuple(i for i, ch in enumerate(row, 1) if ch == "1") for row in PARITY_ROWS)
+DATA_WIRE = LOGICAL_X_SUPPORT[0]
+PIVOT_WIRES = tuple(support[0] for support in _ROW_SUPPORTS)
+ZEROED_WIRES = tuple(w for w in range(1, 8) if w != DATA_WIRE and w not in PIVOT_WIRES)
+# the first wire of each support fans out over the rest
+ENCODER_CNOTS = tuple(
+    (support[0], t) for support in (LOGICAL_X_SUPPORT, *_ROW_SUPPORTS) for t in support[1:]
 )
 
 

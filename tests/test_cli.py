@@ -10,7 +10,7 @@ import blindprep.cli as cli
 from blindprep.cli import CONFIG_KEYS, CSV_HEADER, load_config, main
 from blindprep.cli import UsageError
 from blindprep.errors import ContractViolation, InputError, SequencingError, StructuralError
-from blindprep.resources import ExperimentParams
+from blindprep.resources import ExperimentParams, estimate
 
 
 @pytest.fixture(autouse=True)
@@ -301,6 +301,14 @@ def test_resources_header_and_first_row(capsys):
     assert all(len(ln.split(",")) == 11 for ln in lines)
 
 
+def test_resource_row_fields_are_the_csv_columns():
+    # cmd_resources writes each field's repr as its cell, which is the cell
+    # only for an exact Python int or float
+    row = estimate(50.0, ExperimentParams())
+    assert len(vars(row)) == CSV_HEADER.count(",") + 1
+    assert all(type(v) in (int, float) for v in vars(row).values())
+
+
 def test_resources_csv_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(capsys, "resources", "--lmax", "30", "--out", str(a))[0] == 0
@@ -382,6 +390,13 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "resources", "--config", path)
     assert code == 1
     assert "unknown key 'brightness'" in err
+
+
+def test_config_repeated_key_rejected(capsys, tmp_path):
+    # a second line would silently override the first
+    path = write_config(tmp_path, "alpha = 0.2\n# fiber\nalpha = 0.3\n")
+    result = run_cli(capsys, "resources", "--config", path)
+    assert_one_line_usage_error(result, f"{path}:3: key 'alpha' is already set on line 1")
 
 
 def test_config_bad_value_rejected(tmp_path):

@@ -798,23 +798,63 @@ def test_parser_names_both_lines_of_a_repeat(text, message):
     assert str(info.value) == message
 
 
+# a tail for a one-hop wire file that adds one structural fault, and its message
+STRUCTURAL_FAULTS = {
+    "self_loop": ("edge 0,0 0,0\n", "line 4: edge 0,0 0,0 is a self-loop"),
+    "undeclared_edge_end": (
+        "edge 0,0 2,0\nnode 3,0 x\n", "line 4: edge end 2,0 is not a measured node or an output"
+    ),
+    "loose_input": ("input 5,5\n", "line 4: input 5,5 is not a measured node or an output"),
+    "corr_not_output": ("xcorr 1,0 0,0\nzcorr 0,0\n", "line 5: zcorr target 0,0 is not an output"),
+    "corr_unmeasured": ("xcorr 1,0 0,0 3,3\n", "line 4: xcorr node 3,3 is not a measured node"),
+    "late_dep": ("node 2,0 rot:0.5 3,0\nnode 3,0 x\n", "line 4: dep 3,0 is not measured earlier"),
+}
+
+
 @pytest.mark.parametrize(
-    "tail, message",
-    [
-        ("edge 0,0 0,0\n", "line 4: edge 0,0 0,0 is a self-loop"),
-        ("edge 0,0 2,0\nnode 3,0 x\n", "line 4: edge end 2,0 is not a measured node or an output"),
-        ("input 5,5\n", "line 4: input 5,5 is not a measured node or an output"),
-        ("xcorr 1,0 0,0\nzcorr 0,0\n", "line 5: zcorr target 0,0 is not an output"),
-        ("xcorr 1,0 0,0 3,3\n", "line 4: xcorr node 3,3 is not a measured node"),
-        ("node 2,0 rot:0.5 3,0\nnode 3,0 x\n", "line 4: dep 3,0 is not measured earlier"),
-    ],
-    ids=["self_loop", "undeclared_edge_end", "loose_input", "corr_not_output",
-         "corr_unmeasured", "late_dep"],
+    "tail, message", list(STRUCTURAL_FAULTS.values()), ids=list(STRUCTURAL_FAULTS)
 )
 def test_parser_names_the_line_of_a_structural_fault(tail, message):
     with pytest.raises(StructuralError) as info:
         pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
     assert str(info.value) == message
+
+
+# the same faults built in code: the fields that differ from the one-hop
+# wire's, and the declaration at fault
+DIRECT_FAULTS = {
+    "self_loop": ({"edges": [((0, 0), (0, 0))]}, frozenset({(0, 0)})),
+    "undeclared_edge_end": (
+        {"edges": [((0, 0), (2, 0))], "steps": X00 + [((3, 0), Role("x"))]},
+        frozenset({(0, 0), (2, 0)}),
+    ),
+    "loose_input": ({"inputs": [(0, 0), (5, 5)]}, ("input", (5, 5))),
+    "corr_not_output": (
+        {"x_corr": {(1, 0): frozenset({(0, 0)})}, "z_corr": {(0, 0): frozenset()}},
+        ("zcorr", (0, 0)),
+    ),
+    "corr_unmeasured": ({"x_corr": {(1, 0): frozenset({(0, 0), (3, 3)})}}, ("xcorr", (1, 0))),
+    "late_dep": (
+        {"steps": X00 + [((2, 0), Role("rot", 0.5, [(3, 0)])), ((3, 0), Role("x"))]},
+        (2, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_FAULTS))
+def test_pattern_built_in_code_reports_the_parsers_fault(name):
+    # one validator, one vocabulary: the message is the file's without its line
+    tail, message = STRUCTURAL_FAULTS[name]
+    fields, at = DIRECT_FAULTS[name]
+    wire = {"inputs": [(0, 0)], "outputs": [(1, 0)], "steps": X00, "edges": [],
+            "x_corr": {}, "z_corr": {}}
+    with pytest.raises(StructuralError) as info:
+        MeasurementPattern(**{**wire, **fields})
+    assert str(info.value) == message.split(": ", 1)[1]
+    assert info.value.at == at
+    with pytest.raises(StructuralError) as parsed:
+        pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
+    assert parsed.value.at == at
 
 
 def test_parser_resolves_references_to_later_lines():

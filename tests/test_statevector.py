@@ -362,6 +362,18 @@ def test_rz_acts_as_phase_on_one():
 # ----------------------------------------------------------------- measure
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, "1", 2, -1])
+def test_forced_branch_rejects_non_bits_before_truncating(bad):
+    with pytest.raises(InputError, match="^branch word must contain only bits$"):
+        sv.ForcedBranch([0, bad])
+
+
+def test_forced_branch_takes_numpy_ints_and_bools():
+    src = sv.ForcedBranch([np.int64(1), np.uint8(0), True, False, np.True_, 1.0])
+    assert src.bits == [1, 0, 1, 0, 1, 1]
+    assert all(type(b) is int for b in src.bits)
+
+
 def test_measure_plus_in_x_basis_is_deterministic():
     s = sv.new_plus_theta(0.0)
     outcome, prob, rest = sv.measure(s, 0, 0.0, sv.ForcedBranch([0]))

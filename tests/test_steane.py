@@ -19,9 +19,11 @@ from blindprep.errors import InputError
 from blindprep.mbqc import FIXED_BASES, apply_byproducts, run_pattern
 from blindprep.steane import (
     DATA_LABELS,
+    DATA_WIRE,
     ENCODER_CNOTS,
     LOGICAL_X_SUPPORT,
     PARITY_ROWS,
+    PIVOT_WIRES,
     ZERO_STRINGS,
     ZEROED_WIRES,
     PauliError,
@@ -147,6 +149,20 @@ def test_encoder_unitary_is_cnot_permutation_times_three_hadamards():
             y ^= (y >> (7 - c) & 1) << (7 - t)
         perm[y, x] = 1.0
     assert np.array_equal(encoder_unitary(), perm @ np.kron(np.eye(16), np.kron(h, np.kron(h, h))))
+
+
+def test_tables_derived_from_the_rows_and_logical_x():
+    assert ZERO_STRINGS == (
+        "0000000", "0001111", "0110011", "0111100",
+        "1010101", "1011010", "1100110", "1101001",
+    )
+    assert (DATA_WIRE, PIVOT_WIRES, ZEROED_WIRES) == (3, (1, 2, 4), (5, 6, 7))
+    assert ENCODER_CNOTS == (
+        (3, 5), (3, 6),
+        (1, 3), (1, 5), (1, 7),
+        (2, 3), (2, 6), (2, 7),
+        (4, 5), (4, 6), (4, 7),
+    )
 
 
 def test_encoder_cnots_point_down_the_block():
