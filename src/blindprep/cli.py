@@ -116,7 +116,7 @@ def load_config(path: str) -> rs.ExperimentParams:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed, source = args.seed, "--seed"
     else:
         env = os.environ.get("BLINDPREP_SEED")
@@ -166,6 +166,8 @@ def _pattern_min_fidelity(
 ) -> tuple[float, int]:
     """Worst corrected-output fidelity over every branch (paths 0) or over
     `paths` sampled runs per probe, plus the run count."""
+    if not paths:
+        mbqc.check_enumerable(p)  # before a probe is built for it
     worst, count = math.inf, 0
     for inputs, target in _pattern_probes(p):
         for state, _, frame in mbqc.runs(p, inputs, paths, seed):
@@ -237,11 +239,9 @@ def cmd_prepare(args) -> int:
         for i in range(1, 8)
     )
 
+    columns, rows = p.bounding_grid()
     print(f"prepare: theta index {args.theta} (theta = {args.theta}*pi/4)")
-    print(
-        f"cluster: {block.grid[0]} x {block.grid[1]} grid, "
-        f"{len(p.nodes)} nodes, {p.measured_count} measured"
-    )
+    print(f"cluster: {columns} x {rows} grid, {len(p.nodes)} nodes, {p.measured_count} measured")
     print(f"branch word: {_branch_hex(block.transcript.branch_word())}")
     print(f"branch probability: {prob_text}")
     print(f"byproduct frame: {frame_text}")
@@ -268,8 +268,6 @@ def cmd_correct(args) -> int:
     corrected = steane.apply_correction(survived, result)
     fid = sv.fidelity(corrected, clean)
 
-    bit_word = "".join(str(b) for b in result.bit_syndrome)
-    phase_word = "".join(str(b) for b in result.phase_syndrome)
     bit_note = "no bit flip" if not result.bit_position else f"X at {result.bit_position}"
     phase_note = (
         "no phase flip" if not result.phase_position else f"Z at {result.phase_position}"
@@ -278,8 +276,8 @@ def cmd_correct(args) -> int:
         f"correct: injected {args.pauli} at position {args.pos} "
         f"on the encoding of |+_{args.theta}*pi/4>"
     )
-    print(f"bit syndrome: {bit_word} ({bit_note})")
-    print(f"phase syndrome: {phase_word} ({phase_note})")
+    print(f"bit syndrome: {result.bit_position:03b} ({bit_note})")
+    print(f"phase syndrome: {result.phase_position:03b} ({phase_note})")
     print(f"fidelity after correction: {fid!r}")
     ok = fid >= 1.0 - PREPARE_THRESHOLD
     print(f"correct: {'PASS' if ok else 'FAIL'} (threshold 1 - 1e-9)")

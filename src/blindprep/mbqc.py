@@ -11,9 +11,10 @@ Conventions (fixed once, everything else is derived):
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
   neighbour removes it, leaving Z^s on the survivors.
 - Each non-output node is consumed in one of four ways, spelled by the same
-  token in the builder, the executor and the fixture format: z (Z
-  elimination), x (M(0)), y (M(pi/2)), or rot (M(+/-alpha), the sign set by
-  the parity of earlier outcomes: the measurement calculus's s-domain).
+  token in the executor and the fixture format: z (Z elimination), x (M(0)),
+  y (M(pi/2)), or rot (M(+/-alpha), the sign set by the parity of earlier
+  outcomes: the measurement calculus's s-domain). The builder lays x, y and
+  rot nodes; a z node comes only from a pattern built directly or parsed.
 - Byproducts are tracked as exponent pairs (a, b) meaning X^a Z^b per wire.
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
@@ -53,11 +54,19 @@ from . import statevector as sv
 from .errors import DegenerateBranchError, InputError, SequencingError, StructuralError
 
 LIVE_CAP = 20  # max simultaneously-alive qubits during pattern execution
+MAX_ENUMERATED = 22  # most measurements whose branches enumerate_branches walks
 
 Node = tuple  # (x, y) int pairs
 
 _PLUS = np.full(2, 1 / math.sqrt(2), dtype=complex)  # default node state, shared
 _PLUS.flags.writeable = False
+
+
+def _pair(node) -> Node:
+    """node itself, checked to be an (x, y) int pair before anything hashes it."""
+    if not isinstance(node, tuple) or len(node) != 2 or not all(isinstance(c, int) for c in node):
+        raise StructuralError(f"node {node!r} is not an (x, y) int pair")
+    return node
 
 
 # ----------------------------------------------------------------- roles ----
@@ -79,7 +88,7 @@ class Role:
     deps: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        angle, deps = float(self.angle), frozenset(self.deps)
+        angle, deps = float(self.angle), frozenset(map(_pair, self.deps))
         if self.kind in FIXED_BASES:
             if angle or deps:
                 raise StructuralError(f"only rot roles carry an angle or deps, not {self.kind}")
@@ -93,7 +102,7 @@ class Role:
     def basis(self, outcomes: dict) -> float | None:
         """The delta to measure in (None for Z), given the outcomes so far."""
         if self.kind == "rot":
-            return adapt_angle(self.angle, self.deps, outcomes)
+            return -self.angle if _parity(self.deps, outcomes) else self.angle
         return FIXED_BASES[self.kind]
 
 
@@ -125,17 +134,11 @@ class MeasurementPattern:
 
     def __post_init__(self) -> None:
         nodes: set = set()
-        for node in self.nodes:
-            if (
-                not isinstance(node, tuple)
-                or len(node) != 2
-                or not all(isinstance(c, int) for c in node)
-            ):
-                raise StructuralError(f"node {node!r} is not an (x, y) int pair")
+        for node in map(_pair, self.nodes):
             if node in nodes:
                 raise StructuralError(f"node {_c(node)} is measured twice or also an output", node)
             nodes.add(node)
-        for i, node in enumerate(self.inputs):
+        for i, node in enumerate(map(_pair, self.inputs)):
             at = ("input", node)
             if node not in nodes:
                 raise StructuralError(f"input {_c(node)} is not a measured node or an output", at)
@@ -149,7 +152,7 @@ class MeasurementPattern:
             measured.add(node)
         pairs: set = set()
         for a, b in self.edges:
-            pair = frozenset((a, b))
+            pair = frozenset((_pair(a), _pair(b)))
             if a == b:
                 raise StructuralError(f"edge {_c(a)} {_c(b)} is a self-loop", pair)
             for end in (a, b):
@@ -165,10 +168,10 @@ class MeasurementPattern:
             for out, dep_nodes in corr.items():
                 if out not in self.outputs:
                     raise StructuralError(f"{kind} target {_c(out)} is not an output", (kind, out))
-                if not frozenset(dep_nodes) <= measured:
-                    cited = min(frozenset(dep_nodes) - measured)
+                unmeasured = frozenset(map(_pair, dep_nodes)) - measured
+                if unmeasured:
                     raise StructuralError(
-                        f"{kind} node {_c(cited)} is not a measured node", (kind, out)
+                        f"{kind} node {_c(min(unmeasured))} is not a measured node", (kind, out)
                     )
         if self.declared_unitary is not None:
             d = 2 ** len(self.inputs)
@@ -188,11 +191,6 @@ class MeasurementPattern:
         xs = [x for x, _ in self.nodes]
         ys = [y for _, y in self.nodes]
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-
-
-def _one_qubit(spec, label) -> sv.PureState:
-    """A node's state: the supplied spec, else the shared |+>."""
-    return sv.PureState(_PLUS, [label]) if spec is None else sv.qubit_state(spec, label)
 
 
 @dataclass
@@ -225,11 +223,6 @@ class ByproductFrame:
     """Pending X^a Z^b per output node (exponents mod 2)."""
 
     exps: dict  # node -> (a, b)
-
-
-def adapt_angle(base: float, deps: Iterable[Node], outcomes: dict) -> float:
-    """Measurement angle +/-base with sign fixed by the dep outcomes' parity."""
-    return -base if _parity(deps, outcomes) else base
 
 
 def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
@@ -269,29 +262,22 @@ def run_pattern(
     (spectators excluded) stays within LIVE_CAP. Only an edge between two
     outputs goes through sv.apply_gate, once every step is done.
     """
-    nodes = set(p.nodes)
-    input_set = set(p.inputs)
-    if isinstance(inputs, sv.PureState):
-        labels = set(inputs.labels)
-        if not input_set <= labels:
-            raise InputError("joint input state must cover every input node")
-        extra = labels - input_set
-        if extra & nodes:
-            raise InputError("joint input state labels collide with non-input nodes")
-        live = sv.PureState(inputs.amps.copy(), list(inputs.labels))
-        spectators = len(extra)
-        created = set(input_set)
-        seeded: dict = {}
-    else:
-        seeded = dict(inputs or {})
-        for node in seeded:
-            if node not in input_set:
-                raise InputError(f"state supplied for non-input node {node}")
-        live = None
-        spectators = 0
-        created = set()
+    # a joint state is used as given: measure, apply_gate and tensor never
+    # write to their input; its labels past the inputs are spectators
+    live = inputs if isinstance(inputs, sv.PureState) else None
+    seeded = {} if live is not None else dict(inputs or {})
+    wires = set(p.inputs)
+    created = set(live.labels) if live is not None else set()
+    spectators = created - wires
+    if live is not None and not wires <= created:
+        raise InputError("joint input state must cover every input node")
+    if not spectators.isdisjoint(p.nodes):
+        raise InputError("joint input state labels collide with non-input nodes")
+    for node in seeded:
+        if node not in wires:
+            raise InputError(f"state supplied for non-input node {node}")
 
-    adjacent: dict = {node: [] for node in nodes}
+    adjacent: dict = {node: [] for node in p.nodes}
     for a, b in p.edges:
         adjacent[a].append(b)
         adjacent[b].append(a)
@@ -301,10 +287,11 @@ def run_pattern(
         if node in created:
             return
         # checked before the tensor, so no state past the cap is ever built
-        alive = (0 if live is None else live.n) + 1 - spectators
+        alive = (0 if live is None else live.n) + 1 - len(spectators)
         if alive > LIVE_CAP:
             raise InputError(f"live width {alive} exceeds the cap of {LIVE_CAP}")
-        q = _one_qubit(seeded.get(node), node)
+        spec = seeded.get(node)  # the supplied state, else the shared |+>
+        q = sv.PureState(_PLUS, [node]) if spec is None else sv.qubit_state(spec, node)
         live = q if live is None else sv.tensor(live, q)
         created.add(node)
 
@@ -347,9 +334,8 @@ def enumerate_branches(
     Yields (branch word, branch probability, residual state, transcript,
     frame). Cost grows with 2^measured_count; callers keep patterns small.
     """
+    check_enumerable(p)
     m = p.measured_count
-    if m > 22:
-        raise InputError(f"refusing to enumerate 2^{m} branches")
     word = 0
     while word < (1 << m):
         bits = [(word >> (m - 1 - i)) & 1 for i in range(m)]
@@ -362,6 +348,13 @@ def enumerate_branches(
             continue
         yield bits, transcript.branch_prob, state, transcript, frame
         word += 1
+
+
+def check_enumerable(p: MeasurementPattern) -> None:
+    """Refuse a pattern with more than MAX_ENUMERATED measurements; callers
+    that build costly inputs for an enumeration check before building them."""
+    if p.measured_count > MAX_ENUMERATED:
+        raise InputError(f"refusing to enumerate 2^{p.measured_count} branches")
 
 
 def runs(
@@ -384,9 +377,10 @@ def runs(
 class PatternBuilder:
     """Describes a layout while symbolically tracking byproduct frames.
 
-    Wire frames are (a, b) sets of node ids over GF(2); hop/bridge/eliminate
+    Wire frames are (a, b) sets of node ids over GF(2); hop and bridge
     update them per the rules in the module docstring, so the finished
     pattern carries exact static correction sets and adaptive dependencies.
+    Every node it lays is x, y or rot measured, or an output.
     """
 
     def __init__(self) -> None:
@@ -410,7 +404,7 @@ class PatternBuilder:
         ("x", "y", or "rot" with its base angle, whose sign adapts to the
         pending X) and move to column x, by default one right of it."""
         if kind == "z":
-            raise InputError("a Z measurement ends a wire; use eliminate")
+            raise InputError("a Z measurement ends a wire")
         w = self._wires[key]
         u = w["carrier"]
         a, b = w["a"], w["b"]
@@ -442,18 +436,6 @@ class PatternBuilder:
         self._steps.extend((node, Role("x")) for node in inner)
         w1["b"] = w1["b"] ^ frozenset(inner[1::2]) ^ w2["a"]
         w2["b"] = w2["b"] ^ frozenset(inner[0::2]) ^ w1["a"]
-
-    def eliminate(self, x: int, y: int, attach: Sequence) -> Node:
-        """A redundant |+> node attached to the named wires' carriers and
-        removed by a computational-basis measurement (Z^s lands on each
-        neighbour, folded into the wires' frames)."""
-        node = (x, y)
-        for key in attach:
-            w = self._wires[key]
-            self._edges.append((node, w["carrier"]))
-            w["b"] = w["b"] ^ frozenset({node})
-        self._steps.append((node, Role("z")))
-        return node
 
     def build(
         self, wire_order: Sequence, declared_unitary: np.ndarray | None
@@ -578,9 +560,7 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     """
     probe = None
     for i, node in enumerate(p.inputs):
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = amps[1, 1] = 1.0 / math.sqrt(2.0)
-        pair = sv.PureState(amps, [node, ("spec", i)])
+        pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
         probe = pair if probe is None else sv.tensor(probe, pair)
     moved = sv.apply_gate(probe, sv.Gate("declared", p.declared_unitary), list(p.inputs))
     relabel = dict(zip(p.inputs, p.outputs))

@@ -162,22 +162,21 @@ _PLUS_L.flags.writeable = _ZERO_L.flags.writeable = False
 
 @dataclass(frozen=True)
 class SyndromeResult:
+    """Each position is 0 when clean, else the flagged qubit (1..7): the
+    word's three parity-row bits read as a binary number, MSB first."""
+
     bit_word: tuple  # raw computational readout of the bit-check ancilla
     phase_word: tuple  # raw X-basis readout of the phase-check ancilla
-    bit_syndrome: tuple  # three parity-row bits, most significant first
-    phase_syndrome: tuple
-    bit_position: int  # 0 = clean, else the flagged qubit (1..7)
+    bit_position: int
     phase_position: int
 
 
-def _row_parities(word) -> tuple:
-    return tuple(
-        sum(bit for bit, ch in zip(word, row) if ch == "1") % 2 for row in PARITY_ROWS
-    )
-
-
-def _position(syndrome) -> int:
-    return syndrome[0] * 4 + syndrome[1] * 2 + syndrome[2]
+def _position(word) -> int:
+    """The parity-row bits of a readout word as a binary number, MSB first."""
+    pos = 0
+    for row in PARITY_ROWS:
+        pos = 2 * pos + sum(bit for bit, ch in zip(word, row) if ch == "1") % 2
+    return pos
 
 
 def extract_syndrome(
@@ -209,16 +208,7 @@ def extract_syndrome(
             word.append(outcome)
         words.append(tuple(word))
 
-    bit_syn, phase_syn = map(_row_parities, words)
-    result = SyndromeResult(
-        bit_word=words[0],
-        phase_word=words[1],
-        bit_syndrome=bit_syn,
-        phase_syndrome=phase_syn,
-        bit_position=_position(bit_syn),
-        phase_position=_position(phase_syn),
-    )
-    return result, joint
+    return SyndromeResult(*words, *map(_position, words)), joint
 
 
 def apply_correction(state: sv.PureState, result: SyndromeResult) -> sv.PureState:
@@ -273,7 +263,6 @@ class EncodedBlock:
 
     state: sv.PureState  # corrected block on ("d", 1..7)
     transcript: mbqc.Transcript
-    grid: tuple  # (columns, rows) bounding box of the cluster
     frame: mbqc.ByproductFrame  # corrections that were applied, on ("d", i) keys
 
 
@@ -291,4 +280,4 @@ def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     frame = mbqc.ByproductFrame(
         {relabel[node]: exps for node, exps in frame.exps.items()}
     )
-    return EncodedBlock(state, transcript, p.bounding_grid(), frame)
+    return EncodedBlock(state, transcript, frame)

@@ -127,6 +127,15 @@ def test_cnot_separation_past_the_enumeration_limit_is_usage_error(capsys):
     assert (code, out, err) == (1, "", "error: refusing to enumerate 2^24 branches\n")
 
 
+def test_enumeration_limit_is_checked_before_the_choi_probe(capsys, monkeypatch):
+    def unreachable(p):
+        raise AssertionError("a probe was built for a pattern past the limit")
+
+    monkeypatch.setattr(cli.mbqc, "choi_probe", unreachable)
+    code, out, err = run_cli(capsys, "verify-gates", "--pattern", "cnot", "--sep", "6")
+    assert (code, out, err) == (1, "", "error: refusing to enumerate 2^24 branches\n")
+
+
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("BLINDPREP_SEED", "-3")
     result = run_cli(capsys, "prepare")

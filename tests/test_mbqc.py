@@ -27,7 +27,6 @@ from blindprep.mbqc import (
     PatternBuilder,
     Role,
     RotationGate,
-    adapt_angle,
     apply_byproducts,
     choi_probe,
     enumerate_branches,
@@ -76,7 +75,7 @@ def full_build_run(p, inputs, bits):
         if role.kind == "z":
             basis = None
         elif role.kind == "rot":
-            basis = adapt_angle(role.angle, role.deps, outcomes)
+            basis = -role.angle if sum(outcomes[d] for d in role.deps) % 2 else role.angle
         else:
             basis = {"x": 0.0, "y": math.pi / 2}[role.kind]
         outcomes[node], step_prob, state = sv.measure(state, node, basis, src)
@@ -234,17 +233,23 @@ def test_hop_rejects_z_and_fixed_hops_with_an_angle():
 def test_build_rejects_a_node_placed_twice():
     b = PatternBuilder()
     b.wire("w", 0, 0)
-    b.hop("w", "x")
-    b.eliminate(0, 0, ["w"])  # on top of the measured input node
+    b.wire("v", 1, 0)
+    b.hop("w", "x")  # onto (1, 0), the input of wire v
     with pytest.raises(StructuralError):
-        b.build(["w"], None)
+        b.build(["w", "v"], None)
 
 
 def test_z_elimination_is_neutral_after_correction():
-    b = PatternBuilder()
-    b.wire("w", 0, 0)
-    b.eliminate(0, 1, ["w"])
-    p = b.build(["w"], np.eye(2))
+    # a dangling |+> neighbour removed by a Z measurement leaves Z^s on (0, 0)
+    p = MeasurementPattern(
+        inputs=[(0, 0)],
+        outputs=[(0, 0)],
+        steps=[((0, 1), Role("z"))],
+        edges=[((0, 0), (0, 1))],
+        x_corr={},
+        z_corr={(0, 0): {(0, 1)}},
+        declared_unitary=np.eye(2),
+    )
     psi = sv.new_plus_theta(0.7).amps.reshape(-1)
     for s in (0, 1):
         state, transcript, frame = run_pattern(p, {(0, 0): psi}, sv.ForcedBranch([s]))
@@ -321,13 +326,13 @@ def test_rotation_dependencies_are_pinned():
     assert angles == pytest.approx([0.0, -0.3, -0.5, -0.7])
 
 
-def test_adapt_angle_sign_follows_parity():
+def test_rot_basis_sign_follows_parity():
     outcomes = {(1, 0): 1, (2, 0): 0, (3, 0): 1}
-    assert adapt_angle(0.3, [(1, 0)], outcomes) == pytest.approx(-0.3)
-    assert adapt_angle(0.3, [(2, 0)], outcomes) == pytest.approx(0.3)
-    assert adapt_angle(0.3, [(1, 0), (3, 0)], outcomes) == pytest.approx(0.3)
+    assert Role("rot", 0.3, [(1, 0)]).basis(outcomes) == pytest.approx(-0.3)
+    assert Role("rot", 0.3, [(2, 0)]).basis(outcomes) == pytest.approx(0.3)
+    assert Role("rot", 0.3, [(1, 0), (3, 0)]).basis(outcomes) == pytest.approx(0.3)
     with pytest.raises(SequencingError):
-        adapt_angle(0.3, [(9, 9)], outcomes)
+        Role("rot", 0.3, [(9, 9)]).basis(outcomes)
 
 
 def test_byproduct_order_is_z_then_x():
@@ -585,6 +590,15 @@ def test_runs_with_paths_replays_seeded_run_pattern(gate):
         assert state.labels == ref_state.labels
         assert np.array_equal(state.amps, ref_state.amps)
         assert frame.exps == ref_frame.exps
+
+
+def test_run_pattern_leaves_a_joint_input_state_as_it_was():
+    # the probe is used as given, not copied, so nothing may write to it
+    p = pattern_for_gate(CNOTGate(1))
+    probe, _ = choi_probe(p)
+    amps, labels = probe.amps.tobytes(), list(probe.labels)
+    assert sum(1 for _ in enumerate_branches(p, probe)) == 2**p.measured_count
+    assert probe.amps.tobytes() == amps and probe.labels == labels
 
 
 def test_run_pattern_rejects_state_on_non_input():
@@ -855,6 +869,24 @@ def test_pattern_built_in_code_reports_the_parsers_fault(name):
     with pytest.raises(StructuralError) as parsed:
         pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
     assert parsed.value.at == at
+
+
+# a list where an (x, y) pair belongs, in each place a pattern hashes a node
+LIST_NODE_FIELDS = {
+    "input": lambda: {"inputs": [[0, 0]]},
+    "edge_end": lambda: {"edges": [([0, 0], (1, 0))]},
+    "xcorr": lambda: {"x_corr": {(1, 0): [[0, 0]]}},
+    "zcorr": lambda: {"z_corr": {(1, 0): [[0, 0]]}},
+    "rot_dep": lambda: {"steps": [((0, 0), Role("rot", 0.1, [[0, 0]]))]},
+}
+
+
+@pytest.mark.parametrize("place", list(LIST_NODE_FIELDS))
+def test_a_list_node_is_a_structural_fault(place):
+    wire = {"inputs": [(0, 0)], "outputs": [(1, 0)], "steps": X00, "edges": [],
+            "x_corr": {}, "z_corr": {}}
+    with pytest.raises(StructuralError, match=r"^node \[0, 0\] is not an \(x, y\) int pair$"):
+        MeasurementPattern(**{**wire, **LIST_NODE_FIELDS[place]()})
 
 
 def test_parser_resolves_references_to_later_lines():
