@@ -257,62 +257,45 @@ def run_pattern(
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    Nodes are created only when first needed and each CZ edge is folded
-    into the measurement of its first measured endpoint, so the live width
-    (spectators excluded) stays within LIVE_CAP. Only an edge between two
-    outputs goes through sv.apply_gate, once every step is done.
+    The steps come from _lower: nodes are created only when first needed and
+    each CZ edge is folded into the measurement of its first measured
+    endpoint, so the live width (spectators excluded) stays within LIVE_CAP.
+    Only an edge between two outputs goes through sv.apply_gate, last.
     """
     # a joint state is used as given: measure, apply_gate and tensor never
     # write to their input; its labels past the inputs are spectators
     live = inputs if isinstance(inputs, sv.PureState) else None
     seeded = {} if live is not None else dict(inputs or {})
     wires = set(p.inputs)
-    created = set(live.labels) if live is not None else set()
-    spectators = created - wires
-    if live is not None and not wires <= created:
+    if live is not None and not wires <= set(live.labels):
         raise InputError("joint input state must cover every input node")
-    if not spectators.isdisjoint(p.nodes):
+    if live is not None and not (set(live.labels) - wires).isdisjoint(p.nodes):
         raise InputError("joint input state labels collide with non-input nodes")
     for node in seeded:
         if node not in wires:
             raise InputError(f"state supplied for non-input node {node}")
 
-    adjacent: dict = {node: [] for node in p.nodes}
-    for a, b in p.edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-
-    def ensure(node: Node) -> None:
-        nonlocal live
-        if node in created:
-            return
-        # checked before the tensor, so no state past the cap is ever built
-        alive = (0 if live is None else live.n) + 1 - len(spectators)
-        if alive > LIVE_CAP:
-            raise InputError(f"live width {alive} exceeds the cap of {LIVE_CAP}")
-        spec = seeded.get(node)  # the supplied state, else the shared |+>
-        q = sv.PureState(_PLUS, [node]) if spec is None else sv.qubit_state(spec, node)
-        live = q if live is None else sv.tensor(live, q)
-        created.add(node)
-
+    width = 0 if live is None else len(wires)
     transcript = Transcript()
     outcomes: dict = {}
-    for node, role in p.steps:
-        ensure(node)
-        # edges to measured neighbours were folded into those neighbours' steps
-        partners = [other for other in adjacent[node] if other not in outcomes]
-        for other in partners:
-            ensure(other)
+    for node, role, new, cz in _lower(p, live is not None):
+        for fresh in new:
+            width += 1
+            # checked before the tensor, so no state past the cap is ever built
+            if width > LIVE_CAP:
+                raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
+            spec = seeded.get(fresh)  # the supplied state, else the shared |+>
+            q = sv._derived(_PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
+            live = q if live is None else sv.tensor(live, q)
+        if role is None:  # the last step: edges between two outputs
+            for a, b in cz:
+                live = sv.apply_gate(live, sv.CZ, [a, b])
+            continue
         basis = role.basis(outcomes)
-        outcome, prob, live = sv.measure(live, node, basis, src, partners)
+        outcome, prob, live = sv.measure(live, node, basis, src, cz)
+        width -= 1
         outcomes[node] = outcome
         transcript.entries.append(TranscriptEntry(node, basis, outcome, prob))
-
-    for node in p.outputs:
-        ensure(node)
-    for a, b in p.edges:
-        if a not in outcomes and b not in outcomes:
-            live = sv.apply_gate(live, sv.CZ, [a, b])
 
     frame = ByproductFrame(
         {
@@ -324,6 +307,22 @@ def run_pattern(
         }
     )
     return live, transcript, frame
+
+
+def _lower(p: MeasurementPattern, joint: bool) -> Iterator[tuple]:
+    """run_pattern's steps, (node, role, nodes to create first, CZ partners),
+    then (None, None, outputs to create, edges between two outputs)."""
+    last = len(p.steps)
+    at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
+    partners: list = [[] for _ in range(last + 1)]
+    for a, b in p.edges:  # to the first measured end, in p.edges order
+        a, b = (a, b) if at[a] <= at[b] else (b, a)
+        partners[at[a]].append(b if at[a] < last else (a, b))
+    created = set(p.inputs) if joint else set()  # a joint state holds the inputs
+    for (node, role), cz in zip(p.steps + [(None, None)], partners):
+        new = [q for q in ([node] + cz if role is not None else p.outputs) if q not in created]
+        created.update(new)
+        yield node, role, new, cz
 
 
 def enumerate_branches(

@@ -14,19 +14,19 @@ Design notes:
 - States are compared with global-phase-insensitive fidelity; nothing in
   this package should ever assert on a global phase.
 
-The amplitude array is shaped (2,)*n with one axis per qubit, axis order
-matching ``labels``. A hard cap of 24 qubits keeps accidental blowups from
-eating the machine. Every gate takes one kernel: the input is copied into a
-fresh contiguous array, and each row of the gate that differs from the
-identity's is rewritten from that row's non-zero entries, one slice of the
-input each. CZ rewrites one row, CNOT two, H both. A run of CNOTs is a
-permutation of basis states, so apply_cnots moves the amplitudes once, by a
-cached gather index that the same kernel builds from the run. A measurement
-takes the measured qubit's two halves as copies and works on them in place:
-the residual is a fresh array, and the call's peak is those two halves plus
-one more for the new branch in M(delta). A measurement can also take the
-measured qubit's CZ partners: each partner's CZ negates, in place, the slice
-of the |1> half where that partner is 1, so the peak stays the same.
+The amplitude array is shaped (2,)*n with one axis per qubit, axis order matching
+``labels``. A hard cap of 24 qubits keeps accidental blowups from eating the machine. Every
+gate takes one kernel: the input is copied into a fresh contiguous array, and each row of
+the gate that differs from the identity's is rewritten from that row's non-zero entries, one
+slice of the input each, or scaled in place on the copy when its one entry is on the
+diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a permutation
+of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
+same kernel builds from the run. A measurement takes the measured qubit's two halves as
+copies and works on them in place: the residual is a fresh array, and the call's peak is
+those two halves plus one more for the new branch in M(delta). A measurement can also take
+the measured qubit's CZ partners: each partner's CZ negates, in place, the slice of the |1>
+half where that partner is 1, so the peak stays the same. An in-place scale takes a view on
+the first or last axis, else a where= mask: a ufunc over an interior view copies the array.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1
 # CZ rewrites one row, (1, 1), with one term: its -1 entry as a 0-d array;
 # measure folds CZ in by the same product that _contract makes
 _CZ_SIGN = CZ.rows[0][1][0][1]
-_ONE = np.array([False, True])  # selects the |1> half of one axis
+_BIT = (np.array([True, False]), np.array([False, True]))  # selects one half of an axis
 
 
 def rz(phi: float) -> Gate:
@@ -215,7 +215,7 @@ def new_plus_theta(theta: float, label: Label = 0) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Product state a (x) b; label sets must be disjoint."""
-    if set(a.labels) & set(b.labels):
+    if not set(b.labels).isdisjoint(a.labels):
         raise InputError("tensor: overlapping qubit labels")
     if a.n + b.n > QUBIT_CAP:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
@@ -261,12 +261,15 @@ def _targets(g: Gate, targets: Sequence) -> list:
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
-    """Apply gate g to the given k axes of amps as a new C-contiguous array:
-    each row in g.rows is the sum of its terms, slice * entry (entry * slice
-    rounds differently), and every other row is a copy of the input's."""
+    """Apply gate g to the given k axes of amps as a new C-contiguous array: each row in
+    g.rows is the sum of its terms, slice * entry (entry * slice rounds differently), or
+    scaled in place by _scale if its one term is on the diagonal; other rows are copies."""
     out = amps.copy()
     idx = [slice(None)] * amps.ndim
     for r, terms in g.rows:
+        if len(terms) == 1 and terms[0][0] == r:
+            _scale(out, sorted(zip(axes, r)), terms[0][1])
+            continue
         acc = None
         for c, entry in terms:
             for ax, b in zip(axes, c):
@@ -277,6 +280,19 @@ def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
             idx[ax] = b
         out[tuple(idx)] = acc
     return out
+
+
+def _scale(a: np.ndarray, picks: list, entry) -> None:
+    """Multiply in place, as slice * entry, the slice of C-contiguous a where each (axis, bit)
+    of picks (axes ascending) holds: a view on the end axes, a where= mask on interior ones."""
+    last, view = a.ndim - 1, a
+    for ax, b in picks:
+        if ax not in (0, last):  # a ufunc over an interior view would copy all of a
+            masks = [_BIT[b].reshape((2,) + (1,) * (last - ax)) for ax, b in picks]
+            np.multiply(a, entry, out=a, where=functools.reduce(np.logical_and, masks))
+            return
+        view = view.reshape(-1, 2)[:, b] if ax == last else view[b]
+    np.multiply(view, entry, out=view)
 
 
 def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
@@ -326,8 +342,8 @@ def measure(
 
     CZ only negates the amplitudes where both of its qubits are 1, so each
     partner's CZ is applied in place to q's |1> half, with the same bits as
-    apply_gate(s, CZ, [q, partner]) per partner before the measurement.
-    The p0 + p1 check then stands in for apply_gate's norm check.
+    apply_gate(s, CZ, [q, partner]) per partner first, by _scale (a view on the last
+    axis, where run_pattern puts most partners). p0 + p1 stands in for the norm check.
 
     The residual is a fresh array that shares no memory with s: one of the
     two half-size copies the call takes from s. Those two are the call's peak
@@ -341,16 +357,11 @@ def measure(
     # n == 1 the halves are numpy scalars, which augmented assignment rebinds
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
-    if cz:
-        if q in cz or len(set(cz)) != len(cz):
-            raise InputError("duplicate target labels")
-        for partner in cz:
-            at = s.axis(partner)
-            at = at if at < ax else at - 1
-            # a ufunc over the strided slice a1[..., 1, ...] would make numpy
-            # buffer up to 256 KiB; over the contiguous half with where= it does not
-            where = _ONE.reshape((2,) + (1,) * (a1.ndim - 1 - at))
-            np.multiply(a1, _CZ_SIGN, out=a1, where=where)
+    if cz and (q in cz or len(set(cz)) != len(cz)):
+        raise InputError("duplicate target labels")
+    for partner in cz:
+        at = s.axis(partner)
+        _scale(a1, [(at if at < ax else at - 1, 1)], _CZ_SIGN)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently
@@ -375,7 +386,7 @@ def measure(
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
-    return outcome, prob, _derived(branch, [lb for lb in s.labels if lb != q])
+    return outcome, prob, _derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:

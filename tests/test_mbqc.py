@@ -489,6 +489,80 @@ def test_only_edges_between_two_outputs_go_through_apply_gate(monkeypatch):
     assert cz_calls == [[(1, 0), (1, 1)]]
 
 
+def adjacency_walk(p, created):
+    """Reference for mbqc._lower: the executor's adjacency walk, with each
+    node created at its first use by ensure() and each step's partners
+    scanned from an adjacency dict at the step, as run_pattern did before it
+    lowered the pattern. Returns the same step tuples as _lower."""
+    created = set(created)
+    adjacent = {node: [] for node in p.nodes}
+    for a, b in p.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    measured, steps = set(), []
+
+    def ensure(node, new):
+        if node not in created:
+            created.add(node)
+            new.append(node)
+
+    for node, role in p.steps:
+        new = []
+        ensure(node, new)
+        partners = [other for other in adjacent[node] if other not in measured]
+        for other in partners:
+            ensure(other, new)
+        measured.add(node)
+        steps.append((node, role, new, partners))
+    new = []
+    for node in p.outputs:
+        ensure(node, new)
+    edges = [(a, b) for a, b in p.edges if a not in measured and b not in measured]
+    steps.append((None, None, new, edges))
+    return steps
+
+
+def lowering_cases():
+    from blindprep.cli import _ROTATION_TRIPLES
+    from blindprep.steane import compile_encoder
+
+    yield "hadamard", pattern_for_gate(HadamardGate())
+    for i, triple in enumerate(_ROTATION_TRIPLES):
+        yield f"rotation{i}", pattern_for_gate(RotationGate(*triple))
+    for d in range(1, 6):
+        yield f"cnot_sep{d}", pattern_for_gate(CNOTGate(d))
+    yield "encoder", compile_encoder()
+    yield "output_edge", output_edge_pattern()
+
+
+def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
+    for name, p in lowering_cases():
+        # dict inputs: every node, inputs included, is created at its first use
+        assert list(mbqc._lower(p, False)) == adjacency_walk(p, ()), name
+        # the Choi probe holds the inputs, plus spectators that no step touches
+        probe = choi_probe(p)[0] if p.declared_unitary is not None else None
+        labels = p.inputs if probe is None else probe.labels
+        assert list(mbqc._lower(p, True)) == adjacency_walk(p, labels), name
+
+
+def test_an_encoder_run_creates_its_nodes_in_the_walk_order(monkeypatch):
+    from blindprep.steane import compile_encoder
+
+    real, created = sv.tensor, []
+
+    def spy(a, b):
+        created.extend(b.labels)
+        return real(a, b)
+
+    monkeypatch.setattr(sv, "tensor", spy)
+    p = compile_encoder()
+    run_pattern(p, {p.inputs[3]: FIVE_STATES[4]}, sv.BornSampler(7))
+    walk = [node for _, _, new, _ in adjacency_walk(p, ()) for node in new]
+    # the first node starts the state; each later one comes through a tensor
+    assert created == walk[1:]
+    assert len(created) == 168
+
+
 def test_hop_outcomes_are_uniform_for_any_input():
     # entangling to a fresh |+> forces 50/50 outcomes whatever rides the wire
     p = hop_pattern("x")

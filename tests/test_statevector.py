@@ -237,6 +237,46 @@ def test_monomial_result_does_not_alias_the_input(g):
     assert np.array_equal(s.amps, before)
 
 
+# each has rows that only scale themselves, the last one on its |0> row
+SCALING = [sv.Z, sv.rz(0.3), sv.CZ, sv.Gate("P0", np.diag([cmath.exp(0.2j), 1]))]
+
+
+@pytest.mark.parametrize("g", SCALING, ids=[g.kind for g in SCALING])
+def test_a_row_that_only_scales_itself_keeps_the_out_of_place_bits(g):
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4, 7, 14):
+        s = _random_state(rng, n)
+        if n > 2:
+            target_lists = _target_lists(g.arity, n)
+        else:
+            target_lists = [list(t) for t in itertools.permutations(range(n), g.arity)]
+        for targets in target_lists:
+            # the product out of place, each row written into a copy
+            want = s.amps.copy()
+            for r, ((_, entry),) in g.rows:
+                idx = [slice(None)] * n
+                for ax, b in zip(targets, r):
+                    idx[ax] = b
+                want[tuple(idx)] = s.amps[tuple(idx)] * entry
+            assert sv.apply_gate(s, g, targets).amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g, targets",
+    [(sv.Z, [6]), (sv.rz(0.3), [6]), (sv.CZ, [3, 9]), (sv.Z, [0]), (sv.Z, [13]), (sv.CZ, [13, 0])],
+)
+def test_a_row_that_only_scales_itself_is_scaled_without_a_temporary(g, targets):
+    # the fresh copy is the only state-size array the call allocates
+    s = _random_state(np.random.default_rng(31), 14)
+    tracemalloc.start()
+    try:
+        sv.apply_gate(s, g, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * s.amps.nbytes
+
+
 def test_identity_gate_is_monomial_and_keeps_every_bit():
     g = sv.Gate("I", np.eye(4))
     assert g.rows == ()
@@ -487,6 +527,32 @@ def test_measure_with_cz_partners_equals_cz_gates_then_measure_bit_for_bit(n):
                     assert got[2].amps.tobytes() == want[2].amps.tobytes()
 
 
+def _half_axes(n, q):
+    """The labels (axis numbers) on the first, an interior and the last axis
+    of q's half; the interior is None when the half has fewer than 3 axes."""
+    half = [i for i in range(n) if i != q]
+    return half[0], (half[len(half) // 2] if len(half) > 2 else None), half[-1]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
+    # the end axes take a view, an interior axis the where= mask
+    rng = np.random.default_rng(300 + n)
+    s = _random_state(rng, n)
+    for q in sorted({0, n // 2, n - 1}):
+        for partner in _half_axes(n, q):
+            if partner is None:
+                continue
+            gated = sv.apply_gate(s, sv.CZ, [q, partner])
+            for delta in (None, 0.7):
+                for outcome in (0, 1):
+                    got = sv.measure(s, q, delta, sv.ForcedBranch([outcome]), [partner])
+                    want = sv.measure(gated, q, delta, sv.ForcedBranch([outcome]))
+                    assert got[:2] == want[:2], (q, partner)
+                    assert got[2].labels == want[2].labels
+                    assert (got[2].amps + 0.0).tobytes() == (want[2].amps + 0.0).tobytes()
+
+
 def test_measure_rejects_a_repeated_or_unknown_cz_partner():
     s = _random_state(np.random.default_rng(23), 3)
     for cz in ([0], [1, 1], [2, 1, 2]):
@@ -501,14 +567,16 @@ def test_measure_peak_memory_is_the_two_halves_plus_the_new_branch(delta, halves
     # bytes that Python's tracer sees, not page faults, which depend on the allocator
     s = _random_state(np.random.default_rng(17), 14)
     half = s.amps.nbytes // 2
-    for q, cz in itertools.product((0, 6, 13), ((), (3, 9))):
-        tracemalloc.start()
-        try:
-            sv.measure(s, q, delta, sv.ForcedBranch([1]), cz)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (halves + 0.1) * half
+    for q in (0, 6, 13):
+        first, _, last = _half_axes(14, q)
+        for cz in ((), (3, 9), (first,), (last,), (first, last)):
+            tracemalloc.start()
+            try:
+                sv.measure(s, q, delta, sv.ForcedBranch([1]), cz)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (halves + 0.1) * half, (q, cz)
 
 
 @pytest.mark.parametrize("basis", [None, 0.0, 0.4])
