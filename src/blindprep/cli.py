@@ -19,6 +19,7 @@ else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -161,13 +162,21 @@ def _pattern_probes(p: mbqc.MeasurementPattern) -> list:
     return [mbqc.choi_probe(p)]
 
 
+def _gate_pattern(gate, paths: int) -> mbqc.MeasurementPattern:
+    """The gate's pattern. An enumeration (paths 0) past the limit is refused
+    once the pattern is laid, before its dense declared unitary or a probe
+    is built."""
+    p = mbqc.gate_layout(gate)
+    if not paths:
+        mbqc.check_enumerable(p)
+    return dataclasses.replace(p, declared_unitary=mbqc.gate_unitary(gate))
+
+
 def _pattern_min_fidelity(
     p: mbqc.MeasurementPattern, paths: int, seed: int
 ) -> tuple[float, int]:
     """Worst corrected-output fidelity over every branch (paths 0) or over
     `paths` sampled runs per probe, plus the run count."""
-    if not paths:
-        mbqc.check_enumerable(p)  # before a probe is built for it
     worst, count = math.inf, 0
     for inputs, target in _pattern_probes(p):
         for state, _, frame in mbqc.runs(p, inputs, paths, seed):
@@ -183,19 +192,19 @@ def cmd_verify_gates(args) -> int:
         raise UsageError("--paths must be a positive integer")
     seed = _resolve_seed(args)
 
-    suite: list = []
+    gates: list = []
     if args.pattern in ("hadamard", "all"):
-        suite.append(("hadamard", mbqc.pattern_for_gate(mbqc.HadamardGate())))
+        gates.append(("hadamard", mbqc.HadamardGate()))
     if args.pattern in ("rotation", "all"):
         for i, (xi, eta, zeta) in enumerate(_ROTATION_TRIPLES, start=1):
-            gate = mbqc.RotationGate(xi, eta, zeta)
-            suite.append((f"rotation[{i}]", mbqc.pattern_for_gate(gate)))
+            gates.append((f"rotation[{i}]", mbqc.RotationGate(xi, eta, zeta)))
     if args.pattern in ("cnot", "all"):
         seps = (1, 2, 3) if args.pattern == "all" else (args.sep,)
         for d in seps:
-            suite.append((f"cnot[sep={d}]", mbqc.pattern_for_gate(mbqc.CNOTGate(d))))
+            gates.append((f"cnot[sep={d}]", mbqc.CNOTGate(d)))
 
     paths = args.paths if args.branches == "sample" else 0
+    suite = [(name, _gate_pattern(gate, paths)) for name, gate in gates]
     all_ok = True
     for name, p in suite:
         worst, runs = _pattern_min_fidelity(p, paths, seed)

@@ -45,7 +45,7 @@ transcripts, corrections, and the text serialization readable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,8 +58,9 @@ MAX_ENUMERATED = 22  # most measurements whose branches enumerate_branches walks
 
 Node = tuple  # (x, y) int pairs
 
-_PLUS = np.full(2, 1 / math.sqrt(2), dtype=complex)  # default node state, shared
-_PLUS.flags.writeable = False
+# the default node state, checked once; each default node shares its read-only array
+_PLUS = sv.PureState(np.full(2, 1 / math.sqrt(2), dtype=complex), ["+"])
+_PLUS.amps.flags.writeable = False
 
 
 def _pair(node) -> Node:
@@ -122,6 +123,13 @@ class MeasurementPattern:
     parity gives the X / Z byproduct exponent on that output.
     declared_unitary: intended map on the wire space (inputs order = wire
     order = outputs order); None for fixtures that do not claim one.
+    schedule: the executor's steps, lowered by _lower when the pattern is
+    built: schedule[False] for dict inputs, schedule[True] for a joint input
+    state. It is immutable, so copies of a pattern share it.
+
+    Construction validates and lowers once; a change made in place later is
+    neither checked nor seen by the executor. To change a pattern, build a
+    new one, for example with dataclasses.replace.
     """
 
     inputs: list
@@ -131,6 +139,7 @@ class MeasurementPattern:
     x_corr: dict
     z_corr: dict
     declared_unitary: np.ndarray | None = None
+    schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes: set = set()
@@ -177,6 +186,7 @@ class MeasurementPattern:
             d = 2 ** len(self.inputs)
             if self.declared_unitary.shape != (d, d):
                 raise StructuralError("declared unitary dimension mismatch")
+        self.schedule = (_lower(self, False), _lower(self, True))
 
     @property
     def nodes(self) -> list:
@@ -257,10 +267,11 @@ def run_pattern(
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    The steps come from _lower: nodes are created only when first needed and
-    each CZ edge is folded into the measurement of its first measured
-    endpoint, so the live width (spectators excluded) stays within LIVE_CAP.
-    Only an edge between two outputs goes through sv.apply_gate, last.
+    The steps are p.schedule, lowered when p was built: nodes are created
+    only when first needed and each CZ edge is folded into the measurement
+    of its first measured endpoint, so the live width (spectators excluded)
+    stays within LIVE_CAP. Only an edge between two outputs goes through
+    sv.apply_gate, last.
     """
     # a joint state is used as given: measure, apply_gate and tensor never
     # write to their input; its labels past the inputs are spectators
@@ -278,14 +289,14 @@ def run_pattern(
     width = 0 if live is None else len(wires)
     transcript = Transcript()
     outcomes: dict = {}
-    for node, role, new, cz in _lower(p, live is not None):
+    for node, role, new, cz in p.schedule[live is not None]:
         for fresh in new:
             width += 1
             # checked before the tensor, so no state past the cap is ever built
             if width > LIVE_CAP:
                 raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
-            q = sv._derived(_PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
+            q = sv._relabeled(_PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
         if role is None:  # the last step: edges between two outputs
             for a, b in cz:
@@ -309,7 +320,7 @@ def run_pattern(
     return live, transcript, frame
 
 
-def _lower(p: MeasurementPattern, joint: bool) -> Iterator[tuple]:
+def _lower(p: MeasurementPattern, joint: bool) -> tuple:
     """run_pattern's steps, (node, role, nodes to create first, CZ partners),
     then (None, None, outputs to create, edges between two outputs)."""
     last = len(p.steps)
@@ -319,10 +330,12 @@ def _lower(p: MeasurementPattern, joint: bool) -> Iterator[tuple]:
         a, b = (a, b) if at[a] <= at[b] else (b, a)
         partners[at[a]].append(b if at[a] < last else (a, b))
     created = set(p.inputs) if joint else set()  # a joint state holds the inputs
+    steps = []
     for (node, role), cz in zip(p.steps + [(None, None)], partners):
-        new = [q for q in ([node] + cz if role is not None else p.outputs) if q not in created]
+        new = tuple(q for q in ([node] + cz if role is not None else p.outputs) if q not in created)
         created.update(new)
-        yield node, role, new, cz
+        steps.append((node, role, new, tuple(cz)))
+    return tuple(steps)
 
 
 def enumerate_branches(
@@ -525,29 +538,44 @@ def rotation_unitary(xi: float, eta: float, zeta: float) -> np.ndarray:
     return h @ sv.rz(zeta).matrix @ h @ sv.rz(eta).matrix @ h @ sv.rz(xi).matrix @ h
 
 
-def pattern_for_gate(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPattern:
-    """Build the standalone measurement pattern for one gate."""
+def gate_layout(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPattern:
+    """Lay the standalone measurement pattern for one gate, declaring no
+    unitary yet: for a wide CNOT that dense matrix is the costly part, so a
+    caller can count the measurements first. A CNOT whose unitary would
+    pass the qubit cap is refused before it is laid."""
     b = PatternBuilder()
-    if isinstance(gate, HadamardGate):
+    if isinstance(gate, (HadamardGate, RotationGate)):
         b.wire("w", 1, 0)
-        lay_hadamard(b, "w")
-        return b.build(["w"], sv.H.matrix)
-    if isinstance(gate, RotationGate):
-        b.wire("w", 1, 0)
-        lay_rotation(b, "w", gate.xi, gate.eta, gate.zeta)
-        return b.build(["w"], rotation_unitary(gate.xi, gate.eta, gate.zeta))
+        if isinstance(gate, HadamardGate):
+            lay_hadamard(b, "w")
+        else:
+            lay_rotation(b, "w", gate.xi, gate.eta, gate.zeta)
+        return b.build(["w"], None)
     if isinstance(gate, CNOTGate):
         d = gate.separation
         if not isinstance(d, int) or d < 1:
             raise InputError("CNOT separation must be a positive integer")
-        # first, so that the unitary's qubit cap rejects a huge d before any layout
-        declared = sv.circuit_unitary(d + 1, [(sv.CNOT, [0, d])])
+        sv.check_unitary_width(d + 1)
         keys = ["c"] + [f"m{r}" for r in range(1, d)] + ["t"]
         for r, k in enumerate(keys):
             b.wire(k, 1, r)
         lay_cnot(b, keys)
-        return b.build(keys, declared)
+        return b.build(keys, None)
     raise InputError(f"unknown gate spec {gate!r}")
+
+
+def gate_unitary(gate: HadamardGate | RotationGate | CNOTGate) -> np.ndarray:
+    """The declared unitary of a gate that gate_layout accepts."""
+    if isinstance(gate, HadamardGate):
+        return sv.H.matrix
+    if isinstance(gate, RotationGate):
+        return rotation_unitary(gate.xi, gate.eta, gate.zeta)
+    return sv.circuit_unitary(gate.separation + 1, [(sv.CNOT, [0, gate.separation])])
+
+
+def pattern_for_gate(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPattern:
+    """The standalone measurement pattern for one gate, with its declared unitary."""
+    return replace(gate_layout(gate), declared_unitary=gate_unitary(gate))
 
 
 def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:

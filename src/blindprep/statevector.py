@@ -22,8 +22,9 @@ slice of the input each, or scaled in place on the copy when its one entry is on
 diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a permutation
 of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
 same kernel builds from the run. A measurement takes the measured qubit's two halves as
-copies and works on them in place: the residual is a fresh array, and the call's peak is
-those two halves plus one more for the new branch in M(delta). A measurement can also take
+copies and works on them in place, M(delta)'s phase on the |1> half included: the residual
+is a fresh array, and the call allocates those two halves plus, in M(delta), one more for
+the new branch. A measurement can also take
 the measured qubit's CZ partners: each partner's CZ negates, in place, the slice of the |1>
 half where that partner is 1, so the peak stays the same. An in-place scale takes a view on
 the first or last axis, else a where= mask: a ufunc over an interior view copies the array.
@@ -217,11 +218,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Product state a (x) b; label sets must be disjoint."""
     if not set(b.labels).isdisjoint(a.labels):
         raise InputError("tensor: overlapping qubit labels")
-    if a.n + b.n > QUBIT_CAP:
+    labels = a.labels + b.labels
+    n = len(labels)
+    if n > QUBIT_CAP:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
     # one rank-1 matrix product of the two flat amplitude vectors
     amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
-    return _derived(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
+    return _derived(amps.reshape((2,) * n), labels)
 
 
 # ----------------------------------------------------------- operations ----
@@ -295,6 +298,14 @@ def _scale(a: np.ndarray, picks: list, entry) -> None:
     np.multiply(view, entry, out=view)
 
 
+def check_unitary_width(n: int) -> None:
+    """Refuse a unitary on n wires past QUBIT_CAP // 2, before anything is built."""
+    if n > QUBIT_CAP // 2:
+        raise InputError(
+            f"a unitary on {n} wires is a {2 * n}-qubit tensor, over the cap of {QUBIT_CAP}"
+        )
+
+
 def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
     """Matrix of a gate sequence on n wires (wire 0 most significant).
 
@@ -303,10 +314,7 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
     circuit applied to |j>. The matrix is a 2n-qubit tensor, so n is capped
     at QUBIT_CAP // 2.
     """
-    if n > QUBIT_CAP // 2:
-        raise InputError(
-            f"a unitary on {n} wires is a {2 * n}-qubit tensor, over the cap of {QUBIT_CAP}"
-        )
+    check_unitary_width(n)
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g, wires in ops:
@@ -316,6 +324,14 @@ def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.nda
             raise InputError(f"wires {wires} are not all in 0..{n - 1}")
         u = _contract(g, u, wires)
     return u.reshape(dim, dim)
+
+
+def _relabeled(s: PureState, labels: list) -> PureState:
+    """A new state on s's amplitudes, shared, under as many new labels: s's
+    norm was checked when s was built, so nothing is checked again."""
+    out = PureState.__new__(PureState)
+    out.amps, out.labels = s.amps, labels
+    return out
 
 
 def _derived(amps: np.ndarray, labels: list) -> PureState:
@@ -342,13 +358,14 @@ def measure(
 
     CZ only negates the amplitudes where both of its qubits are 1, so each
     partner's CZ is applied in place to q's |1> half, with the same bits as
-    apply_gate(s, CZ, [q, partner]) per partner first, by _scale (a view on the last
-    axis, where run_pattern puts most partners). p0 + p1 stands in for the norm check.
+    apply_gate(s, CZ, [q, partner]) per partner first: through a strided view on
+    the half's last axis, where run_pattern puts most partners, else by _scale.
+    p0 + p1 stands in for the norm check.
 
     The residual is a fresh array that shares no memory with s: one of the
-    two half-size copies the call takes from s. Those two are the call's peak
-    in Z, with or without partners; M(delta) adds one more half for the new
-    branch.
+    two half-size copies the call takes from s. Those two are the call's only
+    half-size arrays in Z, with or without partners; M(delta) rotates the |1>
+    half in place and adds one more half for the new branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
@@ -359,16 +376,23 @@ def measure(
     a1 = s.amps.take(1, axis=ax)
     if cz and (q in cz or len(set(cz)) != len(cz)):
         raise InputError("duplicate target labels")
+    last = s.n - 2  # the last axis of a half
     for partner in cz:
         at = s.axis(partner)
-        _scale(a1, [(at if at < ax else at - 1, 1)], _CZ_SIGN)
+        at -= at > ax
+        if at == last:  # where run_pattern puts most partners: a strided view
+            end = a1.reshape(-1, 2)[:, 1]
+            np.multiply(end, _CZ_SIGN, out=end)
+        else:
+            _scale(a1, [(at, 1)], _CZ_SIGN)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently
     if delta is None:
         b0, b1 = a0, a1
     else:
-        a1 = cmath.exp(-1j * delta) * a1
+        phase = cmath.exp(-1j * delta)
+        a1 = phase * a1 if s.n == 1 else np.multiply(phase, a1, out=a1)
         b0 = a0 + a1
         b0 *= _INV_SQRT2
         a0 -= a1

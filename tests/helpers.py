@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from blindprep import statevector as sv
-from blindprep.errors import InputError
+from blindprep.errors import ContractViolation, DegenerateBranchError, InputError
 
 I2 = sv.Gate("I", np.eye(2))
 S = sv.Gate("S", np.array([[1, 0], [0, 1j]]))
@@ -40,3 +43,49 @@ def build_cluster(p, inputs=None) -> sv.PureState:
     for a, b in p.edges:
         state = sv.apply_gate(state, sv.CZ, [a, b])
     return state
+
+
+def reference_tensor(a, b) -> sv.PureState:
+    """sv.tensor as it was before its label list and width were computed
+    once: the bit-for-bit reference of the trimmed kernel."""
+    if not set(b.labels).isdisjoint(a.labels):
+        raise InputError("tensor: overlapping qubit labels")
+    if a.n + b.n > sv.QUBIT_CAP:
+        raise InputError(f"tensor would exceed the {sv.QUBIT_CAP}-qubit cap")
+    amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
+    return sv._derived(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
+
+
+def reference_measure(s, q, delta, src, cz=()) -> tuple:
+    """sv.measure as it was before the rotation went in place and an end-axis
+    partner skipped _scale: the bit-for-bit reference of the trimmed kernel."""
+    if delta is not None and not math.isfinite(delta):
+        raise InputError(f"basis angle must be finite, got {delta!r}")
+    ax = s.axis(q)
+    a0 = s.amps.take(0, axis=ax)
+    a1 = s.amps.take(1, axis=ax)
+    if cz and (q in cz or len(set(cz)) != len(cz)):
+        raise InputError("duplicate target labels")
+    for partner in cz:
+        at = s.axis(partner)
+        sv._scale(a1, [(at if at < ax else at - 1, 1)], sv._CZ_SIGN)
+    if delta is None:
+        b0, b1 = a0, a1
+    else:
+        a1 = cmath.exp(-1j * delta) * a1
+        b0 = a0 + a1
+        b0 *= sv._INV_SQRT2
+        a0 -= a1
+        a0 *= sv._INV_SQRT2
+        b1 = a0
+    p0 = float(np.vdot(b0, b0).real)
+    p1 = float(np.vdot(b1, b1).real)
+    if not abs(p0 + p1 - 1.0) <= sv._NORM_TOL:
+        raise ContractViolation(f"branch probabilities sum to {p0 + p1}")
+    outcome = src.choose(p0, p1)
+    prob = p0 if outcome == 0 else p1
+    if prob < sv._DEGENERATE_TOL:
+        raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
+    branch = b0 if outcome == 0 else b1
+    branch *= 1.0 / math.sqrt(prob)
+    return outcome, prob, sv._derived(branch, s.labels[:ax] + s.labels[ax + 1 :])

@@ -136,6 +136,16 @@ def test_enumeration_limit_is_checked_before_the_choi_probe(capsys, monkeypatch)
     assert (code, out, err) == (1, "", "error: refusing to enumerate 2^24 branches\n")
 
 
+def test_enumeration_limit_is_checked_before_the_declared_unitary(capsys, monkeypatch):
+    # sep 11 is 36 measurements; its declared unitary would be 4096 x 4096
+    def unreachable(n, ops):
+        raise AssertionError("a declared unitary was built for a pattern past the limit")
+
+    monkeypatch.setattr(cli.mbqc.sv, "circuit_unitary", unreachable)
+    code, out, err = run_cli(capsys, "verify-gates", "--pattern", "cnot", "--sep", "11")
+    assert (code, out, err) == (1, "", "error: refusing to enumerate 2^36 branches\n")
+
+
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("BLINDPREP_SEED", "-3")
     result = run_cli(capsys, "prepare")

@@ -8,6 +8,7 @@ pattern on the full input space, which keeps multi-wire checks tractable.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -493,7 +494,7 @@ def adjacency_walk(p, created):
     """Reference for mbqc._lower: the executor's adjacency walk, with each
     node created at its first use by ensure() and each step's partners
     scanned from an adjacency dict at the step, as run_pattern did before it
-    lowered the pattern. Returns the same step tuples as _lower."""
+    lowered the pattern. Returns the same tuple of step tuples as _lower."""
     created = set(created)
     adjacent = {node: [] for node in p.nodes}
     for a, b in p.edges:
@@ -513,13 +514,13 @@ def adjacency_walk(p, created):
         for other in partners:
             ensure(other, new)
         measured.add(node)
-        steps.append((node, role, new, partners))
+        steps.append((node, role, tuple(new), tuple(partners)))
     new = []
     for node in p.outputs:
         ensure(node, new)
-    edges = [(a, b) for a, b in p.edges if a not in measured and b not in measured]
-    steps.append((None, None, new, edges))
-    return steps
+    edges = tuple((a, b) for a, b in p.edges if a not in measured and b not in measured)
+    steps.append((None, None, tuple(new), edges))
+    return tuple(steps)
 
 
 def lowering_cases():
@@ -538,11 +539,47 @@ def lowering_cases():
 def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
     for name, p in lowering_cases():
         # dict inputs: every node, inputs included, is created at its first use
-        assert list(mbqc._lower(p, False)) == adjacency_walk(p, ()), name
+        assert p.schedule[False] == adjacency_walk(p, ()), name
         # the Choi probe holds the inputs, plus spectators that no step touches
         probe = choi_probe(p)[0] if p.declared_unitary is not None else None
         labels = p.inputs if probe is None else probe.labels
-        assert list(mbqc._lower(p, True)) == adjacency_walk(p, labels), name
+        assert p.schedule[True] == adjacency_walk(p, labels), name
+
+
+def test_runs_after_construction_never_lower_again(monkeypatch):
+    from blindprep import steane
+
+    p = pattern_for_gate(CNOTGate(2))
+    steane.compile_encoder()  # builds the cached layout, once per process
+    calls = []
+    real = mbqc._lower
+    monkeypatch.setattr(mbqc, "_lower", lambda *a: calls.append(a) or real(*a))
+    assert sum(1 for _ in enumerate_branches(p, choi_probe(p)[0])) > 0
+    for seed in range(20):
+        steane.prepare_encoded_mbqc(0.3, sv.BornSampler(seed))
+    assert calls == []
+
+
+def test_compiled_encoder_copies_share_one_schedule():
+    from blindprep.steane import compile_encoder
+
+    first, second = compile_encoder(), compile_encoder()
+    assert first.steps is not second.steps
+    assert first.schedule is second.schedule
+    # a copy changed in place keeps the schedule it was built with
+    first.steps.pop()
+    assert first.schedule is compile_encoder().schedule
+
+
+def test_replace_lowers_the_new_pattern_afresh():
+    p = pattern_for_gate(CNOTGate(3))
+    q = dataclasses.replace(p, steps=list(reversed(p.steps)))
+    assert q.schedule is not p.schedule and q.schedule != p.schedule
+    assert q.schedule[False] == adjacency_walk(q, ())
+    assert q.schedule[True] == adjacency_walk(q, q.inputs)
+    # the same fields give an equal schedule, lowered again
+    again = dataclasses.replace(p)
+    assert again.schedule == p.schedule and again.schedule is not p.schedule
 
 
 def test_an_encoder_run_creates_its_nodes_in_the_walk_order(monkeypatch):

@@ -20,7 +20,7 @@ from blindprep.errors import (
     InputError,
     SequencingError,
 )
-from helpers import I2, S, new_basis_state
+from helpers import I2, S, new_basis_state, reference_measure, reference_tensor
 
 ATOL = 1e-12
 
@@ -551,6 +551,38 @@ def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
                     assert got[:2] == want[:2], (q, partner)
                     assert got[2].labels == want[2].labels
                     assert (got[2].amps + 0.0).tobytes() == (want[2].amps + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_measure_keeps_the_reference_bits(n):
+    # the rotation in place (out of place at n = 1, whose halves are scalars)
+    # and the end-axis view, against the kernel as it was before either
+    rng = np.random.default_rng(400 + n)
+    s = _random_state(rng, n)
+    for q in sorted({0, n // 2, n - 1}):
+        first, interior, last = _half_axes(n, q) if n > 1 else (None, None, None)
+        partner_sets = {(), (first,), (interior,), (last,), (first, interior, last)}
+        for cz in partner_sets:
+            cz = tuple(dict.fromkeys(p for p in cz if p is not None))
+            for delta in (None, 0.0, math.pi / 2, 0.7):
+                for outcome in (0, 1):
+                    got = sv.measure(s, q, delta, sv.ForcedBranch([outcome]), cz)
+                    want = reference_measure(s, q, delta, sv.ForcedBranch([outcome]), cz)
+                    assert got[:2] == want[:2], (q, cz, delta)
+                    assert got[2].labels == want[2].labels
+                    assert got[2].amps.tobytes() == want[2].amps.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_tensor_keeps_the_reference_bits(n):
+    rng = np.random.default_rng(500 + n)
+    a = _random_state(rng, n)
+    for k in (1, 7):
+        b = _random_state(rng, k, [("b", i) for i in range(k)])
+        got, want = sv.tensor(a, b), reference_tensor(a, b)
+        assert got.labels == want.labels
+        assert got.amps.shape == want.amps.shape
+        assert got.amps.tobytes() == want.amps.tobytes()
 
 
 def test_measure_rejects_a_repeated_or_unknown_cz_partner():
