@@ -128,8 +128,9 @@ class MeasurementPattern:
     state. It is immutable, so copies of a pattern share it.
 
     Construction validates and lowers once; a change made in place later is
-    neither checked nor seen by the executor. To change a pattern, build a
-    new one, for example with dataclasses.replace.
+    not checked, and the executor still runs the steps and edges lowered at
+    construction. To change a pattern, build a new one, for example with
+    dataclasses.replace.
     """
 
     inputs: list

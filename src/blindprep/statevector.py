@@ -22,9 +22,8 @@ slice of the input each, or scaled in place on the copy when its one entry is on
 diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a permutation
 of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
 same kernel builds from the run. A measurement takes the measured qubit's two halves as
-copies and works on them in place, M(delta)'s phase on the |1> half included: the residual
-is a fresh array, and the call allocates those two halves plus, in M(delta), one more for
-the new branch. A measurement can also take
+copies and works on them in place: the residual is a fresh array, and the call's peak is
+those two halves plus one more for the new branch in M(delta). A measurement can also take
 the measured qubit's CZ partners: each partner's CZ negates, in place, the slice of the |1>
 half where that partner is 1, so the peak stays the same. An in-place scale takes a view on
 the first or last axis, else a where= mask: a ufunc over an interior view copies the array.
@@ -358,14 +357,13 @@ def measure(
 
     CZ only negates the amplitudes where both of its qubits are 1, so each
     partner's CZ is applied in place to q's |1> half, with the same bits as
-    apply_gate(s, CZ, [q, partner]) per partner first: through a strided view on
-    the half's last axis, where run_pattern puts most partners, else by _scale.
-    p0 + p1 stands in for the norm check.
+    apply_gate(s, CZ, [q, partner]) per partner first, by _scale (a view on the last
+    axis, where run_pattern puts most partners). p0 + p1 stands in for the norm check.
 
     The residual is a fresh array that shares no memory with s: one of the
-    two half-size copies the call takes from s. Those two are the call's only
-    half-size arrays in Z, with or without partners; M(delta) rotates the |1>
-    half in place and adds one more half for the new branch.
+    two half-size copies the call takes from s. Those two are the call's peak
+    in Z, with or without partners; M(delta) adds one more half for the new
+    branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
@@ -376,23 +374,16 @@ def measure(
     a1 = s.amps.take(1, axis=ax)
     if cz and (q in cz or len(set(cz)) != len(cz)):
         raise InputError("duplicate target labels")
-    last = s.n - 2  # the last axis of a half
     for partner in cz:
         at = s.axis(partner)
-        at -= at > ax
-        if at == last:  # where run_pattern puts most partners: a strided view
-            end = a1.reshape(-1, 2)[:, 1]
-            np.multiply(end, _CZ_SIGN, out=end)
-        else:
-            _scale(a1, [(at, 1)], _CZ_SIGN)
+        _scale(a1, [(at if at < ax else at - 1, 1)], _CZ_SIGN)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently
     if delta is None:
         b0, b1 = a0, a1
     else:
-        phase = cmath.exp(-1j * delta)
-        a1 = phase * a1 if s.n == 1 else np.multiply(phase, a1, out=a1)
+        a1 = cmath.exp(-1j * delta) * a1
         b0 = a0 + a1
         b0 *= _INV_SQRT2
         a0 -= a1

@@ -57,8 +57,8 @@ def reference_tensor(a, b) -> sv.PureState:
 
 
 def reference_measure(s, q, delta, src, cz=()) -> tuple:
-    """sv.measure as it was before the rotation went in place and an end-axis
-    partner skipped _scale: the bit-for-bit reference of the trimmed kernel."""
+    """sv.measure frozen as a test-only reference, so that any trim of the
+    kernel is checked against these bits."""
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
     ax = s.axis(q)

@@ -571,6 +571,23 @@ def test_compiled_encoder_copies_share_one_schedule():
     assert first.schedule is compile_encoder().schedule
 
 
+def test_an_in_place_edit_of_the_steps_is_not_run():
+    # the schedule is fixed at construction: dropping a step in place changes
+    # nothing that run_pattern does, while a new pattern from the edited
+    # fields is validated again
+    p = pattern_for_gate(HadamardGate())
+    vec = np.array([0.6, 0.8j])
+    bits = [1, 0, 1, 1]
+    want = run_pattern(p, {(1, 0): vec}, sv.ForcedBranch(bits))
+    dropped = p.steps.pop()
+    got = run_pattern(p, {(1, 0): vec}, sv.ForcedBranch(bits))
+    assert [e.node for e in got[1].entries] == [e.node for e in want[1].entries]
+    assert dropped[0] in [e.node for e in got[1].entries]
+    assert got[0].amps.tobytes() == want[0].amps.tobytes()
+    with pytest.raises(StructuralError):
+        dataclasses.replace(p)  # the edited fields no longer form a pattern
+
+
 def test_replace_lowers_the_new_pattern_afresh():
     p = pattern_for_gate(CNOTGate(3))
     q = dataclasses.replace(p, steps=list(reversed(p.steps)))

@@ -555,8 +555,7 @@ def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_measure_keeps_the_reference_bits(n):
-    # the rotation in place (out of place at n = 1, whose halves are scalars)
-    # and the end-axis view, against the kernel as it was before either
+    # partners on each kind of axis of the half, Z and M(delta), both outcomes
     rng = np.random.default_rng(400 + n)
     s = _random_state(rng, n)
     for q in sorted({0, n // 2, n - 1}):
