@@ -26,8 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import mbqc
 from . import statevector as sv
 from . import steane
@@ -54,31 +52,6 @@ def min_cluster_pattern(basis: str) -> mbqc.MeasurementPattern:
         x_corr={(1, 0): frozenset()},
         z_corr={(1, 0): frozenset()},
     )
-
-
-def min_cluster_residual(theta: float, basis: str, outcome: int) -> sv.PureState:
-    """Closed-form post-measurement state of the unmeasured node.
-
-    x: X^s H |+_theta>        (the teleport identity at delta = 0)
-    y: X^s H Rz(-pi/2) |+_theta>
-    z: Z^s |+>                (theta survives only as a global phase)
-    """
-    psi = sv.new_plus_theta(theta).amps.reshape(-1)
-    if basis == "x":
-        vec = sv.H.matrix @ psi
-        if outcome:
-            vec = sv.X.matrix @ vec
-    elif basis == "y":
-        vec = sv.H.matrix @ (sv.rz(-math.pi / 2).matrix @ psi)
-        if outcome:
-            vec = sv.X.matrix @ vec
-    elif basis == "z":
-        vec = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        if outcome:
-            vec = sv.Z.matrix @ vec
-    else:
-        raise InputError(f"basis must be x, y, or z, got {basis!r}")
-    return sv.PureState(vec, [(1, 0)])
 
 
 # ----------------------------------------------------------- distributions ----

@@ -29,12 +29,27 @@ qubit must instead be repeated
 times to match the encoded block's residual error, so the quantities to
 compare are N_coded against ceil(k) * N_d. Preparation efficiency is
 E = S f / N for source repetition rate f.
+
+k assumes that an encoded block fails with probability e^2. The recovery
+that `steane` implements fails on all 21 weight-2 X patterns and on 43
+heavier ones of the 128, so for independent X errors at e = 0.01 its block
+fails with probability 2.004e-3, about 20 e^2; k keeps the e^2 model.
+
+Each ExperimentParams computes once, on first use, every term of these
+formulas that depends on it alone (the exponentials and squares of the
+intensities, the decoy bound's coefficients, ln(eps / S), p_mu mu, S f, the
+fixed transmittance) and k. A row then costs only its own arithmetic, with
+the bits and errors of computing each term per row: the terms after the
+bound's underflow guard are computed only when the guard passes, and a k
+that raises is not cached, so every row raises it anew after the checks
+that precede it. Rows are plain records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import EstimationError, InputError
 
@@ -114,12 +129,58 @@ class ExperimentParams:
         if not 0.0 <= self.y0_dark < 1.0:
             raise InputError("dark yield must lie in [0, 1)")
 
+    # cached_property writes the instance __dict__, which eq, hash, repr and
+    # dataclasses.replace never read: a replaced copy prices its own terms
+    @cached_property
+    def _priced(self) -> _Priced:
+        return _Priced(self)
+
+    @cached_property
+    def _k(self) -> float:
+        # a k that raises caches nothing, so every row raises it anew
+        return repetition_factor(self)
+
+
+class _Priced:
+    """The terms of the estimates that depend on the parameters alone, each
+    the whole subexpression that the per-row formula would compute."""
+
+    __slots__ = (
+        "fixed_t", "neg_alpha", "exp_mu", "exp_nu1", "exp_neg_mu", "nu1_sq",
+        "mu_sq", "decoy_ok", "mu_over_spread", "vacuum",
+        "log_ratio", "p_mu_mu", "rate",
+    )
+
+    def __init__(self, p: ExperimentParams) -> None:
+        self.fixed_t = p.t_source * p.eta_det
+        self.neg_alpha = -p.alpha_db_km
+        self.exp_mu = math.exp(p.mu)
+        self.exp_nu1 = math.exp(p.nu1)
+        self.exp_neg_mu = math.exp(-p.mu)
+        self.nu1_sq = p.nu1**2
+        self.mu_sq = p.mu**2
+        spread = p.mu * p.nu1 - self.nu1_sq
+        # the terms behind p1_lower_bound's guard: when it fails, every row
+        # raises there, and they would divide by zero
+        self.decoy_ok = spread != 0.0 and self.mu_sq != 0.0
+        if self.decoy_ok:
+            self.mu_over_spread = p.mu / spread
+            self.vacuum = (self.mu_sq - self.nu1_sq) / self.mu_sq * p.y0_dark
+        ratio = p.eps_fail / p.successes
+        # once the quotient underflows to 0, the difference of the logs stands in
+        self.log_ratio = (
+            math.log(ratio) if ratio else math.log(p.eps_fail) - math.log(p.successes)
+        )
+        self.p_mu_mu = p.p_mu * p.mu
+        self.rate = p.successes * p.rep_rate_hz
+
 
 def transmittance(length_km: float, p: ExperimentParams) -> float:
     """End-to-end transmittance of length_km of fiber plus fixed losses."""
     if length_km < 0.0:
         raise InputError("fiber length cannot be negative")
-    return p.t_source * p.eta_det * 10.0 ** (-p.alpha_db_km * length_km / 10.0)
+    c = p._priced
+    return c.fixed_t * 10.0 ** (c.neg_alpha * length_km / 10.0)
 
 
 def gain(t: float, intensity: float, p: ExperimentParams) -> float:
@@ -132,23 +193,21 @@ def gain(t: float, intensity: float, p: ExperimentParams) -> float:
 def p1_lower_bound(t: float, p: ExperimentParams) -> float:
     """Weak+vacuum decoy lower bound on the single-photon fraction of
     detected signal pulses; raises EstimationError when the bound is vacuous."""
+    c = p._priced
     q_mu = gain(t, p.mu, p)
     if q_mu <= 0.0:
         raise EstimationError(
             f"no detected signal events at T = {t:.6g}: channel is opaque"
         )
     q_nu1 = gain(t, p.nu1, p)
-    spread, mu_sq = p.mu * p.nu1 - p.nu1**2, p.mu**2
-    if spread == 0.0 or mu_sq == 0.0:
+    if not c.decoy_ok:
         raise EstimationError(
             f"intensities mu = {p.mu:.6g}, nu1 = {p.nu1:.6g} underflow the decoy bound"
         )
-    y1 = (p.mu / spread) * (
-        q_nu1 * math.exp(p.nu1)
-        - q_mu * math.exp(p.mu) * p.nu1**2 / mu_sq
-        - (mu_sq - p.nu1**2) / mu_sq * p.y0_dark
+    y1 = c.mu_over_spread * (
+        q_nu1 * c.exp_nu1 - q_mu * c.exp_mu * c.nu1_sq / c.mu_sq - c.vacuum
     )
-    p1 = y1 * p.mu * math.exp(-p.mu) / q_mu
+    p1 = y1 * p.mu * c.exp_neg_mu / q_mu
     if not 0.0 < p1 < 1.0:
         raise EstimationError(
             f"single-photon bound left (0, 1): p1 = {p1:.6g} at T = {t:.6g}"
@@ -163,7 +222,7 @@ def p1_asymptotic(t: float, p: ExperimentParams) -> float:
         raise EstimationError(
             f"no detected signal events at T = {t:.6g}: channel is opaque"
         )
-    p1 = (p.y0_dark + t) * p.mu * math.exp(-p.mu) / q_mu
+    p1 = (p.y0_dark + t) * p.mu * p._priced.exp_neg_mu / q_mu
     if not 0.0 < p1 < 1.0:
         raise EstimationError(
             f"asymptotic single-photon fraction left (0, 1): p1 = {p1:.6g}"
@@ -176,12 +235,8 @@ def pulses_needed(t: float, p1: float, p: ExperimentParams, overhead: float) -> 
     probability eps_fail, including `overhead` extra pulses per success."""
     if t <= 0.0:  # dark counts alone can pass the decoy bounds
         raise EstimationError(f"transmittance is {t!r}: channel is opaque")
-    ratio = p.eps_fail / p.successes
-    # once the quotient underflows to 0, the difference of the logs stands in
-    log_ratio = math.log(ratio) if ratio else math.log(p.eps_fail) - math.log(p.successes)
-    raw = (p.successes / t) * (
-        log_ratio / (p.p_mu * p.mu * math.log1p(-p1)) + overhead
-    )
+    c = p._priced
+    raw = (p.successes / t) * (c.log_ratio / (c.p_mu_mu * math.log1p(-p1)) + overhead)
     if not math.isfinite(raw) or raw <= 0.0:
         raise EstimationError(f"pulse count came out non-physical: {raw!r}")
     return math.ceil(raw)
@@ -215,12 +270,12 @@ def efficiency(n_pulses: float, p: ExperimentParams) -> float:
     if n_pulses <= 0:
         raise EstimationError("efficiency needs a positive pulse count")
     try:
-        return p.successes * p.rep_rate_hz / n_pulses
+        return p._priced.rate / n_pulses
     except OverflowError:  # an int pulse count beyond the range of a float
         raise EstimationError("pulse count is too large for a float") from None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ResourceRow:
     """One fiber length's worth of estimates (the CSV row of the CLI)."""
 
@@ -246,20 +301,12 @@ def estimate(length_km: float, p: ExperimentParams) -> ResourceRow:
     n_coded = pulses_needed(t, p1, p, p.block_overhead)
     n_direct = pulses_needed(t, p1, p, 0.0)
     n_asym = pulses_needed(t, p1_inf, p, 0.0)
-    k = repetition_factor(p)
+    k = p._k
     k_n_direct = math.ceil(k) * n_direct
+    # in field order: matching eleven keywords would cost about 1 us a row
     return ResourceRow(
-        length_km=length_km,
-        t=t,
-        p1_lower=p1,
-        n_coded=n_coded,
-        n_direct=n_direct,
-        k=k,
-        k_n_direct=k_n_direct,
-        n_asym=n_asym,
-        e_coded=efficiency(n_coded, p),
-        e_direct_k=efficiency(k_n_direct, p),
-        e_asym=efficiency(n_asym, p),
+        length_km, t, p1, n_coded, n_direct, k, k_n_direct, n_asym,
+        efficiency(n_coded, p), efficiency(k_n_direct, p), efficiency(n_asym, p),
     )
 
 
@@ -267,8 +314,9 @@ def sweep(lengths_km, p: ExperimentParams) -> list:
     """Estimate each length; failed rows come back as (length, None, reason)."""
     out = []
     for length in lengths_km:
+        length = float(length)
         try:
-            out.append((float(length), estimate(float(length), p), None))
+            out.append((length, estimate(length, p), None))
         except EstimationError as exc:
-            out.append((float(length), None, str(exc)))
+            out.append((length, None, str(exc)))
     return out

@@ -7,8 +7,14 @@ import math
 
 import numpy as np
 
+from blindprep import resources as rs
 from blindprep import statevector as sv
-from blindprep.errors import ContractViolation, DegenerateBranchError, InputError
+from blindprep.errors import (
+    ContractViolation,
+    DegenerateBranchError,
+    EstimationError,
+    InputError,
+)
 
 I2 = sv.Gate("I", np.eye(2))
 S = sv.Gate("S", np.array([[1, 0], [0, 1j]]))
@@ -43,6 +49,32 @@ def build_cluster(p, inputs=None) -> sv.PureState:
     for a, b in p.edges:
         state = sv.apply_gate(state, sv.CZ, [a, b])
     return state
+
+
+def min_cluster_residual(theta: float, basis: str, outcome: int) -> sv.PureState:
+    """Closed-form post-measurement state of the unmeasured node of
+    blindness.min_cluster_pattern(basis), the oracle of its simulation.
+
+    x: X^s H |+_theta>        (the teleport identity at delta = 0)
+    y: X^s H Rz(-pi/2) |+_theta>
+    z: Z^s |+>                (theta survives only as a global phase)
+    """
+    psi = sv.new_plus_theta(theta).amps.reshape(-1)
+    if basis == "x":
+        vec = sv.H.matrix @ psi
+        if outcome:
+            vec = sv.X.matrix @ vec
+    elif basis == "y":
+        vec = sv.H.matrix @ (sv.rz(-math.pi / 2).matrix @ psi)
+        if outcome:
+            vec = sv.X.matrix @ vec
+    elif basis == "z":
+        vec = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        if outcome:
+            vec = sv.Z.matrix @ vec
+    else:
+        raise InputError(f"basis must be x, y, or z, got {basis!r}")
+    return sv.PureState(vec, [(1, 0)])
 
 
 def reference_tensor(a, b) -> sv.PureState:
@@ -89,3 +121,99 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
     return outcome, prob, sv._derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
+
+
+def reference_estimate(length_km, p) -> rs.ResourceRow:
+    """rs.estimate as it was before the terms that depend on the parameters
+    alone were computed once per parameter set: the bit-for-bit reference,
+    error messages and their order included, of the priced-once chain."""
+    if length_km < 0.0:
+        raise InputError("fiber length cannot be negative")
+    t = p.t_source * p.eta_det * 10.0 ** (-p.alpha_db_km * length_km / 10.0)
+
+    def gain(intensity):
+        return p.y0_dark - math.expm1(-intensity * t)
+
+    def opaque_check(q_mu):
+        if q_mu <= 0.0:
+            raise EstimationError(
+                f"no detected signal events at T = {t:.6g}: channel is opaque"
+            )
+
+    q_mu = gain(p.mu)
+    opaque_check(q_mu)
+    q_nu1 = gain(p.nu1)
+    spread, mu_sq = p.mu * p.nu1 - p.nu1**2, p.mu**2
+    if spread == 0.0 or mu_sq == 0.0:
+        raise EstimationError(
+            f"intensities mu = {p.mu:.6g}, nu1 = {p.nu1:.6g} underflow the decoy bound"
+        )
+    y1 = (p.mu / spread) * (
+        q_nu1 * math.exp(p.nu1)
+        - q_mu * math.exp(p.mu) * p.nu1**2 / mu_sq
+        - (mu_sq - p.nu1**2) / mu_sq * p.y0_dark
+    )
+    p1 = y1 * p.mu * math.exp(-p.mu) / q_mu
+    if not 0.0 < p1 < 1.0:
+        raise EstimationError(
+            f"single-photon bound left (0, 1): p1 = {p1:.6g} at T = {t:.6g}"
+        )
+
+    q_mu = gain(p.mu)
+    opaque_check(q_mu)
+    p1_inf = (p.y0_dark + t) * p.mu * math.exp(-p.mu) / q_mu
+    if not 0.0 < p1_inf < 1.0:
+        raise EstimationError(
+            f"asymptotic single-photon fraction left (0, 1): p1 = {p1_inf:.6g}"
+        )
+
+    def pulses(p1, overhead):
+        if t <= 0.0:
+            raise EstimationError(f"transmittance is {t!r}: channel is opaque")
+        ratio = p.eps_fail / p.successes
+        log_ratio = math.log(ratio) if ratio else math.log(p.eps_fail) - math.log(p.successes)
+        raw = (p.successes / t) * (
+            log_ratio / (p.p_mu * p.mu * math.log1p(-p1)) + overhead
+        )
+        if not math.isfinite(raw) or raw <= 0.0:
+            raise EstimationError(f"pulse count came out non-physical: {raw!r}")
+        return math.ceil(raw)
+
+    n_coded = pulses(p1, p.block_overhead)
+    n_direct = pulses(p1, 0.0)
+    n_asym = pulses(p1_inf, 0.0)
+
+    def log_one_minus_exp(x):
+        y = math.exp(x)
+        return math.log1p(-y) if y < 1.0 else math.log(-math.expm1(x))
+
+    if p.err_rate**2 == 0.0:
+        raise EstimationError(f"error rate {p.err_rate:.6g} underflows when squared")
+    coded = log_one_minus_exp(p.successes * math.log1p(-p.err_rate**2))
+    bare = log_one_minus_exp(p.successes * math.log1p(-p.err_rate))
+    k = coded / bare if bare else math.inf
+    if not math.isfinite(k):
+        raise EstimationError(f"repetition factor overflows at S = {p.successes}")
+    k_n_direct = math.ceil(k) * n_direct
+
+    def efficiency(n_pulses):
+        if n_pulses <= 0:
+            raise EstimationError("efficiency needs a positive pulse count")
+        try:
+            return p.successes * p.rep_rate_hz / n_pulses
+        except OverflowError:
+            raise EstimationError("pulse count is too large for a float") from None
+
+    return rs.ResourceRow(
+        length_km=length_km,
+        t=t,
+        p1_lower=p1,
+        n_coded=n_coded,
+        n_direct=n_direct,
+        k=k,
+        k_n_direct=k_n_direct,
+        n_asym=n_asym,
+        e_coded=efficiency(n_coded),
+        e_direct_k=efficiency(k_n_direct),
+        e_asym=efficiency(n_asym),
+    )

@@ -21,6 +21,7 @@ import blindprep.statevector as sv
 import blindprep.steane as steane
 from blindprep.cli import CSV_HEADER, main
 from blindprep.resources import ExperimentParams, repetition_factor, sweep, transmittance
+from helpers import min_cluster_residual
 
 
 def _timed(n: int, name: str, budget_s: float, body) -> None:
@@ -200,7 +201,7 @@ def test_acceptance_5_blindness():
                     state, _, _ = mbqc.run_pattern(
                         p, inputs, sv.ForcedBranch([outcome])
                     )
-                    want = bl.min_cluster_residual(theta, basis, outcome)
+                    want = min_cluster_residual(theta, basis, outcome)
                     assert sv.fidelity(state, want) >= 1.0 - 1e-12
 
             report = bl.min_cluster_blindness(basis)

@@ -14,13 +14,13 @@ from blindprep.blindness import (
     blindness_over_thetas,
     min_cluster_blindness,
     min_cluster_pattern,
-    min_cluster_residual,
     preparation_blindness,
     transcript_distribution,
     tv_distance,
 )
 from blindprep.errors import InputError
 from blindprep.mbqc import HadamardGate, RotationGate, pattern_for_gate, run_pattern
+from helpers import min_cluster_residual
 
 
 # -------------------------------------------------------- minimal cluster ----

@@ -7,13 +7,16 @@ integer boundary, so the ceiled counts are compared exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from blindprep.cli import CSV_HEADER, main
 from blindprep.errors import EstimationError, InputError
 from blindprep.resources import (
     ExperimentParams,
+    ResourceRow,
     efficiency,
     estimate,
     gain,
@@ -24,6 +27,7 @@ from blindprep.resources import (
     sweep,
     transmittance,
 )
+from helpers import reference_estimate
 
 K_PIN = 54482.32993426837691671741
 
@@ -293,3 +297,130 @@ def test_sweep_marks_failed_rows_and_keeps_good_ones():
     assert length == OPAQUE_KM
     assert row is None
     assert "opaque" in err
+
+
+# ------------------------------------------------- priced once per params ----
+
+
+# name -> overrides: each reaches a different path or error of the chain
+REFERENCE_PARAMS = {
+    "defaults": {},
+    "dark_yield": {"y0_dark": 1e-7},
+    "tiny_intensities": {"mu": 1e-150, "nu1": 1e-151},  # p1 leaves (0, 1)
+    # eps / S underflows to 0 (the log-difference path); k stays finite
+    "eps_over_s_underflows": {"eps_fail": 1e-300, "successes": 10**30, "err_rate": 1e-35},
+    # as above, but (1 - e)^S underflows and k raises after the pulse counts
+    "eps_over_s_underflows_k_raises": {"eps_fail": 1e-300, "successes": 10**30},
+    "mu_underflows": {"mu": 1e-200, "nu1": 1e-201},  # the decoy bound's guard
+    "e_squared_underflows": {"err_rate": 1e-200},
+    "k_n_direct_beyond_float": {"successes": 69500},
+    "k_overflows": {"successes": 71500},
+    "bare_underflows": {"successes": 74500},
+}
+REFERENCE_LENGTHS = (0, 0.1, 50.0, 200.0, OPAQUE_KM)
+
+
+def _outcome(compute):
+    try:
+        row = compute()
+    except EstimationError as exc:
+        return "error", str(exc)
+    return "row", [repr(value) for value in vars(row).values()]
+
+
+@pytest.mark.parametrize("length", REFERENCE_LENGTHS)
+@pytest.mark.parametrize("name", sorted(REFERENCE_PARAMS))
+def test_estimate_keeps_the_reference_bits(name, length):
+    p = ExperimentParams(**REFERENCE_PARAMS[name])
+    want = _outcome(lambda: reference_estimate(length, p))
+    assert _outcome(lambda: estimate(length, p)) == want
+    # a second call reads the terms the first one priced
+    assert _outcome(lambda: estimate(length, p)) == want
+
+
+def test_reference_grid_reaches_every_error():
+    reached = set()
+    for overrides in REFERENCE_PARAMS.values():
+        p = ExperimentParams(**overrides)
+        for length in REFERENCE_LENGTHS:
+            kind, value = _outcome(lambda: reference_estimate(length, p))
+            if kind == "error":
+                reached.add(value)
+    starts = (
+        "no detected signal events",  # opaque channel
+        "intensities mu",  # the decoy guard
+        "single-photon bound left",  # p1 outside (0, 1)
+        "transmittance is",  # dark counts pass the bound, but T = 0
+        "error rate",  # e^2 underflows
+        "repetition factor overflows",  # k overflows
+        "pulse count is too large",  # ceil(k) N_d beyond float
+    )
+    assert all(any(m.startswith(start) for m in reached) for start in starts)
+    assert all(m.startswith(starts) for m in reached)
+
+
+def _reference_csv(lengths, p):
+    lines = []
+    for length in lengths:
+        kind, value = _outcome(lambda: reference_estimate(float(length), p))
+        cells = value if kind == "row" else [repr(float(length))] + ["NA"] * CSV_HEADER.count(",")
+        lines.append(",".join(cells))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [
+        ("Y0 = 1e-7\n", REFERENCE_PARAMS["dark_yield"]),
+        ("epsilon = 1e-300\nS = " + str(10**30) + "\ne = 1e-35\n",
+         REFERENCE_PARAMS["eps_over_s_underflows"]),
+    ],
+)
+def test_config_sweep_keeps_the_reference_csv(capsys, tmp_path, config, overrides):
+    path = tmp_path / "params.cfg"
+    path.write_text(config, encoding="utf-8")
+    argv = ["resources", "--lmax", "20000", "--step", "250", "--config", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    lengths = [i * 250.0 for i in range(81)]
+    assert out[1:] == _reference_csv(lengths, ExperimentParams(**overrides))
+    assert out[-1].endswith(",NA")  # the grid reaches the opaque fiber
+
+
+def test_replaced_params_price_their_own_terms():
+    p = ExperimentParams()
+    estimate(50.0, p)  # prices p's terms
+    changed = dataclasses.replace(p, mu=0.5)
+    fresh = ExperimentParams(mu=0.5)
+    for length in REFERENCE_LENGTHS:
+        assert _outcome(lambda: estimate(length, changed)) == _outcome(
+            lambda: estimate(length, fresh)
+        )
+    assert estimate(50.0, changed) != estimate(50.0, p)
+
+
+def test_pricing_leaves_eq_hash_and_repr_alone():
+    p, q = ExperimentParams(y0_dark=1e-7), ExperimentParams(y0_dark=1e-7)
+    before = (hash(p), repr(p))
+    sweep([0.0, 50.0], p)
+    assert (hash(p), repr(p)) == before
+    assert p == q and hash(p) == hash(q)
+
+
+@pytest.mark.parametrize(
+    "overrides, needle",
+    [({"successes": 71500}, "repetition factor"), ({"err_rate": 1e-200}, "squared")],
+)
+def test_a_raising_repetition_factor_raises_on_every_call(overrides, needle):
+    p = ExperimentParams(**overrides)
+    for _ in range(2):
+        with pytest.raises(EstimationError, match=needle):
+            estimate(0.0, p)
+        with pytest.raises(EstimationError, match=needle):
+            repetition_factor(p)
+
+
+def test_a_row_holds_exactly_the_csv_fields():
+    row = estimate(0.0, ExperimentParams())
+    assert list(vars(row)) == [f.name for f in dataclasses.fields(ResourceRow)]
+    assert len(vars(row)) == CSV_HEADER.count(",") + 1
