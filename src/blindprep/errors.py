@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Distinguishes input mistakes (bad arguments, malformed files) from sequencing
+Distinguishes input mistakes (bad arguments, malformed patterns) from sequencing
 mistakes (valid objects used in an invalid order) and from internal contract
 violations, so callers and the CLI can map them to exit codes.
 """
@@ -13,13 +13,7 @@ class InputError(ValueError):
 
 
 class StructuralError(ValueError):
-    """A graph/pattern/file is malformed (duplicate edge, bad role, parse error).
-    at: the declaration at fault, when a pattern check names one: a node,
-    ("input", node), frozenset(edge) or ("xcorr" | "zcorr", output)."""
-
-    def __init__(self, message: str, at=None):
-        super().__init__(message)
-        self.at = at
+    """A pattern or its parts are malformed (duplicate edge, bad role, loose reference)."""
 
 
 class SequencingError(RuntimeError):

@@ -10,11 +10,11 @@ Conventions (fixed once, everything else is derived):
 - Head-of-chain identity: measuring the first node of an edge pair in M(delta)
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
   neighbour removes it, leaving Z^s on the survivors.
-- Each non-output node is consumed in one of four ways, spelled by the same
-  token in the executor and the fixture format: z (Z elimination), x (M(0)),
-  y (M(pi/2)), or rot (M(+/-alpha), the sign set by the parity of earlier
-  outcomes: the measurement calculus's s-domain). The builder lays x, y and
-  rot nodes; a z node comes only from a pattern built directly or parsed.
+- Each non-output node is consumed in one of four ways: z (Z elimination),
+  x (M(0)), y (M(pi/2)), or rot (M(+/-alpha), the sign set by the parity of
+  earlier outcomes: the measurement calculus's s-domain). The builder lays
+  x, y and rot nodes; a z node comes only from a pattern built directly,
+  such as blindness.min_cluster_pattern("z").
 - Byproducts are tracked as exponent pairs (a, b) meaning X^a Z^b per wire.
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
@@ -39,7 +39,7 @@ tests are the authority for their correctness):
   contribute identity. One intermediate row forms the repeatable tile.
 
 Node identifiers ARE their (column, row) grid coordinates, which keeps
-transcripts, corrections, and the text serialization readable.
+transcripts, corrections, and the validator's messages readable.
 """
 
 from __future__ import annotations
@@ -58,16 +58,17 @@ MAX_ENUMERATED = 22  # most measurements whose branches enumerate_branches walks
 
 Node = tuple  # (x, y) int pairs
 
-# the default node state, checked once; each default node shares its read-only array
-_PLUS = sv.PureState(np.full(2, 1 / math.sqrt(2), dtype=complex), ["+"])
-_PLUS.amps.flags.writeable = False
-
 
 def _pair(node) -> Node:
     """node itself, checked to be an (x, y) int pair before anything hashes it."""
     if not isinstance(node, tuple) or len(node) != 2 or not all(isinstance(c, int) for c in node):
         raise StructuralError(f"node {node!r} is not an (x, y) int pair")
     return node
+
+
+def _c(node: Node) -> str:
+    """A node as the validator's messages print it: x,y."""
+    return f"{node[0]},{node[1]}"
 
 
 # ----------------------------------------------------------------- roles ----
@@ -122,7 +123,8 @@ class MeasurementPattern:
     x_corr/z_corr: per output node, the set of measured nodes whose outcome
     parity gives the X / Z byproduct exponent on that output.
     declared_unitary: intended map on the wire space (inputs order = wire
-    order = outputs order); None for fixtures that do not claim one.
+    order = outputs order); None for a pattern that claims none, such as a
+    gate_layout or blindness.min_cluster_pattern.
     schedule: the executor's steps, lowered by _lower when the pattern is
     built: schedule[False] for dict inputs, schedule[True] for a joint input
     state. It is immutable, so copies of a pattern share it.
@@ -146,42 +148,39 @@ class MeasurementPattern:
         nodes: set = set()
         for node in map(_pair, self.nodes):
             if node in nodes:
-                raise StructuralError(f"node {_c(node)} is measured twice or also an output", node)
+                raise StructuralError(f"node {_c(node)} is measured twice or also an output")
             nodes.add(node)
         for i, node in enumerate(map(_pair, self.inputs)):
-            at = ("input", node)
             if node not in nodes:
-                raise StructuralError(f"input {_c(node)} is not a measured node or an output", at)
+                raise StructuralError(f"input {_c(node)} is not a measured node or an output")
             if node in self.inputs[:i]:
-                raise StructuralError(f"input {_c(node)} is declared twice", at)
+                raise StructuralError(f"input {_c(node)} is declared twice")
         measured: set = set()
         for node, role in self.steps:
             late = role.deps - measured
             if late:
-                raise StructuralError(f"dep {_c(min(late))} is not measured earlier", node)
+                raise StructuralError(f"dep {_c(min(late))} is not measured earlier")
             measured.add(node)
         pairs: set = set()
         for a, b in self.edges:
             pair = frozenset((_pair(a), _pair(b)))
             if a == b:
-                raise StructuralError(f"edge {_c(a)} {_c(b)} is a self-loop", pair)
+                raise StructuralError(f"edge {_c(a)} {_c(b)} is a self-loop")
             for end in (a, b):
                 if end not in nodes:
-                    raise StructuralError(
-                        f"edge end {_c(end)} is not a measured node or an output", pair
-                    )
+                    raise StructuralError(f"edge end {_c(end)} is not a measured node or an output")
             if pair in pairs:
-                raise StructuralError(f"edge {_c(a)} {_c(b)} is declared twice", pair)
+                raise StructuralError(f"edge {_c(a)} {_c(b)} is declared twice")
             pairs.add(pair)
         self.edges = [tuple(sorted(e)) for e in self.edges]
         for kind, corr in (("xcorr", self.x_corr), ("zcorr", self.z_corr)):
             for out, dep_nodes in corr.items():
                 if out not in self.outputs:
-                    raise StructuralError(f"{kind} target {_c(out)} is not an output", (kind, out))
+                    raise StructuralError(f"{kind} target {_c(out)} is not an output")
                 unmeasured = frozenset(map(_pair, dep_nodes)) - measured
                 if unmeasured:
                     raise StructuralError(
-                        f"{kind} node {_c(min(unmeasured))} is not a measured node", (kind, out)
+                        f"{kind} node {_c(min(unmeasured))} is not a measured node"
                     )
         if self.declared_unitary is not None:
             d = 2 ** len(self.inputs)
@@ -297,7 +296,7 @@ def run_pattern(
             if width > LIVE_CAP:
                 raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
-            q = sv._relabeled(_PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
+            q = sv._relabeled(sv.PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
         if role is None:  # the last step: edges between two outputs
             for a, b in cz:
@@ -594,119 +593,3 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     relabel = dict(zip(p.inputs, p.outputs))
     target = sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
     return probe, target
-
-
-# ---------------------------------------------------------- serialization ----
-
-
-def pattern_to_text(p: MeasurementPattern) -> str:
-    """Line-oriented fixture format; see pattern_from_text for the grammar."""
-    lines = ["# measurement pattern"]
-    for node in p.inputs:
-        lines.append(f"input {_c(node)}")
-    for node in p.outputs:
-        lines.append(f"output {_c(node)}")
-    for node, role in p.steps:
-        token = f"rot:{role.angle!r}" if role.kind == "rot" else role.kind
-        lines.append(" ".join(["node", _c(node), token] + [_c(d) for d in sorted(role.deps)]))
-    for a, bnode in sorted(p.edges):
-        lines.append(f"edge {_c(a)} {_c(bnode)}")
-    for out in p.outputs:
-        xs = " ".join(_c(n) for n in sorted(p.x_corr.get(out, ())))
-        zs = " ".join(_c(n) for n in sorted(p.z_corr.get(out, ())))
-        if xs:
-            lines.append(f"xcorr {_c(out)} {xs}")
-        if zs:
-            lines.append(f"zcorr {_c(out)} {zs}")
-    return "\n".join(lines) + "\n"
-
-
-def pattern_from_text(text: str) -> MeasurementPattern:
-    """Parse the fixture format.
-
-    Grammar (one directive per line, '#' starts a comment):
-      input X,Y                     declares an input node (order significant)
-      output X,Y                    declares an output node (order significant)
-      node X,Y ROLE [DEP ...]       a measured node, in measurement order;
-                                    ROLE is z | x | y | rot:<finite float>,
-                                    DEPs are X,Y coords (rot only)
-      edge X1,Y1 X2,Y2              a CZ edge
-      xcorr XO,YO [X,Y ...]         X-byproduct node set for output XO,YO
-      zcorr XO,YO [X,Y ...]         Z-byproduct node set for output XO,YO
-    The node set is the measured nodes plus the outputs. MeasurementPattern
-    checks the references between lines, which may come in any order: inputs
-    and edge ends are nodes, an edge joins two distinct nodes, a DEP is
-    measured on an earlier node line, and an xcorr/zcorr is for an output and
-    cites measured nodes. No directive repeats for one node, edge or output,
-    and no node repeats within one DEP, xcorr or zcorr list (each is a GF(2)
-    parity); a repeat names its line and the earlier one. Every fault names
-    its line. The declared unitary is not serialized.
-    """
-    inputs: list = []
-    outputs: list = []
-    steps: list = []
-    edges: list = []
-    x_corr: dict = {}
-    z_corr: dict = {}
-    # a node, ("input", node), frozenset(edge) or (xcorr | zcorr, output) -> its line
-    first: dict = {}
-
-    def once(key, what: str) -> None:
-        if first.setdefault(key, ln) != ln:
-            raise StructuralError(f"{what} is already declared on line {first[key]}")
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "input":
-                inputs.append(_parse_c(parts[1]))
-                once(("input", inputs[-1]), f"input {_c(inputs[-1])}")
-            elif parts[0] == "output":
-                outputs.append(_parse_c(parts[1]))
-                once(outputs[-1], f"output {_c(outputs[-1])}")
-            elif parts[0] == "node":
-                node = _parse_c(parts[1])
-                once(node, f"node {_c(node)}")
-                kind, colon, angle = parts[2].partition(":")
-                if colon != (":" if kind == "rot" else ""):
-                    raise StructuralError(f"bad role {parts[2]!r}")
-                role = Role(kind, float(angle) if colon else 0.0, _parse_set(parts[3:]))
-                steps.append((node, role))
-            elif parts[0] == "edge":
-                edges.append((_parse_c(parts[1]), _parse_c(parts[2])))
-                once(frozenset(edges[-1]), "edge " + " ".join(map(_c, edges[-1])))
-            elif parts[0] in ("xcorr", "zcorr"):
-                out = _parse_c(parts[1])
-                if first.setdefault((parts[0], out), ln) != ln:
-                    raise StructuralError(f"a second {parts[0]} for {_c(out)}")
-                (x_corr if parts[0] == "xcorr" else z_corr)[out] = _parse_set(parts[2:])
-            else:
-                raise StructuralError(f"unknown directive {parts[0]!r}")
-        except StructuralError as exc:
-            raise StructuralError(f"line {ln}: {exc}") from exc
-        except (IndexError, ValueError) as exc:
-            raise StructuralError(f"line {ln}: cannot parse {raw!r}") from exc
-    try:
-        return MeasurementPattern(inputs, outputs, steps, edges, x_corr, z_corr)
-    except StructuralError as exc:
-        raise StructuralError(f"line {first[exc.at]}: {exc}", exc.at) from exc
-
-
-def _c(node: Node) -> str:
-    return f"{node[0]},{node[1]}"
-
-
-def _parse_c(token: str) -> Node:
-    x, y = token.split(",")
-    return (int(x), int(y))
-
-
-def _parse_set(tokens: Sequence[str]) -> frozenset:
-    """A DEP, xcorr or zcorr node list: a GF(2) parity, so no node repeats."""
-    nodes = [_parse_c(t) for t in tokens]
-    if len(set(nodes)) != len(nodes):
-        raise StructuralError("a node repeats in a parity list")
-    return frozenset(nodes)

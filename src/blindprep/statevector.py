@@ -195,6 +195,13 @@ class PureState:
         return np.transpose(self.amps, perm).reshape(-1)
 
 
+# the two fixed one-qubit states, each checked once; _relabeled puts one on a
+# qubit, sharing its read-only array, so no caller builds or checks it again
+PLUS = PureState(np.full(2, _INV_SQRT2, dtype=complex), ["+"])
+ZERO = PureState(np.array([1.0, 0.0], dtype=complex), ["0"])
+PLUS.amps.flags.writeable = ZERO.amps.flags.writeable = False
+
+
 def qubit_state(spec, label: Label) -> PureState:
     """A copy of a 2-vector or of a 1-qubit PureState, as a state on ``label``."""
     if isinstance(spec, PureState):

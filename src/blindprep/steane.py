@@ -118,15 +118,11 @@ def encode_circuit(data) -> sv.PureState:
     1-qubit PureState); returns the encoded block on ("d", 1..7)."""
     data_q = sv.qubit_state(data, ("d", DATA_WIRE))
     state = None
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    zero = np.array([1.0, 0.0], dtype=complex)
     for i in range(1, 8):
         if i == DATA_WIRE:
             q = data_q
-        elif i in PIVOT_WIRES:
-            q = sv.PureState(plus.copy(), [("d", i)])
-        else:
-            q = sv.PureState(zero.copy(), [("d", i)])
+        else:  # the shared, already checked |+> or |0>
+            q = sv._relabeled(sv.PLUS if i in PIVOT_WIRES else sv.ZERO, [("d", i)])
         state = q if state is None else sv.tensor(state, q)
     return sv.apply_cnots(state, [(("d", c), ("d", t)) for c, t in ENCODER_CNOTS])
 
@@ -154,10 +150,11 @@ def inject_error(state: sv.PureState, err: PauliError) -> sv.PureState:
 # --------------------------------------------------------------- syndromes ----
 
 
-# the amplitudes of the two syndrome ancillas, |+>_L and |0>_L, built once
-_PLUS_L = logical_plus_theta(0.0).amps
-_ZERO_L = logical_zero().amps
-_PLUS_L.flags.writeable = _ZERO_L.flags.writeable = False
+# the two syndrome ancillas, built and checked once on their own labels:
+# |+>_L on ("bit", 1..7) and |0>_L on ("phase", 1..7), read-only
+_PLUS_L = sv._relabeled(logical_plus_theta(0.0), [("bit", i) for i in range(1, 8)])
+_ZERO_L = sv._relabeled(logical_zero(), [("phase", i) for i in range(1, 8)])
+_PLUS_L.amps.flags.writeable = _ZERO_L.amps.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -192,14 +189,11 @@ def extract_syndrome(
         if lb not in state.labels:
             raise InputError("state does not carry the encoded-block labels")
 
-    # per round: tag, fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
+    # per round: fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
     joint, words = state, []
-    for tag, ancilla, anc_controls, delta in (
-        ("bit", _PLUS_L, False, None),
-        ("phase", _ZERO_L, True, 0.0),
-    ):
-        anc = [(tag, i) for i in range(1, 8)]
-        joint = sv.tensor(joint, sv.PureState(ancilla, anc))
+    for ancilla, anc_controls, delta in ((_PLUS_L, False, None), (_ZERO_L, True, 0.0)):
+        anc = ancilla.labels
+        joint = sv.tensor(joint, ancilla)
         pairs = zip(anc, DATA_LABELS) if anc_controls else zip(DATA_LABELS, anc)
         joint = sv.apply_cnots(joint, list(pairs))
         word = []

@@ -32,8 +32,6 @@ from blindprep.mbqc import (
     choi_probe,
     enumerate_branches,
     pattern_for_gate,
-    pattern_from_text,
-    pattern_to_text,
     rotation_unitary,
     run_pattern,
     runs,
@@ -808,34 +806,7 @@ def test_build_cluster_matches_manual_preparation():
     assert sv.fidelity(state, manual) == pytest.approx(1.0, abs=1e-12)
 
 
-# ---------------------------------------------------------- serialization ----
-
-
-@pytest.mark.parametrize(
-    "gate", [HadamardGate(), RotationGate(0.3, 0.5, 0.7), CNOTGate(2)]
-)
-def test_pattern_round_trips_through_text(gate):
-    p = pattern_for_gate(gate)
-    q = pattern_from_text(pattern_to_text(p))
-    assert sorted(q.nodes) == sorted(p.nodes)
-    assert sorted(q.edges) == sorted(p.edges)
-    assert q.inputs == p.inputs
-    assert q.outputs == p.outputs
-    assert q.steps == p.steps
-    assert q.x_corr == {k: frozenset(v) for k, v in p.x_corr.items()}
-    assert q.z_corr == {k: frozenset(v) for k, v in p.z_corr.items()}
-
-
-def test_round_tripped_pattern_runs_identically():
-    p = pattern_for_gate(RotationGate(0.3, 0.5, 0.7))
-    q = pattern_from_text(pattern_to_text(p))
-    vec = FIVE_STATES[4]
-    bits = [1, 0, 1, 1]
-    state_p, tr_p, frame_p = run_pattern(p, {(1, 0): vec}, sv.ForcedBranch(bits))
-    state_q, tr_q, frame_q = run_pattern(q, {(1, 0): vec}, sv.ForcedBranch(bits))
-    assert tr_p.branch_prob == pytest.approx(tr_q.branch_prob, abs=1e-12)
-    assert frame_p.exps == frame_q.exps
-    assert sv.fidelity(state_p, state_q) == pytest.approx(1.0, abs=1e-12)
+# --------------------------------------------------------------- layouts ----
 
 
 # one sha256 per layout; a new value means the executor may create nodes in
@@ -870,8 +841,8 @@ def _layout(name):
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
 def test_layouts_are_pinned_in_edge_order(name):
-    # the text form sorts edges, but the executor creates nodes in edge-list
-    # order, which fixes the float bits; so the edges are hashed as listed
+    # the executor creates nodes in edge-list order, which fixes the float
+    # bits; so the edges are hashed as listed, not sorted
     p = _layout(name)
     steps = [(node, role.kind, role.angle, sorted(role.deps)) for node, role in p.steps]
     corr = [sorted((out, sorted(nodes)) for out, nodes in c.items()) for c in (p.x_corr, p.z_corr)]
@@ -879,124 +850,51 @@ def test_layouts_are_pinned_in_edge_order(name):
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[name]
 
 
-def test_parser_rejects_malformed_lines():
-    with pytest.raises(StructuralError):
-        pattern_from_text("node 0,0 q\n")
-    with pytest.raises(StructuralError):
-        pattern_from_text("frobnicate 1,2\n")
-    with pytest.raises(StructuralError):
-        pattern_from_text("edge 0,0\n")
-
-
-@pytest.mark.parametrize(
-    "tail, line",
-    [
-        ("xcorr 1,0 0,0\nxcorr 1,0\n", 5),  # a second xcorr would replace the first
-        ("zcorr 1,0 0,0 0,0\n", 4),  # a repeat in a parity list would cancel
-        ("node 2,0 rot:0.5 0,0 0,0\n", 4),
-    ],
-)
-def test_parser_rejects_repeated_corrections_and_list_nodes(tail, line):
-    text = "input 0,0\nnode 0,0 x\noutput 1,0\n" + tail
-    with pytest.raises(StructuralError, match=f"^line {line}: "):
-        pattern_from_text(text)
-
-
-@pytest.mark.parametrize(
-    "tail, reason",
-    [
-        ("xcorr 1,0 0,0\nxcorr 1,0\n", "a second xcorr for 1,0"),
-        ("node 2,0 rot:nan\n", "rot angle must be finite, got nan"),
-        ("node 2,0 rot:0.5 0,0 0,0\n", "a node repeats in a parity list"),
-        ("node 2,0 rot:0.5x\n", "cannot parse 'node 2,0 rot:0.5x'"),
-    ],
-)
-def test_parser_errors_name_the_line_and_the_reason(tail, reason):
-    text = "input 0,0\nnode 0,0 x\noutput 1,0\n" + tail
-    with pytest.raises(StructuralError) as info:
-        pattern_from_text(text)
-    assert str(info.value) == f"line {text.count(chr(10))}: {reason}"
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("input 0,0\nnode 0,0 x\nnode 0,0 x\noutput 1,0\n",
-         "line 3: node 0,0 is already declared on line 2"),
-        ("input 0,0\nnode 0,0 x\noutput 1,0\noutput 0,0\n",
-         "line 4: output 0,0 is already declared on line 2"),
-        ("input 0,0\nnode 0,0 x\noutput 1,0\nedge 0,0 1,0\nedge 1,0 0,0\n",
-         "line 5: edge 1,0 0,0 is already declared on line 4"),
-        ("input 0,0\nnode 0,0 x\noutput 1,0\nedge 1,0 0,0\nedge 1,0 0,0\n",
-         "line 5: edge 1,0 0,0 is already declared on line 4"),
-        ("input 0,0\ninput 0,0\nnode 0,0 x\noutput 1,0\n",
-         "line 2: input 0,0 is already declared on line 1"),
-    ],
-    ids=["node", "measured_output", "edge_reversed", "edge", "input"],
-)
-def test_parser_names_both_lines_of_a_repeat(text, message):
-    with pytest.raises(StructuralError) as info:
-        pattern_from_text(text)
-    assert str(info.value) == message
-
-
-# a tail for a one-hop wire file that adds one structural fault, and its message
-STRUCTURAL_FAULTS = {
-    "self_loop": ("edge 0,0 0,0\n", "line 4: edge 0,0 0,0 is a self-loop"),
-    "undeclared_edge_end": (
-        "edge 0,0 2,0\nnode 3,0 x\n", "line 4: edge end 2,0 is not a measured node or an output"
-    ),
-    "loose_input": ("input 5,5\n", "line 4: input 5,5 is not a measured node or an output"),
-    "corr_not_output": ("xcorr 1,0 0,0\nzcorr 0,0\n", "line 5: zcorr target 0,0 is not an output"),
-    "corr_unmeasured": ("xcorr 1,0 0,0 3,3\n", "line 4: xcorr node 3,3 is not a measured node"),
-    "late_dep": ("node 2,0 rot:0.5 3,0\nnode 3,0 x\n", "line 4: dep 3,0 is not measured earlier"),
-}
-
-
-@pytest.mark.parametrize(
-    "tail, message", list(STRUCTURAL_FAULTS.values()), ids=list(STRUCTURAL_FAULTS)
-)
-def test_parser_names_the_line_of_a_structural_fault(tail, message):
-    with pytest.raises(StructuralError) as info:
-        pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
-    assert str(info.value) == message
-
-
-# the same faults built in code: the fields that differ from the one-hop
-# wire's, and the declaration at fault
+# the one-hop wire of X00 with one structural fault: the fields that differ,
+# and the validator's message
 DIRECT_FAULTS = {
-    "self_loop": ({"edges": [((0, 0), (0, 0))]}, frozenset({(0, 0)})),
+    "self_loop": ({"edges": [((0, 0), (0, 0))]}, "edge 0,0 0,0 is a self-loop"),
     "undeclared_edge_end": (
         {"edges": [((0, 0), (2, 0))], "steps": X00 + [((3, 0), Role("x"))]},
-        frozenset({(0, 0), (2, 0)}),
+        "edge end 2,0 is not a measured node or an output",
     ),
-    "loose_input": ({"inputs": [(0, 0), (5, 5)]}, ("input", (5, 5))),
+    "loose_input": (
+        {"inputs": [(0, 0), (5, 5)]}, "input 5,5 is not a measured node or an output"
+    ),
     "corr_not_output": (
         {"x_corr": {(1, 0): frozenset({(0, 0)})}, "z_corr": {(0, 0): frozenset()}},
-        ("zcorr", (0, 0)),
+        "zcorr target 0,0 is not an output",
     ),
-    "corr_unmeasured": ({"x_corr": {(1, 0): frozenset({(0, 0), (3, 3)})}}, ("xcorr", (1, 0))),
+    "corr_unmeasured": (
+        {"x_corr": {(1, 0): frozenset({(0, 0), (3, 3)})}}, "xcorr node 3,3 is not a measured node"
+    ),
     "late_dep": (
         {"steps": X00 + [((2, 0), Role("rot", 0.5, [(3, 0)])), ((3, 0), Role("x"))]},
-        (2, 0),
+        "dep 3,0 is not measured earlier",
+    ),
+    "measured_twice": ({"steps": X00 + X00}, "node 0,0 is measured twice or also an output"),
+    "measured_output": (
+        {"outputs": [(1, 0), (0, 0)]}, "node 0,0 is measured twice or also an output"
+    ),
+    "input_twice": ({"inputs": [(0, 0), (0, 0)]}, "input 0,0 is declared twice"),
+    "edge_twice": (
+        {"edges": [((1, 0), (0, 0)), ((1, 0), (0, 0))]}, "edge 1,0 0,0 is declared twice"
+    ),
+    "edge_reversed": (
+        {"edges": [((0, 0), (1, 0)), ((1, 0), (0, 0))]}, "edge 1,0 0,0 is declared twice"
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(DIRECT_FAULTS))
 def test_pattern_built_in_code_reports_the_parsers_fault(name):
-    # one validator, one vocabulary: the message is the file's without its line
-    tail, message = STRUCTURAL_FAULTS[name]
-    fields, at = DIRECT_FAULTS[name]
+    # one validator, one vocabulary: each fault is named by its declaration
+    fields, message = DIRECT_FAULTS[name]
     wire = {"inputs": [(0, 0)], "outputs": [(1, 0)], "steps": X00, "edges": [],
             "x_corr": {}, "z_corr": {}}
     with pytest.raises(StructuralError) as info:
         MeasurementPattern(**{**wire, **fields})
-    assert str(info.value) == message.split(": ", 1)[1]
-    assert info.value.at == at
-    with pytest.raises(StructuralError) as parsed:
-        pattern_from_text("input 0,0\nnode 0,0 x\noutput 1,0\n" + tail)
-    assert parsed.value.at == at
+    assert str(info.value) == message
 
 
 # a list where an (x, y) pair belongs, in each place a pattern hashes a node
@@ -1017,28 +915,21 @@ def test_a_list_node_is_a_structural_fault(place):
         MeasurementPattern(**{**wire, **LIST_NODE_FIELDS[place]()})
 
 
-def test_parser_resolves_references_to_later_lines():
-    p = pattern_from_text("xcorr 1,0 0,0\nedge 0,0 1,0\ninput 0,0\nnode 0,0 x\noutput 1,0\n")
-    assert p.inputs == [(0, 0)] and p.edges == [((0, 0), (1, 0))]
-    assert p.x_corr == {(1, 0): frozenset({(0, 0)})}
-
-
-@pytest.mark.parametrize(
-    "role", ["rot", "rot:", "x:0", "rot:nan", "rot:inf", "rot:1e400", "x 5,5", "z 1,1"]
-)
-def test_parser_rejects_bad_role_tokens(role):
-    # node 5,5 is measured before 0,0, so only the role itself is at fault
-    with pytest.raises(StructuralError):
-        pattern_from_text(f"node 5,5 x\nnode 0,0 {role}\n")
-
-
-def test_shipped_trimmed_wire_fixture_still_acts_as_hadamard():
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "fixtures" / "trimmed_wire.txt"
-    text = path.read_text(encoding="utf-8")
-    p = pattern_from_text(text)
-    assert text.endswith(pattern_to_text(p))  # after the leading comment lines
+def test_trimmed_wire_still_acts_as_hadamard():
+    # a Hadamard chain whose input has a dangling neighbour, removed by a Z
+    # measurement: after its Z byproduct the chain acts as if it were never
+    # attached. The only pattern that eliminates a z node inside a chain.
+    steps = [((1, 0), Role("x")), ((1, 1), Role("z"))]
+    steps += [((x, 0), Role("y")) for x in (2, 3, 4)]
+    chain = [(x, 0) for x in range(1, 6)]
+    p = MeasurementPattern(
+        inputs=[(1, 0)],
+        outputs=[(5, 0)],
+        steps=steps,
+        edges=[((1, 0), (1, 1))] + list(zip(chain, chain[1:])),
+        x_corr={(5, 0): frozenset({(1, 0), (1, 1), (3, 0), (4, 0)})},
+        z_corr={(5, 0): frozenset({(2, 0), (3, 0)})},
+    )
     assert [r.kind for _, r in p.steps].count("z") == 1
     assert p.measured_count == 5
     for vec in FIVE_STATES:

@@ -1,15 +1,14 @@
-"""Property tests of the two text boundaries (pattern files and config
-files) and of the resource estimate behind the config.
+"""Property tests of the one text boundary, config files, and of the
+resource estimate behind the config.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
-function may raise is its documented one: StructuralError for a pattern,
-UsageError for a config, EstimationError for an estimate.
+function may raise is its documented one: UsageError for a config,
+EstimationError for an estimate.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 
@@ -20,59 +19,12 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from blindprep.cli import CONFIG_KEYS, UsageError, load_config
-from blindprep.errors import EstimationError, InputError, StructuralError
-from blindprep.mbqc import pattern_from_text, pattern_to_text
+from blindprep.errors import EstimationError, InputError
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 _TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
-
-_COORD = st.one_of(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda c: f"{c[0]},{c[1]}"),
-    st.sampled_from(["1", "a,b", "1,2,3", ",", "+1,0", "1_0,0", "9" * 5000 + ",0"]),
-)
-_ROLE = st.one_of(
-    st.sampled_from(["z", "x", "y", "rot", "rot:", "x:0", "q", "Z", "rot:0x1p3", "rot:1_0"]),
-    st.floats().map(lambda f: f"rot:{f!r}"),  # nan and inf included
-    st.text("xyzrot:0123456789.e+-nai", max_size=8),
-)
-_NODE_LINE = st.tuples(_COORD, _ROLE, st.lists(_COORD, max_size=3)).map(
-    lambda t: " ".join(["node", t[0], t[1], *t[2]])
-)
-
-
-@st.composite
-def _wellformed_lines(draw):
-    """Distinct nodes in order; rot nodes depend only on earlier ones."""
-    nodes = [f"{i},{draw(st.integers(0, 1))}" for i in range(draw(st.integers(1, 6)))]
-    lines = []
-    for i, node in enumerate(nodes):
-        token = draw(st.one_of(st.sampled_from("zxy"), st.floats().map(lambda f: f"rot:{f!r}")))
-        rot = i and token.startswith("rot")
-        deps = draw(st.lists(st.sampled_from(nodes[:i]), max_size=2, unique=True)) if rot else []
-        lines.append(" ".join(["node", node, token, *deps]))
-    return "\n".join(lines)
-
-
-_ANY_LINES = st.lists(st.one_of(_NODE_LINE, _TEXT), max_size=6).map("\n".join)
-
-
-@BOUNDED
-@given(st.one_of(_wellformed_lines(), _ANY_LINES))
-@example("node 0,0 rot:nan")
-@example("node 5,5 x\nnode 0,0 x 5,5")
-def test_pattern_parser_raises_only_structural_error_and_round_trips(text):
-    try:
-        p = pattern_from_text(text)
-    except StructuralError:
-        return
-    assert all(math.isfinite(role.angle) for _, role in p.steps)
-    serialised = pattern_to_text(p)
-    again = pattern_from_text(serialised)
-    assert again.steps == p.steps
-    assert pattern_to_text(again) == serialised
-
 
 _VALUE = st.one_of(
     st.integers(-10, 10**450).map(str),
