@@ -134,7 +134,7 @@ def blindness_over_thetas(
 
     dists, coverage, max_dev = [], [], 0.0
     for theta in thetas:
-        inputs = {data_node: sv.new_plus_theta(theta).amps.reshape(-1)}
+        inputs = {data_node: sv.new_plus_theta(theta)}
         dist, dev = transcript_distribution(p, inputs, paths, seed)
         max_dev = max(max_dev, dev)
         dists.append(dist)

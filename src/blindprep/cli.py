@@ -30,7 +30,7 @@ from . import mbqc
 from . import resources as rs
 from . import statevector as sv
 from . import steane
-from .errors import InputError, SequencingError, StructuralError
+from .errors import InputError
 
 __all__ = ["main", "load_config", "CONFIG_KEYS", "CSV_HEADER"]
 
@@ -66,15 +66,11 @@ CONFIG_KEYS = {
 }
 
 
-class UsageError(Exception):
-    """Bad flags, bad config, or out-of-range arguments (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the documented contract
-    # reserves 2 for verification failures, so route through UsageError.
+    # reserves 2 for verification failures, so route through InputError.
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------- config ----
@@ -86,7 +82,7 @@ def load_config(path: str) -> rs.ExperimentParams:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as ex:
-        raise UsageError(f"cannot read config {path}: {ex}")
+        raise InputError(f"cannot read config {path}: {ex}")
     overrides: dict = {}
     first: dict = {}  # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -96,23 +92,21 @@ def load_config(path: str) -> rs.ExperimentParams:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise UsageError(f"{path}:{ln}: expected key = value, got {raw.strip()!r}")
+            raise InputError(f"{path}:{ln}: expected key = value, got {raw.strip()!r}")
         if key not in CONFIG_KEYS:
             known = ", ".join(sorted(CONFIG_KEYS))
-            raise UsageError(f"{path}:{ln}: unknown key {key!r} (known keys: {known})")
+            raise InputError(f"{path}:{ln}: unknown key {key!r} (known keys: {known})")
         if first.setdefault(key, ln) != ln:
-            raise UsageError(f"{path}:{ln}: key {key!r} is already set on line {first[key]}")
+            raise InputError(f"{path}:{ln}: key {key!r} is already set on line {first[key]}")
         field, cast = CONFIG_KEYS[key]
         try:
             overrides[field] = cast(value)
         except ValueError:
-            raise UsageError(
-                f"{path}:{ln}: cannot parse {value!r} as {cast.__name__} for {key!r}"
-            )
+            raise InputError(f"{path}:{ln}: cannot parse {value!r} as {cast.__name__} for {key!r}")
     try:
         return rs.ExperimentParams(**overrides)
     except InputError as ex:
-        raise UsageError(f"{path}: {ex}")
+        raise InputError(f"{path}: {ex}")
 
 
 def _resolve_seed(args) -> int:
@@ -125,9 +119,9 @@ def _resolve_seed(args) -> int:
         try:
             seed, source = int(env), "BLINDPREP_SEED"
         except ValueError:
-            raise UsageError(f"BLINDPREP_SEED must be an integer, got {env!r}")
+            raise InputError(f"BLINDPREP_SEED must be an integer, got {env!r}")
     if seed < 0:
-        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+        raise InputError(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -176,9 +170,9 @@ def _pattern_min_fidelity(
 
 def cmd_verify_gates(args) -> int:
     if args.sep < 1:
-        raise UsageError("--sep must be a positive integer")
+        raise InputError("--sep must be a positive integer")
     if args.paths < 1:
-        raise UsageError("--paths must be a positive integer")
+        raise InputError("--paths must be a positive integer")
     seed = _resolve_seed(args)
 
     gates: list = []
@@ -219,7 +213,7 @@ def _branch_hex(word) -> str:
 
 def cmd_prepare(args) -> int:
     if not 0 <= args.theta <= 7:
-        raise UsageError("--theta must be an integer in 0..7")
+        raise InputError("--theta must be an integer in 0..7")
     seed = _resolve_seed(args)
     theta = args.theta * math.pi / 4
 
@@ -257,9 +251,9 @@ def cmd_prepare(args) -> int:
 
 def cmd_correct(args) -> int:
     if not 1 <= args.pos <= 7:
-        raise UsageError("--pos must be an integer in 1..7")
+        raise InputError("--pos must be an integer in 1..7")
     if not 0 <= args.theta <= 7:
-        raise UsageError("--theta must be an integer in 0..7")
+        raise InputError("--theta must be an integer in 0..7")
     seed = _resolve_seed(args)
     theta = args.theta * math.pi / 4
 
@@ -299,9 +293,9 @@ def _report_line(tag: str, rep: bl.BlindnessReport) -> str:
 
 def cmd_blindness(args) -> int:
     if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
-        raise UsageError(f"--epsilon must be a positive finite number, got {args.epsilon!r}")
+        raise InputError(f"--epsilon must be a positive finite number, got {args.epsilon!r}")
     if args.paths < 1:
-        raise UsageError("--paths must be a positive integer")
+        raise InputError("--paths must be a positive integer")
     seed = _resolve_seed(args)
 
     print(f"blindness: {args.protocol} protocol, 8 phases k*pi/4")
@@ -325,16 +319,16 @@ def cmd_blindness(args) -> int:
 def cmd_resources(args) -> int:
     for flag in ("lmin", "lmax", "step"):
         if not math.isfinite(getattr(args, flag)):
-            raise UsageError(f"--{flag} must be a finite number")
+            raise InputError(f"--{flag} must be a finite number")
     if args.step <= 0.0:
-        raise UsageError("--step must be positive")
+        raise InputError("--step must be positive")
     if args.lmin < 0.0:
-        raise UsageError("--lmin cannot be negative")
+        raise InputError("--lmin cannot be negative")
     if args.lmax < args.lmin:
-        raise UsageError("--lmax must be at least --lmin")
+        raise InputError("--lmax must be at least --lmin")
     span = (args.lmax - args.lmin) / args.step + 1e-9
     if span >= MAX_SWEEP_ROWS:
-        raise UsageError(f"the sweep would exceed {MAX_SWEEP_ROWS} rows")
+        raise InputError(f"the sweep would exceed {MAX_SWEEP_ROWS} rows")
     params = load_config(args.config) if args.config else rs.ExperimentParams()
 
     count = int(math.floor(span)) + 1
@@ -355,7 +349,7 @@ def cmd_resources(args) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as ex:
-            raise UsageError(f"cannot write {args.out}: {ex}")
+            raise InputError(f"cannot write {args.out}: {ex}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -441,7 +435,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, InputError, StructuralError, SequencingError) as ex:
+    except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

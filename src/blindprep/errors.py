@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per way a caller handles it.
 
-Distinguishes input mistakes (bad arguments, malformed patterns) from sequencing
-mistakes (valid objects used in an invalid order) and from internal contract
-violations, so callers and the CLI can map them to exit codes.
+- InputError: a caller mistake (bad flag, config or argument, malformed
+  pattern, a valid object used out of order); the CLI prints one `error:`
+  line and exits 1.
+- EstimationError: a resource estimate is undefined; the sweep writes an NA row.
+- DegenerateBranchError: a forced branch is impossible; enumerate_branches
+  prunes its subtree.
+- ContractViolation: an internal invariant failed; a bug, so it keeps its
+  traceback.
 """
 
 from __future__ import annotations
@@ -10,14 +15,6 @@ from __future__ import annotations
 
 class InputError(ValueError):
     """A caller-supplied value violates a documented precondition."""
-
-
-class StructuralError(ValueError):
-    """A pattern or its parts are malformed (duplicate edge, bad role, loose reference)."""
-
-
-class SequencingError(RuntimeError):
-    """Valid objects used in an invalid order (measuring a removed qubit, ...)."""
 
 
 class ContractViolation(AssertionError):

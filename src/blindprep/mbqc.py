@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import statevector as sv
-from .errors import DegenerateBranchError, InputError, SequencingError, StructuralError
+from .errors import DegenerateBranchError, InputError
 
 LIVE_CAP = 20  # max simultaneously-alive qubits during pattern execution
 MAX_ENUMERATED = 22  # most measurements whose branches enumerate_branches walks
@@ -62,7 +62,7 @@ Node = tuple  # (x, y) int pairs
 def _pair(node) -> Node:
     """node itself, checked to be an (x, y) int pair before anything hashes it."""
     if not isinstance(node, tuple) or len(node) != 2 or not all(isinstance(c, int) for c in node):
-        raise StructuralError(f"node {node!r} is not an (x, y) int pair")
+        raise InputError(f"node {node!r} is not an (x, y) int pair")
     return node
 
 
@@ -93,11 +93,11 @@ class Role:
         angle, deps = float(self.angle), frozenset(map(_pair, self.deps))
         if self.kind in FIXED_BASES:
             if angle or deps:
-                raise StructuralError(f"only rot roles carry an angle or deps, not {self.kind}")
+                raise InputError(f"only rot roles carry an angle or deps, not {self.kind}")
         elif self.kind != "rot":
-            raise StructuralError(f"unknown role kind {self.kind!r}")
+            raise InputError(f"unknown role kind {self.kind!r}")
         elif not math.isfinite(angle):
-            raise StructuralError(f"rot angle must be finite, got {angle!r}")
+            raise InputError(f"rot angle must be finite, got {angle!r}")
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "deps", deps)
 
@@ -126,8 +126,7 @@ class MeasurementPattern:
     order = outputs order); None for a pattern that claims none, such as a
     gate_layout or blindness.min_cluster_pattern.
     schedule: the executor's steps, lowered by _lower when the pattern is
-    built: schedule[False] for dict inputs, schedule[True] for a joint input
-    state. It is immutable, so copies of a pattern share it.
+    built. It is immutable, so copies of a pattern share it.
 
     Construction validates and lowers once; a change made in place later is
     not checked, and the executor still runs the steps and edges lowered at
@@ -148,45 +147,43 @@ class MeasurementPattern:
         nodes: set = set()
         for node in map(_pair, self.nodes):
             if node in nodes:
-                raise StructuralError(f"node {_c(node)} is measured twice or also an output")
+                raise InputError(f"node {_c(node)} is measured twice or also an output")
             nodes.add(node)
         for i, node in enumerate(map(_pair, self.inputs)):
             if node not in nodes:
-                raise StructuralError(f"input {_c(node)} is not a measured node or an output")
+                raise InputError(f"input {_c(node)} is not a measured node or an output")
             if node in self.inputs[:i]:
-                raise StructuralError(f"input {_c(node)} is declared twice")
+                raise InputError(f"input {_c(node)} is declared twice")
         measured: set = set()
         for node, role in self.steps:
             late = role.deps - measured
             if late:
-                raise StructuralError(f"dep {_c(min(late))} is not measured earlier")
+                raise InputError(f"dep {_c(min(late))} is not measured earlier")
             measured.add(node)
         pairs: set = set()
         for a, b in self.edges:
             pair = frozenset((_pair(a), _pair(b)))
             if a == b:
-                raise StructuralError(f"edge {_c(a)} {_c(b)} is a self-loop")
+                raise InputError(f"edge {_c(a)} {_c(b)} is a self-loop")
             for end in (a, b):
                 if end not in nodes:
-                    raise StructuralError(f"edge end {_c(end)} is not a measured node or an output")
+                    raise InputError(f"edge end {_c(end)} is not a measured node or an output")
             if pair in pairs:
-                raise StructuralError(f"edge {_c(a)} {_c(b)} is declared twice")
+                raise InputError(f"edge {_c(a)} {_c(b)} is declared twice")
             pairs.add(pair)
         self.edges = [tuple(sorted(e)) for e in self.edges]
         for kind, corr in (("xcorr", self.x_corr), ("zcorr", self.z_corr)):
             for out, dep_nodes in corr.items():
                 if out not in self.outputs:
-                    raise StructuralError(f"{kind} target {_c(out)} is not an output")
+                    raise InputError(f"{kind} target {_c(out)} is not an output")
                 unmeasured = frozenset(map(_pair, dep_nodes)) - measured
                 if unmeasured:
-                    raise StructuralError(
-                        f"{kind} node {_c(min(unmeasured))} is not a measured node"
-                    )
+                    raise InputError(f"{kind} node {_c(min(unmeasured))} is not a measured node")
         if self.declared_unitary is not None:
             d = 2 ** len(self.inputs)
             if self.declared_unitary.shape != (d, d):
-                raise StructuralError("declared unitary dimension mismatch")
-        self.schedule = (_lower(self, False), _lower(self, True))
+                raise InputError("declared unitary dimension mismatch")
+        self.schedule = _lower(self)
 
     @property
     def nodes(self) -> list:
@@ -239,7 +236,7 @@ def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
     par = 0
     for node in nodes:
         if node not in outcomes:
-            raise SequencingError(f"dependency {node} has no recorded outcome")
+            raise InputError(f"dependency {node} has no recorded outcome")
         par ^= outcomes[node] & 1
     return par
 
@@ -268,10 +265,10 @@ def run_pattern(
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
     The steps are p.schedule, lowered when p was built: nodes are created
-    only when first needed and each CZ edge is folded into the measurement
-    of its first measured endpoint, so the live width (spectators excluded)
-    stays within LIVE_CAP. Only an edge between two outputs goes through
-    sv.apply_gate, last.
+    only when first needed (a joint state's inputs never are) and each CZ
+    edge is folded into the measurement of its first measured endpoint, so
+    the live width (spectators excluded) stays within LIVE_CAP. Only an edge
+    between two outputs goes through sv.apply_gate, last.
     """
     # a joint state is used as given: measure, apply_gate and tensor never
     # write to their input; its labels past the inputs are spectators
@@ -286,11 +283,14 @@ def run_pattern(
         if node not in wires:
             raise InputError(f"state supplied for non-input node {node}")
 
-    width = 0 if live is None else len(wires)
+    held = () if live is None else wires  # the inputs a joint state already holds
+    width = len(held)
     transcript = Transcript()
     outcomes: dict = {}
-    for node, role, new, cz in p.schedule[live is not None]:
+    for node, role, new, cz in p.schedule:
         for fresh in new:
+            if fresh in held:
+                continue
             width += 1
             # checked before the tensor, so no state past the cap is ever built
             if width > LIVE_CAP:
@@ -320,16 +320,17 @@ def run_pattern(
     return live, transcript, frame
 
 
-def _lower(p: MeasurementPattern, joint: bool) -> tuple:
+def _lower(p: MeasurementPattern) -> tuple:
     """run_pattern's steps, (node, role, nodes to create first, CZ partners),
-    then (None, None, outputs to create, edges between two outputs)."""
+    then (None, None, outputs to create, edges between two outputs). Each
+    node is created at its first use, inputs included."""
     last = len(p.steps)
     at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
     partners: list = [[] for _ in range(last + 1)]
     for a, b in p.edges:  # to the first measured end, in p.edges order
         a, b = (a, b) if at[a] <= at[b] else (b, a)
         partners[at[a]].append(b if at[a] < last else (a, b))
-    created = set(p.inputs) if joint else set()  # a joint state holds the inputs
+    created: set = set()
     steps = []
     for (node, role), cz in zip(p.steps + [(None, None)], partners):
         new = tuple(q for q in ([node] + cz if role is not None else p.outputs) if q not in created)
@@ -403,7 +404,7 @@ class PatternBuilder:
     def wire(self, key, x: int, y: int) -> Node:
         """Register a wire whose input node sits at (x, y)."""
         if key in self._wires:
-            raise StructuralError(f"wire {key!r} already exists")
+            raise InputError(f"wire {key!r} already exists")
         node = (x, y)
         self._wires[key] = {"input": node, "carrier": node, "a": frozenset(), "b": frozenset()}
         return node

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateBranchError, InputError, SequencingError
+from .errors import ContractViolation, DegenerateBranchError, InputError
 
 QUBIT_CAP = 24
 _NORM_TOL = 1e-9
@@ -96,6 +96,9 @@ Z = Gate("Z", np.array([[1, 0], [0, -1]]))
 H = Gate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 CZ = Gate("CZ", np.diag([1, 1, 1, -1]))
 CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+# read-only: shared by every caller, and a write would leave rows stale
+for _g in (X, Y, Z, H, CZ, CNOT):
+    _g.matrix.flags.writeable = False
 # CZ rewrites one row, (1, 1), with one term: its -1 entry as a 0-d array;
 # measure folds CZ in by the same product that _contract makes
 _CZ_SIGN = CZ.rows[0][1][0][1]
@@ -137,7 +140,7 @@ class ForcedBranch:
 
     def choose(self, p0: float, p1: float) -> int:
         if self.pos >= len(self.bits):
-            raise SequencingError("branch word exhausted: more measurements than bits")
+            raise InputError("branch word exhausted: more measurements than bits")
         bit = self.bits[self.pos]
         self.pos += 1
         return bit
@@ -182,7 +185,7 @@ class PureState:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise SequencingError(f"qubit {label!r} is not part of this state") from None
+            raise InputError(f"qubit {label!r} is not part of this state") from None
 
     def vector(self, order: Sequence[Label] | None = None) -> np.ndarray:
         """Flat amplitude vector, axes permuted to ``order`` (default: self.labels)."""

@@ -265,9 +265,7 @@ def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     |+_theta> data input, then undoing the tracked byproducts."""
     p = compile_encoder()
     data_in = p.inputs[DATA_WIRE - 1]
-    state, transcript, frame = mbqc.run_pattern(
-        p, {data_in: sv.new_plus_theta(theta).amps.reshape(-1)}, src
-    )
+    state, transcript, frame = mbqc.run_pattern(p, {data_in: sv.new_plus_theta(theta)}, src)
     state = mbqc.apply_byproducts(state, frame)
     relabel = {node: ("d", i + 1) for i, node in enumerate(p.outputs)}
     state = sv.PureState(state.amps, [relabel.get(lb, lb) for lb in state.labels])

@@ -8,8 +8,7 @@ import pytest
 
 import blindprep.cli as cli
 from blindprep.cli import CONFIG_KEYS, CSV_HEADER, load_config, main
-from blindprep.cli import UsageError
-from blindprep.errors import ContractViolation, InputError, SequencingError, StructuralError
+from blindprep.errors import ContractViolation, InputError
 from blindprep.resources import ExperimentParams, estimate
 
 
@@ -158,9 +157,9 @@ def test_zero_step_is_usage_error(capsys):
     assert "positive" in err
 
 
-@pytest.mark.parametrize("error", [UsageError, InputError, StructuralError, SequencingError])
+@pytest.mark.parametrize("error", [InputError])
 def test_input_type_errors_exit_one_with_one_line(capsys, monkeypatch, error):
-    # no current flag reaches StructuralError or SequencingError, so a stub raises them
+    # any InputError a command raises, from any layer, is one line and exit 1
     def cmd(args):
         raise error("stubbed failure")
 
@@ -420,13 +419,13 @@ def test_config_repeated_key_rejected(capsys, tmp_path):
 
 def test_config_bad_value_rejected(tmp_path):
     path = write_config(tmp_path, "mu = bright\n")
-    with pytest.raises(UsageError, match="cannot parse"):
+    with pytest.raises(InputError, match="cannot parse"):
         load_config(path)
 
 
 def test_config_bad_line_rejected(tmp_path):
     path = write_config(tmp_path, "mu 0.7\n")
-    with pytest.raises(UsageError, match="key = value"):
+    with pytest.raises(InputError, match="key = value"):
         load_config(path)
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 import blindprep.mbqc as mbqc
 import blindprep.statevector as sv
-from blindprep.errors import InputError, SequencingError, StructuralError
+from blindprep.errors import InputError
 from blindprep.mbqc import (
     FIXED_BASES,
     LIVE_CAP,
@@ -103,27 +104,27 @@ X00 = [((0, 0), Role("x"))]
 def test_graph_rejects_duplicate_nodes():
     # the node set is the measured nodes plus the outputs, each once
     assert two_node(X00).nodes == [(0, 0), (1, 0)]
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^node 0,0 is measured twice or also an output$"):
         two_node(X00 + X00)  # measured twice
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^node 0,0 is measured twice or also an output$"):
         two_node(X00, outputs=[(1, 0), (0, 0)])  # measured and an output
     for bad in [(0, 0.0), (0, "1"), [0, 0], (0, 0, 0)]:  # not an (x, y) int pair
-        with pytest.raises(StructuralError):
+        with pytest.raises(InputError, match=f"^node {re.escape(repr(bad))} is not an "):
             two_node(X00, outputs=[bad], edges=[])
 
 
 def test_graph_rejects_self_loop_and_duplicate_edges():
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^edge 0,0 0,0 is a self-loop$"):
         two_node(X00, edges=[((0, 0), (0, 0))])
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^edge 1,0 0,0 is declared twice$"):
         two_node(X00, edges=[((0, 0), (1, 0)), ((1, 0), (0, 0))])
 
 
 def test_graph_rejects_edge_to_missing_node():
     # an edge endpoint or an input that is neither measured nor an output
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^edge end 2,0 is not a measured node or an output$"):
         two_node(X00, edges=[((0, 0), (1, 0)), ((1, 0), (2, 0))])
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^input 2,0 is not a measured node or an output$"):
         two_node(X00, inputs=[(2, 0)])
 
 
@@ -134,7 +135,7 @@ def test_graph_bounding_box():
 
 def test_pattern_steps_must_cover_non_outputs():
     # without a step for (0, 0), the input and the edge name a missing node
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^input 0,0 is not a measured node or an output$"):
         two_node([])
 
 
@@ -144,23 +145,23 @@ def test_pattern_rejects_acausal_dependency():
         ((1, 0), Role("x")),
     ]
     edges = [((0, 0), (1, 0)), ((1, 0), (2, 0))]
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^dep 1,0 is not measured earlier$"):
         two_node(steps, outputs=[(2, 0)], edges=edges)
 
 
 def test_role_validation():
     # unknown kinds, z/x/y with an angle or deps, rot with a non-finite angle
-    for kind, angle, deps in [
-        ("x", 0.3, ()),
-        ("x", 0.0, frozenset({(0, 0)})),
-        ("q", 0.0, ()),
-        ("y", math.pi / 2, ()),
-        ("z", 0.0, [(1, 1)]),
-        ("rot", math.nan, ()),
-        ("rot", math.inf, ()),
-        ("rot", -math.inf, [(0, 0)]),
+    for kind, angle, deps, message in [
+        ("x", 0.3, (), "only rot roles carry an angle or deps, not x"),
+        ("x", 0.0, frozenset({(0, 0)}), "only rot roles carry an angle or deps, not x"),
+        ("q", 0.0, (), "unknown role kind 'q'"),
+        ("y", math.pi / 2, (), "only rot roles carry an angle or deps, not y"),
+        ("z", 0.0, [(1, 1)], "only rot roles carry an angle or deps, not z"),
+        ("rot", math.nan, (), "rot angle must be finite, got nan"),
+        ("rot", math.inf, (), "rot angle must be finite, got inf"),
+        ("rot", -math.inf, [(0, 0)], "rot angle must be finite, got -inf"),
     ]:
-        with pytest.raises(StructuralError):
+        with pytest.raises(InputError, match=f"^{message}$"):
             Role(kind, angle, deps)
 
 
@@ -221,9 +222,9 @@ def test_hop_rejects_z_and_fixed_hops_with_an_angle():
     b.wire("w", 0, 0)
     with pytest.raises(InputError):
         b.hop("w", "z")
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^only rot roles carry an angle or deps, not x$"):
         b.hop("w", "x", 0.3)
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^rot angle must be finite, got nan$"):
         b.hop("w", "rot", math.nan)
     # a rejected hop leaves the builder untouched
     assert b.hop("w", "x") == (1, 0)
@@ -234,7 +235,7 @@ def test_build_rejects_a_node_placed_twice():
     b.wire("w", 0, 0)
     b.wire("v", 1, 0)
     b.hop("w", "x")  # onto (1, 0), the input of wire v
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^node 1,0 is measured twice or also an output$"):
         b.build(["w", "v"], None)
 
 
@@ -330,7 +331,7 @@ def test_rot_basis_sign_follows_parity():
     assert Role("rot", 0.3, [(1, 0)]).basis(outcomes) == pytest.approx(-0.3)
     assert Role("rot", 0.3, [(2, 0)]).basis(outcomes) == pytest.approx(0.3)
     assert Role("rot", 0.3, [(1, 0), (3, 0)]).basis(outcomes) == pytest.approx(0.3)
-    with pytest.raises(SequencingError):
+    with pytest.raises(InputError, match=r"^dependency \(9, 9\) has no recorded outcome$"):
         Role("rot", 0.3, [(9, 9)]).basis(outcomes)
 
 
@@ -534,14 +535,34 @@ def lowering_cases():
     yield "output_edge", output_edge_pattern()
 
 
+def without(schedule, held):
+    """schedule with the nodes in held dropped from each step's nodes to create."""
+    return tuple(
+        (node, role, tuple(q for q in new if q not in held), cz)
+        for node, role, new, cz in schedule
+    )
+
+
 def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
     for name, p in lowering_cases():
         # dict inputs: every node, inputs included, is created at its first use
-        assert p.schedule[False] == adjacency_walk(p, ()), name
-        # the Choi probe holds the inputs, plus spectators that no step touches
+        assert p.schedule == adjacency_walk(p, ()), name
+        # a joint state, such as the Choi probe, holds the inputs plus
+        # spectators that no step touches: run_pattern skips the inputs
         probe = choi_probe(p)[0] if p.declared_unitary is not None else None
         labels = p.inputs if probe is None else probe.labels
-        assert p.schedule[True] == adjacency_walk(p, labels), name
+        assert without(p.schedule, set(p.inputs)) == adjacency_walk(p, labels), name
+
+
+def test_construction_lowers_once(monkeypatch):
+    # one schedule serves dict inputs and a joint input state alike
+    calls = []
+    real = mbqc._lower
+    monkeypatch.setattr(mbqc, "_lower", lambda p: calls.append(p) or real(p))
+    p = two_node(X00)
+    assert len(calls) == 1 and calls[0] is p
+    q = dataclasses.replace(p)
+    assert len(calls) == 2 and calls[1] is q
 
 
 def test_runs_after_construction_never_lower_again(monkeypatch):
@@ -582,7 +603,7 @@ def test_an_in_place_edit_of_the_steps_is_not_run():
     assert [e.node for e in got[1].entries] == [e.node for e in want[1].entries]
     assert dropped[0] in [e.node for e in got[1].entries]
     assert got[0].amps.tobytes() == want[0].amps.tobytes()
-    with pytest.raises(StructuralError):
+    with pytest.raises(InputError, match="^edge end 4,0 is not a measured node or an output$"):
         dataclasses.replace(p)  # the edited fields no longer form a pattern
 
 
@@ -590,8 +611,8 @@ def test_replace_lowers_the_new_pattern_afresh():
     p = pattern_for_gate(CNOTGate(3))
     q = dataclasses.replace(p, steps=list(reversed(p.steps)))
     assert q.schedule is not p.schedule and q.schedule != p.schedule
-    assert q.schedule[False] == adjacency_walk(q, ())
-    assert q.schedule[True] == adjacency_walk(q, q.inputs)
+    assert q.schedule == adjacency_walk(q, ())
+    assert without(q.schedule, set(q.inputs)) == adjacency_walk(q, q.inputs)
     # the same fields give an equal schedule, lowered again
     again = dataclasses.replace(p)
     assert again.schedule == p.schedule and again.schedule is not p.schedule
@@ -892,9 +913,8 @@ def test_pattern_built_in_code_reports_the_parsers_fault(name):
     fields, message = DIRECT_FAULTS[name]
     wire = {"inputs": [(0, 0)], "outputs": [(1, 0)], "steps": X00, "edges": [],
             "x_corr": {}, "z_corr": {}}
-    with pytest.raises(StructuralError) as info:
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         MeasurementPattern(**{**wire, **fields})
-    assert str(info.value) == message
 
 
 # a list where an (x, y) pair belongs, in each place a pattern hashes a node
@@ -911,7 +931,7 @@ LIST_NODE_FIELDS = {
 def test_a_list_node_is_a_structural_fault(place):
     wire = {"inputs": [(0, 0)], "outputs": [(1, 0)], "steps": X00, "edges": [],
             "x_corr": {}, "z_corr": {}}
-    with pytest.raises(StructuralError, match=r"^node \[0, 0\] is not an \(x, y\) int pair$"):
+    with pytest.raises(InputError, match=r"^node \[0, 0\] is not an \(x, y\) int pair$"):
         MeasurementPattern(**{**wire, **LIST_NODE_FIELDS[place]()})
 
 

@@ -3,8 +3,8 @@ resource estimate behind the config.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
-function may raise is its documented one: UsageError for a config,
-EstimationError for an estimate.
+function may raise is its documented one: InputError for a config, its
+message led by the config's path, and EstimationError for an estimate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from blindprep.cli import CONFIG_KEYS, UsageError, load_config
+from blindprep.cli import CONFIG_KEYS, load_config
 from blindprep.errors import EstimationError, InputError
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
 
@@ -50,7 +50,9 @@ def test_load_config_returns_params_or_raises_usage_error(text):
             fh.write(text)
         try:
             params = load_config(path)
-        except UsageError:
+        except InputError as ex:
+            # an ExperimentParams error that escapes unwrapped lacks the path
+            assert str(ex).startswith(f"{path}:")
             return
     assert isinstance(params, ExperimentParams)
 

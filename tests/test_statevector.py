@@ -18,7 +18,6 @@ from blindprep.errors import (
     ContractViolation,
     DegenerateBranchError,
     InputError,
-    SequencingError,
 )
 from helpers import I2, S, new_basis_state, reference_measure, reference_tensor
 
@@ -45,6 +44,17 @@ def test_pauli_products():
 def test_gates_unitary(g):
     m = g.matrix
     assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
+
+
+def test_shared_gate_matrices_are_read_only():
+    # a pattern's declared unitary can be H.matrix itself; a write through it
+    # would change every later rotation_unitary but not H.rows
+    from blindprep.mbqc import HadamardGate, pattern_for_gate
+
+    assert pattern_for_gate(HadamardGate()).declared_unitary is sv.H.matrix
+    for g in (sv.X, sv.Y, sv.Z, sv.H, sv.CZ, sv.CNOT):
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 0.0
 
 
 def test_cz_symmetric():
@@ -111,7 +121,7 @@ def test_cz_on_plus_plus_matches_matrix_oracle():
 
 def test_gate_on_missing_qubit_is_sequencing_error():
     s = new_basis_state(1)
-    with pytest.raises(SequencingError):
+    with pytest.raises(InputError, match="^qubit 'nope' is not part of this state$"):
         sv.apply_gate(s, sv.X, ["nope"])
 
 
@@ -376,7 +386,7 @@ def test_apply_cnots_rejects_a_repeated_target_and_an_unknown_label():
         sv.apply_cnots(s, [(0, 1), (2, 2)])
     with pytest.raises(InputError):
         sv.apply_cnots(s, [(0, 1, 2)])
-    with pytest.raises(SequencingError, match="not part of this state"):
+    with pytest.raises(InputError, match="not part of this state"):
         sv.apply_cnots(s, [(0, 1), (0, "z")])
 
 
@@ -444,7 +454,7 @@ def test_measure_is_destructive_and_renormalized():
     outcome, prob, rest = sv.measure(s, "anc", None, sv.ForcedBranch([0]))
     assert rest.labels == ["d"]
     assert np.vdot(rest.vector(), rest.vector()).real == pytest.approx(1.0, abs=ATOL)
-    with pytest.raises(SequencingError):
+    with pytest.raises(InputError, match="^qubit 'anc' is not part of this state$"):
         sv.measure(rest, "anc", None, sv.ForcedBranch([0]))
 
 
@@ -589,7 +599,7 @@ def test_measure_rejects_a_repeated_or_unknown_cz_partner():
     for cz in ([0], [1, 1], [2, 1, 2]):
         with pytest.raises(InputError, match="duplicate target labels"):
             sv.measure(s, 0, None, sv.ForcedBranch([0]), cz)
-    with pytest.raises(SequencingError, match="not part of this state"):
+    with pytest.raises(InputError, match="not part of this state"):
         sv.measure(s, 0, 0.0, sv.ForcedBranch([0]), [1, "z"])
 
 
