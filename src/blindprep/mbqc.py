@@ -19,6 +19,9 @@ Conventions (fixed once, everything else is derived):
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
   computed symbolically by PatternBuilder while a layout is described.
+  Construction lowers each set to a bit mask over step positions, so a run
+  keeps its outcomes as one int and reads each sign or exponent as the
+  parity of that int under a mask.
 
 Gate layouts (node counts are this implementation's choice; the soundness
 tests are the authority for their correctness):
@@ -101,12 +104,6 @@ class Role:
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "deps", deps)
 
-    def basis(self, outcomes: dict) -> float | None:
-        """The delta to measure in (None for Z), given the outcomes so far."""
-        if self.kind == "rot":
-            return -self.angle if _parity(self.deps, outcomes) else self.angle
-        return FIXED_BASES[self.kind]
-
 
 # -------------------------------------------------------------- patterns ----
 
@@ -125,12 +122,14 @@ class MeasurementPattern:
     declared_unitary: intended map on the wire space (inputs order = wire
     order = outputs order); None for a pattern that claims none, such as a
     gate_layout or blindness.min_cluster_pattern.
-    schedule: the executor's steps, lowered by _lower when the pattern is
-    built. It is immutable, so copies of a pattern share it.
+    schedule: what the executor runs, lowered by _lower when the pattern is
+    built: the steps, each measured one with its delta and the bit mask of
+    its deps (bit i is step i), the x_corr / z_corr masks of each output,
+    and the node set. It is immutable, so copies of a pattern share it.
 
     Construction validates and lowers once; a change made in place later is
-    not checked, and the executor still runs the steps and edges lowered at
-    construction. To change a pattern, build a new one, for example with
+    not checked, and the executor still runs the steps, edges and
+    corrections lowered at construction. To change a pattern, build a new one, for example with
     dataclasses.replace.
     """
 
@@ -232,15 +231,6 @@ class ByproductFrame:
     exps: dict  # node -> (a, b)
 
 
-def _parity(nodes: Iterable[Node], outcomes: dict) -> int:
-    par = 0
-    for node in nodes:
-        if node not in outcomes:
-            raise InputError(f"dependency {node} has no recorded outcome")
-        par ^= outcomes[node] & 1
-    return par
-
-
 def apply_byproducts(state: sv.PureState, frame: ByproductFrame) -> sv.PureState:
     """Apply the pending corrections: X^a Z^b means Z first, then X."""
     for node, (a, b) in frame.exps.items():
@@ -270,6 +260,7 @@ def run_pattern(
     the live width (spectators excluded) stays within LIVE_CAP. Only an edge
     between two outputs goes through sv.apply_gate, last.
     """
+    steps, corr, nodes = p.schedule
     # a joint state is used as given: measure, apply_gate and tensor never
     # write to their input; its labels past the inputs are spectators
     live = inputs if isinstance(inputs, sv.PureState) else None
@@ -277,7 +268,7 @@ def run_pattern(
     wires = set(p.inputs)
     if live is not None and not wires <= set(live.labels):
         raise InputError("joint input state must cover every input node")
-    if live is not None and not (set(live.labels) - wires).isdisjoint(p.nodes):
+    if live is not None and not nodes.isdisjoint(set(live.labels) - wires):
         raise InputError("joint input state labels collide with non-input nodes")
     for node in seeded:
         if node not in wires:
@@ -286,8 +277,8 @@ def run_pattern(
     held = () if live is None else wires  # the inputs a joint state already holds
     width = len(held)
     transcript = Transcript()
-    outcomes: dict = {}
-    for node, role, new, cz in p.schedule:
+    bits = 0  # bit i is the outcome of step i
+    for i, (node, delta, deps, new, cz) in enumerate(steps):
         for fresh in new:
             if fresh in held:
                 continue
@@ -298,45 +289,50 @@ def run_pattern(
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
             q = sv._relabeled(sv.PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
-        if role is None:  # the last step: edges between two outputs
+        if node is None:  # the last step: edges between two outputs
             for a, b in cz:
                 live = sv.apply_gate(live, sv.CZ, [a, b])
             continue
-        basis = role.basis(outcomes)
-        outcome, prob, live = sv.measure(live, node, basis, src, cz)
+        if (deps & bits).bit_count() & 1:
+            delta = -delta
+        outcome, prob, live = sv.measure(live, node, delta, src, cz)
         width -= 1
-        outcomes[node] = outcome
-        transcript.entries.append(TranscriptEntry(node, basis, outcome, prob))
+        bits |= outcome << i
+        transcript.entries.append(TranscriptEntry(node, delta, outcome, prob))
 
-    frame = ByproductFrame(
-        {
-            out: (
-                _parity(p.x_corr.get(out, ()), outcomes),
-                _parity(p.z_corr.get(out, ()), outcomes),
-            )
-            for out in p.outputs
-        }
-    )
-    return live, transcript, frame
+    frame = {out: ((x & bits).bit_count() & 1, (z & bits).bit_count() & 1) for out, x, z in corr}
+    return live, transcript, ByproductFrame(frame)
 
 
 def _lower(p: MeasurementPattern) -> tuple:
-    """run_pattern's steps, (node, role, nodes to create first, CZ partners),
-    then (None, None, outputs to create, edges between two outputs). Each
-    node is created at its first use, inputs included."""
+    """run_pattern's (steps, corr, nodes). steps: (node, delta, deps mask,
+    nodes to create first, CZ partners) per measured node, delta its
+    FIXED_BASES value or rot angle, then (None, None, 0, outputs to create,
+    edges between two outputs). Each node is created at its first use,
+    inputs included. corr: (output, x_corr mask, z_corr mask) per output.
+    Bit i of a mask is step i. nodes: every node, as a frozenset."""
     last = len(p.steps)
     at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
+
+    def mask(nodes: Iterable[Node]) -> int:
+        return sum(1 << at[node] for node in nodes)
+
     partners: list = [[] for _ in range(last + 1)]
     for a, b in p.edges:  # to the first measured end, in p.edges order
         a, b = (a, b) if at[a] <= at[b] else (b, a)
         partners[at[a]].append(b if at[a] < last else (a, b))
     created: set = set()
     steps = []
-    for (node, role), cz in zip(p.steps + [(None, None)], partners):
-        new = tuple(q for q in ([node] + cz if role is not None else p.outputs) if q not in created)
+    # the last step measures nothing: a z role gives it delta None, deps 0
+    for (node, role), cz in zip(p.steps + [(None, Role("z"))], partners):
+        new = tuple(q for q in ([node] + cz if node is not None else p.outputs) if q not in created)
         created.update(new)
-        steps.append((node, role, new, tuple(cz)))
-    return tuple(steps)
+        delta = FIXED_BASES.get(role.kind, role.angle)
+        steps.append((node, delta, mask(role.deps), new, tuple(cz)))
+    corr = tuple(
+        (out, mask(p.x_corr.get(out, ())), mask(p.z_corr.get(out, ()))) for out in p.outputs
+    )
+    return tuple(steps), corr, frozenset(at)
 
 
 def enumerate_branches(
@@ -584,13 +580,14 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
 
     The probe maximally entangles each input node with its own spectator
     label ("spec", i); the target is the declared unitary applied to the
-    probe, relabelled onto the output nodes.
+    probe, on the output nodes. The probe is one amplitude times the sum of
+    |c>|c> over input words c, so the target is that amplitude times U with
+    its rows on the outputs and its columns on the spectators.
     """
     probe = None
     for i, node in enumerate(p.inputs):
         pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
         probe = pair if probe is None else sv.tensor(probe, pair)
-    moved = sv.apply_gate(probe, sv.Gate("declared", p.declared_unitary), list(p.inputs))
-    relabel = dict(zip(p.inputs, p.outputs))
-    target = sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
+    specs = [("spec", i) for i in range(len(p.inputs))]
+    target = sv.PureState(probe.amps.flat[0] * p.declared_unitary, list(p.outputs) + specs)
     return probe, target

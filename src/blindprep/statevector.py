@@ -60,6 +60,8 @@ class Gate:
     ``rows`` lists each output row that is not the identity's row as (row
     bits, terms): one (column bits, entry) term per non-zero entry, entry
     None when it is exactly 1. Bits hold one 0/1 per target, first target first.
+    ``matrix`` is a read-only copy, so no write, by the caller or through a
+    shared constant, can leave ``rows`` stale.
     """
 
     kind: str
@@ -67,7 +69,7 @@ class Gate:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"gate {self.kind}: matrix must be square, got {m.shape}")
         n = m.shape[0]
@@ -75,6 +77,7 @@ class Gate:
             raise InputError(f"gate {self.kind}: dimension {n} is not a power of two")
         if not np.allclose(m @ m.conj().T, np.eye(n), atol=_UNITARY_TOL):
             raise InputError(f"gate {self.kind}: matrix is not unitary within {_UNITARY_TOL}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         bits = list(np.ndindex((2,) * self.arity))
         rows = []
@@ -96,9 +99,6 @@ Z = Gate("Z", np.array([[1, 0], [0, -1]]))
 H = Gate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 CZ = Gate("CZ", np.diag([1, 1, 1, -1]))
 CNOT = Gate("CNOT", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
-# read-only: shared by every caller, and a write would leave rows stale
-for _g in (X, Y, Z, H, CZ, CNOT):
-    _g.matrix.flags.writeable = False
 # CZ rewrites one row, (1, 1), with one term: its -1 entry as a 0-d array;
 # measure folds CZ in by the same product that _contract makes
 _CZ_SIGN = CZ.rows[0][1][0][1]

@@ -49,6 +49,9 @@ CORRECT = [
     ["correct", "--pauli", pauli, "--pos", str(pos)] for pauli in "XYZ" for pos in range(1, 8)
 ]
 
+# the default suite: every pattern, the CNOTs at sep 2 and 3 exhaustively
+EXHAUSTIVE_GATES = [["verify-gates"]]
+
 SAMPLED_GATES = [
     ["verify-gates", "--pattern", "hadamard", "--branches", "sample", "--paths", "5"],
     ["verify-gates", "--pattern", "rotation", "--branches", "sample", "--paths", "20",
@@ -75,7 +78,10 @@ USAGE_ERRORS = [
     ["resources", "--step", "0"],
 ]
 
-INVOCATIONS = GOLDEN + PREPARE + CORRECT + SAMPLED_GATES + BLINDNESS + RESOURCES + USAGE_ERRORS
+INVOCATIONS = (
+    GOLDEN + PREPARE + CORRECT + EXHAUSTIVE_GATES + SAMPLED_GATES + BLINDNESS + RESOURCES
+    + USAGE_ERRORS
+)
 
 
 def digest() -> str:

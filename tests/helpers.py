@@ -123,6 +123,19 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
     return outcome, prob, sv._derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
 
 
+def reference_choi_target(p) -> sv.PureState:
+    """mbqc.choi_probe's target as it was built before it scaled the
+    declared unitary: a dense Gate applied to the probe's inputs, then
+    relabelled onto the outputs. The bit-for-bit reference of the target."""
+    probe = None
+    for i, node in enumerate(p.inputs):
+        pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
+        probe = pair if probe is None else sv.tensor(probe, pair)
+    moved = sv.apply_gate(probe, sv.Gate("declared", p.declared_unitary), list(p.inputs))
+    relabel = dict(zip(p.inputs, p.outputs))
+    return sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])
+
+
 def reference_estimate(length_km, p) -> rs.ResourceRow:
     """rs.estimate as it was before the terms that depend on the parameters
     alone were computed once per parameter set: the bit-for-bit reference,

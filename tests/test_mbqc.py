@@ -37,7 +37,7 @@ from blindprep.mbqc import (
     run_pattern,
     runs,
 )
-from helpers import build_cluster
+from helpers import build_cluster, reference_choi_target
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -166,13 +166,23 @@ def test_role_validation():
 
 
 def test_role_basis_follows_the_kind():
-    assert Role("z").basis({}) is FIXED_BASES["z"] is None
-    assert Role("x").basis({}) == FIXED_BASES["x"] == 0.0
-    assert Role("y").basis({}) == FIXED_BASES["y"] == math.pi / 2
-    rot = Role("rot", 0.3, [(1, 0), (2, 0)])
-    assert rot.deps == frozenset({(1, 0), (2, 0)})
-    assert rot.basis({(1, 0): 1, (2, 0): 0}) == -0.3
-    assert rot.basis({(1, 0): 1, (2, 0): 1}) == 0.3
+    # the executor measures x, y and z steps at their FIXED_BASES delta, and
+    # a rot step at its angle, negated when its deps' outcomes have odd parity
+    rot = Role("rot", 0.3, [(0, 0), (1, 0)])
+    assert rot.deps == frozenset({(0, 0), (1, 0)})
+    chain = [(x, 0) for x in range(5)]
+    kinds = [Role("x"), Role("y"), rot, Role("z")]
+    p = MeasurementPattern(
+        [(0, 0)], [(4, 0)], list(zip(chain, kinds)), list(zip(chain, chain[1:])), {}, {}
+    )
+    words = []
+    for word, _, _, transcript, _ in enumerate_branches(p, {}):
+        bases = [e.basis for e in transcript.entries]
+        assert bases[:2] == [FIXED_BASES["x"], FIXED_BASES["y"]] == [0.0, math.pi / 2]
+        assert bases[2] == (-0.3 if word[0] ^ word[1] else 0.3)
+        assert bases[3] is FIXED_BASES["z"] is None
+        words.append(word)
+    assert len(words) == 16
 
 
 # ---------------------------------------------------- single-hop identities ----
@@ -306,8 +316,8 @@ def test_hadamard_correction_sets_are_pinned():
         ((3, 0), "y", 0.0, frozenset()),
         ((4, 0), "y", 0.0, frozenset()),
     ]
-    deltas = [role.basis({}) for _, role in p.steps]
-    assert deltas == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
+    _, transcript, _ = run_pattern(p, {}, sv.BornSampler(0))
+    assert [e.basis for e in transcript.entries] == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
 
 
 def test_rotation_dependencies_are_pinned():
@@ -326,13 +336,39 @@ def test_rotation_dependencies_are_pinned():
     assert angles == pytest.approx([0.0, -0.3, -0.5, -0.7])
 
 
+def parity(nodes, outcomes):
+    """The GF(2) sum of the outcomes recorded for nodes."""
+    return sum(outcomes[node] for node in nodes) % 2
+
+
 def test_rot_basis_sign_follows_parity():
-    outcomes = {(1, 0): 1, (2, 0): 0, (3, 0): 1}
-    assert Role("rot", 0.3, [(1, 0)]).basis(outcomes) == pytest.approx(-0.3)
-    assert Role("rot", 0.3, [(2, 0)]).basis(outcomes) == pytest.approx(0.3)
-    assert Role("rot", 0.3, [(1, 0), (3, 0)]).basis(outcomes) == pytest.approx(0.3)
-    with pytest.raises(InputError, match=r"^dependency \(9, 9\) has no recorded outcome$"):
-        Role("rot", 0.3, [(9, 9)]).basis(outcomes)
+    # on every branch, against an oracle over the transcript's outcomes and
+    # the pattern's public node sets: each rot step is measured at -angle
+    # exactly when its deps have odd parity, each fixed step at its
+    # FIXED_BASES delta, and the frame is the parity of x_corr and z_corr
+    from blindprep.cli import _ROTATION_TRIPLES
+
+    rotations = [*_ROTATION_TRIPLES, (math.pi / 4, 0.0, 0.0)]  # the last has -0.0 angles
+    gates = [RotationGate(*t) for t in rotations] + [HadamardGate(), CNOTGate(1)]
+    for gate in gates:
+        p = pattern_for_gate(gate)
+        roles = dict(p.steps)
+        count = 0
+        for _, _, _, transcript, frame in enumerate_branches(p, {}):
+            got = {e.node: e.outcome for e in transcript.entries}
+            for e in transcript.entries:
+                role = roles[e.node]
+                if role.kind == "rot":
+                    want = -role.angle if parity(role.deps, got) else role.angle
+                else:
+                    want = FIXED_BASES[role.kind]
+                assert repr(e.basis) == repr(want), (gate, e.node)
+            assert frame.exps == {
+                out: (parity(p.x_corr.get(out, ()), got), parity(p.z_corr.get(out, ()), got))
+                for out in p.outputs
+            }
+            count += 1
+        assert count == 2**p.measured_count, gate
 
 
 def test_byproduct_order_is_z_then_x():
@@ -493,7 +529,11 @@ def adjacency_walk(p, created):
     """Reference for mbqc._lower: the executor's adjacency walk, with each
     node created at its first use by ensure() and each step's partners
     scanned from an adjacency dict at the step, as run_pattern did before it
-    lowered the pattern. Returns the same tuple of step tuples as _lower."""
+    lowered the pattern. Returns the same tuple of step tuples as the steps
+    of p.schedule: each with its delta and the bit mask of its deps over
+    step positions."""
+    deltas = {"z": None, "x": 0.0, "y": math.pi / 2}
+    position = {node: i for i, (node, _) in enumerate(p.steps)}
     created = set(created)
     adjacent = {node: [] for node in p.nodes}
     for a, b in p.edges:
@@ -513,12 +553,14 @@ def adjacency_walk(p, created):
         for other in partners:
             ensure(other, new)
         measured.add(node)
-        steps.append((node, role, tuple(new), tuple(partners)))
+        delta = role.angle if role.kind == "rot" else deltas[role.kind]
+        deps = sum(2 ** position[dep] for dep in role.deps)
+        steps.append((node, delta, deps, tuple(new), tuple(partners)))
     new = []
     for node in p.outputs:
         ensure(node, new)
     edges = tuple((a, b) for a, b in p.edges if a not in measured and b not in measured)
-    steps.append((None, None, tuple(new), edges))
+    steps.append((None, None, 0, tuple(new), edges))
     return tuple(steps)
 
 
@@ -535,23 +577,25 @@ def lowering_cases():
     yield "output_edge", output_edge_pattern()
 
 
-def without(schedule, held):
-    """schedule with the nodes in held dropped from each step's nodes to create."""
+def without(steps, held):
+    """steps with the nodes in held dropped from each step's nodes to create."""
     return tuple(
-        (node, role, tuple(q for q in new if q not in held), cz)
-        for node, role, new, cz in schedule
+        (node, delta, deps, tuple(q for q in new if q not in held), cz)
+        for node, delta, deps, new, cz in steps
     )
 
 
 def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
     for name, p in lowering_cases():
+        steps, _, nodes = p.schedule
+        assert nodes == frozenset(p.nodes), name
         # dict inputs: every node, inputs included, is created at its first use
-        assert p.schedule == adjacency_walk(p, ()), name
+        assert steps == adjacency_walk(p, ()), name
         # a joint state, such as the Choi probe, holds the inputs plus
         # spectators that no step touches: run_pattern skips the inputs
         probe = choi_probe(p)[0] if p.declared_unitary is not None else None
         labels = p.inputs if probe is None else probe.labels
-        assert without(p.schedule, set(p.inputs)) == adjacency_walk(p, labels), name
+        assert without(steps, set(p.inputs)) == adjacency_walk(p, labels), name
 
 
 def test_construction_lowers_once(monkeypatch):
@@ -611,8 +655,8 @@ def test_replace_lowers_the_new_pattern_afresh():
     p = pattern_for_gate(CNOTGate(3))
     q = dataclasses.replace(p, steps=list(reversed(p.steps)))
     assert q.schedule is not p.schedule and q.schedule != p.schedule
-    assert q.schedule == adjacency_walk(q, ())
-    assert without(q.schedule, set(q.inputs)) == adjacency_walk(q, q.inputs)
+    assert q.schedule[0] == adjacency_walk(q, ())
+    assert without(q.schedule[0], set(q.inputs)) == adjacency_walk(q, q.inputs)
     # the same fields give an equal schedule, lowered again
     again = dataclasses.replace(p)
     assert again.schedule == p.schedule and again.schedule is not p.schedule
@@ -630,10 +674,26 @@ def test_an_encoder_run_creates_its_nodes_in_the_walk_order(monkeypatch):
     monkeypatch.setattr(sv, "tensor", spy)
     p = compile_encoder()
     run_pattern(p, {p.inputs[3]: FIVE_STATES[4]}, sv.BornSampler(7))
-    walk = [node for _, _, new, _ in adjacency_walk(p, ()) for node in new]
+    walk = [node for _, _, _, new, _ in adjacency_walk(p, ()) for node in new]
     # the first node starts the state; each later one comes through a tensor
     assert created == walk[1:]
     assert len(created) == 168
+
+
+def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
+    # the target scales the declared unitary by the probe's one amplitude;
+    # every amplitude, signed zeros included, is the one the probe got from
+    # apply_gate with that unitary as a Gate
+    from blindprep.cli import _ROTATION_TRIPLES
+
+    gates = [HadamardGate(), *(RotationGate(*t) for t in _ROTATION_TRIPLES)]
+    for gate in gates + [CNOTGate(d) for d in range(1, 6)]:
+        p = pattern_for_gate(gate)
+        target = choi_probe(p)[1]
+        specs = [("spec", i) for i in range(len(p.inputs))]
+        assert target.labels == p.outputs + specs
+        want = reference_choi_target(p)
+        assert target.vector(order=want.labels).tobytes() == want.vector().tobytes(), gate
 
 
 def test_hop_outcomes_are_uniform_for_any_input():

@@ -57,6 +57,18 @@ def test_shared_gate_matrices_are_read_only():
             g.matrix[0, 0] = 0.0
 
 
+def test_a_gate_keeps_its_own_read_only_matrix():
+    # a later write to the caller's array desyncs neither matrix nor rows
+    m = np.array([[0, 1], [1, 0]], dtype=complex)
+    g = sv.Gate("g", m)
+    m[:] = np.eye(2)
+    assert np.array_equal(g.matrix, sv.X.matrix)
+    flipped = sv.apply_gate(new_basis_state(1), g, [0])
+    assert np.array_equal(flipped.amps, new_basis_state(1, 1).amps)
+    with pytest.raises(ValueError, match="read-only"):
+        g.matrix[0, 0] = 0.0
+
+
 def test_cz_symmetric():
     assert np.array_equal(sv.CZ.matrix, sv.CZ.matrix.T)
 
