@@ -1,6 +1,6 @@
 """Blind preparation of [[7,1,3]]-encoded qubits on cluster states.
 
-Subpackages:
+Modules:
 - statevector: dense labeled-qubit simulator with destructive measurement
 - mbqc: measurement patterns (nodes, edges, steps, corrections), byproduct tracking, execution
 - steane: [[7,1,3]] encoding, syndrome extraction, measurement-based preparation

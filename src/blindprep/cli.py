@@ -3,7 +3,7 @@
 Five subcommands drive the library end to end:
 
   verify-gates   enumerate gate-pattern branches against declared unitaries
-  prepare        one encoded-preparation run with a circuit-model oracle
+  prepare        one encoded-preparation run against |+theta>_L from the codewords
   correct        inject a Pauli error, extract the syndrome, undo it
   blindness      transcript-distribution comparison across phases
   resources      decoy-state pulse/efficiency sweep written as CSV
@@ -187,10 +187,14 @@ def cmd_verify_gates(args) -> int:
             gates.append((f"cnot[sep={d}]", mbqc.CNOTGate(d)))
 
     paths = args.paths if args.branches == "sample" else 0
-    if not paths:  # counted on the layout, before a dense declared unitary is built
-        for _, gate in gates:
-            mbqc.check_enumerable(mbqc.gate_layout(gate))
-    suite = [(name, mbqc.pattern_for_gate(gate)) for name, gate in gates]
+    # each gate is laid once and counted on its layout, before a dense unitary is built
+    layouts = [(name, gate, mbqc.gate_layout(gate)) for name, gate in gates]
+    for _, _, p in layouts:
+        if not paths:
+            mbqc.check_enumerable(p)
+        if len(p.inputs) > 1:  # certified on a Choi probe
+            mbqc.check_choi_width(p)
+    suite = [(name, p.declaring(mbqc.gate_unitary(gate))) for name, gate, p in layouts]
     all_ok = True
     for name, p in suite:
         worst, runs = _pattern_min_fidelity(p, paths, seed)
@@ -223,6 +227,7 @@ def cmd_prepare(args) -> int:
     else:
         src = sv.BornSampler(seed)
     block = steane.prepare_encoded_mbqc(theta, src)
+    # built from the codeword strings; the report's "circuit encoding" label is kept
     target = steane.logical_plus_theta(theta)
     fid = sv.fidelity(block.state, target)
 

@@ -47,8 +47,9 @@ transcripts, corrections, and the validator's messages readable.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -130,7 +131,7 @@ class MeasurementPattern:
     Construction validates and lowers once; a change made in place later is
     not checked, and the executor still runs the steps, edges and
     corrections lowered at construction. To change a pattern, build a new one, for example with
-    dataclasses.replace.
+    dataclasses.replace; declaring gives a checked pattern its unitary without either.
     """
 
     inputs: list
@@ -178,11 +179,23 @@ class MeasurementPattern:
                 unmeasured = frozenset(map(_pair, dep_nodes)) - measured
                 if unmeasured:
                     raise InputError(f"{kind} node {_c(min(unmeasured))} is not a measured node")
-        if self.declared_unitary is not None:
-            d = 2 ** len(self.inputs)
-            if self.declared_unitary.shape != (d, d):
-                raise InputError("declared unitary dimension mismatch")
+        self._declare(self.declared_unitary)
         self.schedule = _lower(self)
+
+    def _declare(self, u: np.ndarray | None) -> None:
+        d = 2 ** len(self.inputs)
+        if u is not None and u.shape != (d, d):
+            raise InputError("declared unitary dimension mismatch")
+        self.declared_unitary = u
+
+    def declaring(self, u: np.ndarray) -> MeasurementPattern:
+        """A copy that declares u, with lists and dicts of its own and this
+        pattern's schedule: only u's shape is checked, nothing is lowered."""
+        out = copy.copy(self)
+        for name in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
+            setattr(out, name, copy.copy(getattr(self, name)))
+        out._declare(u)
+        return out
 
     @property
     def nodes(self) -> list:
@@ -366,6 +379,20 @@ def check_enumerable(p: MeasurementPattern) -> None:
         raise InputError(f"refusing to enumerate 2^{p.measured_count} branches")
 
 
+def check_choi_width(p: MeasurementPattern) -> None:
+    """Refuse a pattern whose run on choi_probe would hold more than QUBIT_CAP
+    qubits: each input and its spectator, plus the nodes the schedule creates
+    and has not yet measured. Callers check before building the unitary."""
+    wires = set(p.inputs)
+    width = peak = 2 * len(wires)
+    for node, _, _, new, _ in p.schedule[0]:
+        width += sum(q not in wires for q in new)
+        peak = max(peak, width)
+        width -= node is not None
+    if peak > sv.QUBIT_CAP:
+        raise InputError(f"a Choi run holds {peak} qubits, over the cap of {sv.QUBIT_CAP}")
+
+
 def runs(
     p: MeasurementPattern, inputs, paths: int = 0, seed: int = 0
 ) -> Iterator[tuple[sv.PureState, Transcript, ByproductFrame]]:
@@ -446,10 +473,8 @@ class PatternBuilder:
         w1["b"] = w1["b"] ^ frozenset(inner[1::2]) ^ w2["a"]
         w2["b"] = w2["b"] ^ frozenset(inner[0::2]) ^ w1["a"]
 
-    def build(
-        self, wire_order: Sequence, declared_unitary: np.ndarray | None
-    ) -> MeasurementPattern:
-        """Freeze into a MeasurementPattern.
+    def build(self, wire_order: Sequence) -> MeasurementPattern:
+        """Freeze into a MeasurementPattern that declares no unitary yet.
 
         Inputs are the wires' first nodes and outputs their current carriers,
         both in wire_order. Measurements are ordered column-major by their
@@ -463,7 +488,6 @@ class PatternBuilder:
             edges=list(self._edges),
             x_corr={w["carrier"]: w["a"] for w in wires},
             z_corr={w["carrier"]: w["b"] for w in wires},
-            declared_unitary=declared_unitary,
         )
 
 
@@ -547,17 +571,21 @@ def gate_layout(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPatt
             lay_hadamard(b, "w")
         else:
             lay_rotation(b, "w", gate.xi, gate.eta, gate.zeta)
-        return b.build(["w"], None)
+        return b.build(["w"])
     if isinstance(gate, CNOTGate):
         d = gate.separation
         if not isinstance(d, int) or d < 1:
             raise InputError("CNOT separation must be a positive integer")
-        sv.check_unitary_width(d + 1)
+        if 2 * (d + 1) > sv.QUBIT_CAP:
+            raise InputError(
+                f"a unitary on {d + 1} wires is a {2 * d + 2}-qubit tensor, "
+                f"over the cap of {sv.QUBIT_CAP}"
+            )
         keys = ["c"] + [f"m{r}" for r in range(1, d)] + ["t"]
         for r, k in enumerate(keys):
             b.wire(k, 1, r)
         lay_cnot(b, keys)
-        return b.build(keys, None)
+        return b.build(keys)
     raise InputError(f"unknown gate spec {gate!r}")
 
 
@@ -567,12 +595,15 @@ def gate_unitary(gate: HadamardGate | RotationGate | CNOTGate) -> np.ndarray:
         return sv.H.matrix
     if isinstance(gate, RotationGate):
         return rotation_unitary(gate.xi, gate.eta, gate.zeta)
-    return sv.circuit_unitary(gate.separation + 1, [(sv.CNOT, [0, gate.separation])])
+    idx = sv._cnot_index(gate.separation + 1, ((0, gate.separation),)).reshape(-1)
+    u = np.zeros((idx.size, idx.size), dtype=complex)
+    u[np.arange(idx.size), idx] = 1  # the gather out[i] = in[idx[i]] as a matrix
+    return u
 
 
 def pattern_for_gate(gate: HadamardGate | RotationGate | CNOTGate) -> MeasurementPattern:
     """The standalone measurement pattern for one gate, with its declared unitary."""
-    return replace(gate_layout(gate), declared_unitary=gate_unitary(gate))
+    return gate_layout(gate).declaring(gate_unitary(gate))
 
 
 def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:

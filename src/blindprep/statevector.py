@@ -21,12 +21,14 @@ the gate that differs from the identity's is rewritten from that row's non-zero 
 slice of the input each, or scaled in place on the copy when its one entry is on the
 diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a permutation
 of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
-same kernel builds from the run. A measurement takes the measured qubit's two halves as
-copies and works on them in place: the residual is a fresh array, and the call's peak is
-those two halves plus one more for the new branch in M(delta). A measurement can also take
-the measured qubit's CZ partners: each partner's CZ negates, in place, the slice of the |1>
-half where that partner is 1, so the peak stays the same. An in-place scale takes a view on
-the first or last axis, else a where= mask: a ufunc over an interior view copies the array.
+same kernel builds from the run. That index is also the only source of dense unitaries:
+mbqc scatters a CNOT's 1s at it, and steane gathers the encoder's H layer by it. A
+measurement takes the measured qubit's two halves as copies and works on them in place: the
+residual is a fresh array, and the call's peak is those two halves plus one more for the new
+branch in M(delta). A measurement can also take the measured qubit's CZ partners: each
+partner's CZ negates, in place, the slice of the |1> half where that partner is 1, so the
+peak stays the same. An in-place scale takes a view on the first or last axis, else a where=
+mask: a ufunc over an interior view copies the array.
 """
 
 from __future__ import annotations
@@ -154,13 +156,14 @@ OutcomeSource = BornSampler | ForcedBranch
 
 @dataclass
 class PureState:
-    """A normalized pure state over labeled qubits."""
+    """A normalized pure state over labeled qubits. It keeps a copy of the
+    amplitudes it is given, so no later write by the caller reaches it."""
 
     amps: np.ndarray
     labels: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=complex)
+        self.amps = np.array(self.amps, dtype=complex)
         self.labels = list(self.labels)
         n = len(self.labels)
         if n > QUBIT_CAP:
@@ -211,7 +214,7 @@ def qubit_state(spec, label: Label) -> PureState:
         if spec.n != 1:
             raise InputError(f"expected a single-qubit state, got {spec.n} qubits")
         spec = spec.amps
-    vec = np.array(spec, dtype=complex).reshape(-1)
+    vec = np.asarray(spec, dtype=complex).reshape(-1)  # PureState copies it
     if vec.shape != (2,):
         raise InputError("expected a 2-vector or a 1-qubit state")
     return PureState(vec, [label])
@@ -305,34 +308,6 @@ def _scale(a: np.ndarray, picks: list, entry) -> None:
             return
         view = view.reshape(-1, 2)[:, b] if ax == last else view[b]
     np.multiply(view, entry, out=view)
-
-
-def check_unitary_width(n: int) -> None:
-    """Refuse a unitary on n wires past QUBIT_CAP // 2, before anything is built."""
-    if n > QUBIT_CAP // 2:
-        raise InputError(
-            f"a unitary on {n} wires is a {2 * n}-qubit tensor, over the cap of {QUBIT_CAP}"
-        )
-
-
-def circuit_unitary(n: int, ops: Sequence[tuple[Gate, Sequence[int]]]) -> np.ndarray:
-    """Matrix of a gate sequence on n wires (wire 0 most significant).
-
-    ops are (gate, wires) pairs applied in order, each wire an int in 0..n-1;
-    each acts on the identity's row axes, so column j of the result is the
-    circuit applied to |j>. The matrix is a 2n-qubit tensor, so n is capped
-    at QUBIT_CAP // 2.
-    """
-    check_unitary_width(n)
-    dim = 2**n
-    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g, wires in ops:
-        wires = _targets(g, wires)
-        # axis n of u is the column axis, which an unchecked wire could reach
-        if not all(isinstance(w, int) and 0 <= w < n for w in wires):
-            raise InputError(f"wires {wires} are not all in 0..{n - 1}")
-        u = _contract(g, u, wires)
-    return u.reshape(dim, dim)
 
 
 def _relabeled(s: PureState, labels: list) -> PureState:

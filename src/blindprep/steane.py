@@ -16,6 +16,8 @@ which stays |+>; the remaining wires 5, 6, 7 are Hadamard-ed to |0>; the
 data then fans out over the logical-X support and each pivot fans out
 over its row. Eleven CNOTs total, each compiled to a cluster tile between
 consecutive rows, giving a 7-row measurement pattern for the whole block.
+Its dense map, encoder_unitary, is the H layer gathered by the CNOT run's
+cached index, the same one encode_circuit applies to a state.
 
 Syndrome extraction is ancilla-coupled and non-destructive:
 - bit check (finds X errors): fresh |+>_L ancilla as the TARGET of a
@@ -32,7 +34,6 @@ and each round's seven CNOTs are applied as one sv.apply_cnots gather.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -102,13 +103,12 @@ def logical_plus_theta(theta: float) -> sv.PureState:
 
 @functools.cache
 def encoder_unitary() -> np.ndarray:
-    """The 7-wire encoder map for all-|+> non-data inputs (wire order 1..7).
-
-    Built once; every call returns the same read-only array.
-    """
-    ops = [(sv.H, [w - 1]) for w in ZEROED_WIRES]
-    ops += [(sv.CNOT, [c - 1, t - 1]) for c, t in ENCODER_CNOTS]
-    u = sv.circuit_unitary(7, ops)
+    """The 7-wire encoder map for all-|+> non-data inputs (wire order 1..7): the H
+    layer on ZEROED_WIRES, its rows gathered by encode_circuit's cached CNOT index.
+    Built once; every call returns the same read-only array."""
+    layer = [sv.H.matrix if w in ZEROED_WIRES else np.eye(2) for w in range(1, 8)]
+    index = sv._cnot_index(7, tuple((c - 1, t - 1) for c, t in ENCODER_CNOTS))
+    u = functools.reduce(np.kron, layer)[index.reshape(-1)]
     u.flags.writeable = False
     return u
 
@@ -226,21 +226,17 @@ def compile_encoder() -> mbqc.MeasurementPattern:
     All measurement angles are fixed (X or Y), so the pattern needs no
     adaptivity and every correction is a static output-frame update.
 
-    The layout is built and validated once; every call returns a fresh copy
-    of it whose lists and dicts no other call shares, without validating
-    again.
+    The layout is built and validated once; every call declares
+    encoder_unitary() on a fresh copy of it whose lists and dicts no other
+    call shares, without validating or lowering again.
     """
-    p = copy.copy(_encoder_layout())
-    p.inputs, p.outputs, p.steps, p.edges = map(list, (p.inputs, p.outputs, p.steps, p.edges))
-    p.x_corr, p.z_corr = dict(p.x_corr), dict(p.z_corr)
-    p.declared_unitary = encoder_unitary()  # the array whose shape the layout checked
-    return p
+    return _encoder_layout().declaring(encoder_unitary())
 
 
 @functools.cache
 def _encoder_layout() -> mbqc.MeasurementPattern:
-    """The validated encoder pattern; compile_encoder copies its fields, so
-    this one is never handed out or changed."""
+    """The validated encoder pattern, declaring no unitary; compile_encoder
+    copies it, so this one is never handed out or changed."""
     b = mbqc.PatternBuilder()
     for w in range(1, 8):
         b.wire(w, 1, w - 1)
@@ -248,7 +244,7 @@ def _encoder_layout() -> mbqc.MeasurementPattern:
         mbqc.lay_hadamard(b, w)
     for c, t in ENCODER_CNOTS:
         mbqc.lay_cnot(b, list(range(c, t + 1)))
-    return b.build(list(range(1, 8)), encoder_unitary())
+    return b.build(list(range(1, 8)))
 
 
 @dataclass
@@ -268,7 +264,8 @@ def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     state, transcript, frame = mbqc.run_pattern(p, {data_in: sv.new_plus_theta(theta)}, src)
     state = mbqc.apply_byproducts(state, frame)
     relabel = {node: ("d", i + 1) for i, node in enumerate(p.outputs)}
-    state = sv.PureState(state.amps, [relabel.get(lb, lb) for lb in state.labels])
+    # a fresh kernel output, so it is renamed, not copied and checked again
+    state = sv._relabeled(state, [relabel.get(lb, lb) for lb in state.labels])
     frame = mbqc.ByproductFrame(
         {relabel[node]: exps for node, exps in frame.exps.items()}
     )

@@ -1,4 +1,4 @@
-"""One sha256 over the CLI's stdout and exit codes for a fixed list of runs.
+"""One sha256 over the CLI's stdout and exit codes for a fixed list of 81 runs.
 
 Run as `python3 tests/cli_digest.py` from the repository root. Two checkouts
 whose CLI behaves byte for byte the same print the same digest, so the digest
@@ -78,9 +78,18 @@ USAGE_ERRORS = [
     ["resources", "--step", "0"],
 ]
 
+# CNOTs too wide to certify, each refused with exit 1 and no stdout: the
+# sampled Choi runs at sep 10 and 11 would pass the 24-qubit cap, and sep 12
+# is refused before it is laid, its unitary wider than half that cap
+WIDE_CNOTS = [
+    ["verify-gates", "--pattern", "cnot", "--sep", str(d), "--branches", "sample",
+     "--paths", "1"]
+    for d in (10, 11)
+] + [["verify-gates", "--pattern", "cnot", "--sep", "12"]]
+
 INVOCATIONS = (
     GOLDEN + PREPARE + CORRECT + EXHAUSTIVE_GATES + SAMPLED_GATES + BLINDNESS + RESOURCES
-    + USAGE_ERRORS
+    + USAGE_ERRORS + WIDE_CNOTS
 )
 
 

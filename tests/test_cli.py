@@ -137,12 +137,25 @@ def test_enumeration_limit_is_checked_before_the_choi_probe(capsys, monkeypatch)
 
 def test_enumeration_limit_is_checked_before_the_declared_unitary(capsys, monkeypatch):
     # sep 11 is 36 measurements; its declared unitary would be 4096 x 4096
-    def unreachable(n, ops):
+    def unreachable(gate):
         raise AssertionError("a declared unitary was built for a pattern past the limit")
 
-    monkeypatch.setattr(cli.mbqc.sv, "circuit_unitary", unreachable)
+    monkeypatch.setattr(cli.mbqc, "gate_unitary", unreachable)
     code, out, err = run_cli(capsys, "verify-gates", "--pattern", "cnot", "--sep", "11")
     assert (code, out, err) == (1, "", "error: refusing to enumerate 2^36 branches\n")
+
+
+@pytest.mark.parametrize("sep, qubits", [(10, 25), (11, 26)])
+def test_choi_width_is_checked_before_the_declared_unitary(capsys, monkeypatch, sep, qubits):
+    # a sampled run is not counted, but its Choi probe plus the live nodes pass the cap
+    def unreachable(gate):
+        raise AssertionError("a declared unitary was built for a run past the qubit cap")
+
+    monkeypatch.setattr(cli.mbqc, "gate_unitary", unreachable)
+    argv = ["--pattern", "cnot", "--sep", str(sep), "--branches", "sample", "--paths", "1"]
+    code, out, err = run_cli(capsys, "verify-gates", *argv)
+    want = f"error: a Choi run holds {qubits} qubits, over the cap of 24\n"
+    assert (code, out, err) == (1, "", want)
 
 
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch):

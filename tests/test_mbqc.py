@@ -192,7 +192,7 @@ def hop_pattern(kind):
     b = PatternBuilder()
     b.wire("w", 0, 0)
     b.hop("w", kind)
-    return b.build(["w"], None)
+    return b.build(["w"])
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 1.1, -2.0])
@@ -246,7 +246,7 @@ def test_build_rejects_a_node_placed_twice():
     b.wire("v", 1, 0)
     b.hop("w", "x")  # onto (1, 0), the input of wire v
     with pytest.raises(InputError, match="^node 1,0 is measured twice or also an output$"):
-        b.build(["w", "v"], None)
+        b.build(["w", "v"])
 
 
 def test_z_elimination_is_neutral_after_correction():
@@ -279,7 +279,7 @@ def test_even_bridge_composes_to_cz():
         s1 = b.wire("c", 1, 0)
         s2 = b.wire("t", 1, 1)
         b.bridge("c", "t", coords)
-        p = b.build(["c", "t"], sv.CZ.matrix)
+        p = b.build(["c", "t"]).declaring(sv.CZ.matrix)
         for va in FIVE_STATES[:4]:
             for vb in FIVE_STATES[:4]:
                 target = product_target(p, [va, vb])
@@ -609,6 +609,65 @@ def test_construction_lowers_once(monkeypatch):
     assert len(calls) == 2 and calls[1] is q
 
 
+def test_a_gate_is_lowered_once_and_declaring_lowers_nothing(monkeypatch):
+    from blindprep import steane
+
+    steane.compile_encoder()  # builds the cached layout, once per process
+    calls = []
+    real = mbqc._lower
+    monkeypatch.setattr(mbqc, "_lower", lambda p: calls.append(p) or real(p))
+    for gate in (HadamardGate(), RotationGate(0.3, 0.5, 0.7), CNOTGate(2)):
+        calls.clear()
+        layout = mbqc.gate_layout(gate)
+        assert len(calls) == 1 and calls[0] is layout
+        assert layout.declaring(mbqc.gate_unitary(gate)).schedule is layout.schedule
+        assert len(calls) == 1
+        pattern_for_gate(gate)  # lowered in its gate_layout, not in the attach
+        assert len(calls) == 2
+    calls.clear()
+    steane.compile_encoder()
+    assert calls == []
+
+
+def test_declaring_copies_every_list_and_dict_and_checks_only_the_shape():
+    layout = mbqc.gate_layout(CNOTGate(1))
+    u = mbqc.gate_unitary(CNOTGate(1))
+    p = layout.declaring(u)
+    assert p.declared_unitary is u and layout.declared_unitary is None
+    for name in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
+        assert getattr(p, name) == getattr(layout, name)
+        assert getattr(p, name) is not getattr(layout, name)
+    # the same refusal that construction makes
+    with pytest.raises(InputError, match="^declared unitary dimension mismatch$"):
+        layout.declaring(np.eye(2))
+    with pytest.raises(InputError, match="^declared unitary dimension mismatch$"):
+        dataclasses.replace(layout, declared_unitary=np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_choi_width_is_the_most_qubits_a_choi_run_holds(monkeypatch, d):
+    p = pattern_for_gate(CNOTGate(d))
+    widths = []
+    tensor = sv.tensor
+    monkeypatch.setattr(sv, "tensor", lambda a, b: widths.append(a.n + b.n) or tensor(a, b))
+    run_pattern(p, choi_probe(p)[0], sv.BornSampler(d))
+    peak = max(widths)
+    monkeypatch.setattr(sv, "QUBIT_CAP", peak)
+    mbqc.check_choi_width(p)
+    monkeypatch.setattr(sv, "QUBIT_CAP", peak - 1)
+    with pytest.raises(InputError, match=f"^a Choi run holds {peak} qubits, over the cap of "):
+        mbqc.check_choi_width(p)
+
+
+def test_choi_width_admits_cnot_to_sep_9(monkeypatch):
+    # 22 qubits at sep 9; sep 10 and 11 are refused at 25 and 26 (test_cli)
+    p = mbqc.gate_layout(CNOTGate(9))
+    mbqc.check_choi_width(p)
+    monkeypatch.setattr(sv, "QUBIT_CAP", 21)
+    with pytest.raises(InputError, match="^a Choi run holds 22 qubits, over the cap of 21$"):
+        mbqc.check_choi_width(p)
+
+
 def test_runs_after_construction_never_lower_again(monkeypatch):
     from blindprep import steane
 
@@ -724,7 +783,7 @@ def _x_chain(m):
     b.wire("w", 0, 0)
     for _ in range(m):
         b.hop("w", "x")
-    return b.build(["w"], None)
+    return b.build(["w"])
 
 
 def test_enumeration_stops_at_22_measurements_before_running_anything(monkeypatch):
