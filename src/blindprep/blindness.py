@@ -10,7 +10,8 @@ There is no residual quantum side information either: after the run the
 only unmeasured qubits are the outputs handed back, so the server's
 environment is the transcript alone.
 
-This module makes that argument executable two ways, through mbqc.runs:
+Every check runs over the eight phases k*pi/4 of DEFAULT_THETAS, among which
+the client hides theta. It is made executable two ways, through mbqc.runs:
 - exactly, by enumerating every branch of small patterns (the two-node
   minimal cluster, single-gate patterns) and computing the full TV distance;
 - by sampling full preparation runs. Every phase runs with the same seeds
@@ -98,15 +99,14 @@ NOTE = (
 
 @dataclass(frozen=True)
 class BlindnessReport:
-    """Outcome of comparing transcript distributions across input phases;
+    """Transcript distributions compared over the eight phases k*pi/4;
     max_prob_deviation is the worst per-step |p - 1/2|, exact or sampled."""
 
-    thetas: tuple
     measured_count: int
     sampled_paths: int  # 0 when every branch was enumerated
-    coverage: tuple  # per theta, total probability mass of compared words
+    coverage: tuple  # per phase, total probability mass of compared words
     max_prob_deviation: float
-    tv_max: float  # largest pairwise TV distance over the theta grid
+    tv_max: float  # largest pairwise TV distance over the eight phases
 
     @property
     def exact(self) -> bool:
@@ -118,22 +118,15 @@ class BlindnessReport:
 
 
 def blindness_over_thetas(
-    p: mbqc.MeasurementPattern,
-    data_node,
-    thetas=DEFAULT_THETAS,
-    paths: int = 0,
-    seed: int = 0,
+    p: mbqc.MeasurementPattern, data_node, paths: int = 0, seed: int = 0
 ) -> BlindnessReport:
-    """Compare transcript distributions when data_node carries |+_theta>,
-    over every branch (paths 0) or over `paths` seeded runs per theta."""
+    """Compare transcript distributions when data_node carries |+_theta> for
+    each theta k*pi/4, over every branch (paths 0) or `paths` seeded runs."""
     if data_node not in p.inputs:
         raise InputError(f"{data_node} is not an input node of the pattern")
-    thetas = tuple(thetas)
-    if len(thetas) < 2:
-        raise InputError("need at least two phases to compare")
 
     dists, coverage, max_dev = [], [], 0.0
-    for theta in thetas:
+    for theta in DEFAULT_THETAS:
         inputs = {data_node: sv.new_plus_theta(theta)}
         dist, dev = transcript_distribution(p, inputs, paths, seed)
         max_dev = max(max_dev, dev)
@@ -141,7 +134,6 @@ def blindness_over_thetas(
         coverage.append(sum(dist.values()))
 
     return BlindnessReport(
-        thetas=thetas,
         measured_count=p.measured_count,
         sampled_paths=paths,
         coverage=tuple(coverage),
@@ -150,16 +142,12 @@ def blindness_over_thetas(
     )
 
 
-def preparation_blindness(
-    thetas=DEFAULT_THETAS, paths: int = 32, seed: int = 0
-) -> BlindnessReport:
+def preparation_blindness(paths: int, seed: int = 0) -> BlindnessReport:
     """Blindness check over full encoded-preparation runs (162 measurements).
     Its TV cannot fail, since every phase samples the same words; only
     max_prob_deviation, the per-step |p - 1/2|, carries evidence."""
     p = steane.compile_encoder()
-    return blindness_over_thetas(
-        p, p.inputs[steane.DATA_WIRE - 1], thetas=thetas, paths=paths, seed=seed
-    )
+    return blindness_over_thetas(p, p.inputs[steane.DATA_WIRE - 1], paths, seed)
 
 
 def min_cluster_blindness(basis: str) -> BlindnessReport:

@@ -83,6 +83,8 @@ def load_config(path: str) -> rs.ExperimentParams:
             text = fh.read()
     except OSError as ex:
         raise InputError(f"cannot read config {path}: {ex}")
+    except UnicodeDecodeError as ex:
+        raise InputError(f"{path}: {ex}")
     overrides: dict = {}
     first: dict = {}  # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):

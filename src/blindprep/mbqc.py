@@ -122,7 +122,9 @@ class MeasurementPattern:
     parity gives the X / Z byproduct exponent on that output.
     declared_unitary: intended map on the wire space (inputs order = wire
     order = outputs order); None for a pattern that claims none, such as a
-    gate_layout or blindness.min_cluster_pattern.
+    gate_layout or blindness.min_cluster_pattern. Only declaring sets it:
+    the constructor and dataclasses.replace build undeclared patterns, and
+    equality compares layouts, never the unitary.
     schedule: what the executor runs, lowered by _lower when the pattern is
     built: the steps, each measured one with its delta and the bit mask of
     its deps (bit i is step i), the x_corr / z_corr masks of each output,
@@ -130,8 +132,8 @@ class MeasurementPattern:
 
     Construction validates and lowers once; a change made in place later is
     not checked, and the executor still runs the steps, edges and
-    corrections lowered at construction. To change a pattern, build a new one, for example with
-    dataclasses.replace; declaring gives a checked pattern its unitary without either.
+    corrections lowered at construction. To change a pattern, build a new
+    one, for example with dataclasses.replace.
     """
 
     inputs: list
@@ -140,7 +142,7 @@ class MeasurementPattern:
     edges: list
     x_corr: dict
     z_corr: dict
-    declared_unitary: np.ndarray | None = None
+    declared_unitary: np.ndarray | None = field(default=None, init=False, compare=False)
     schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,22 +181,17 @@ class MeasurementPattern:
                 unmeasured = frozenset(map(_pair, dep_nodes)) - measured
                 if unmeasured:
                     raise InputError(f"{kind} node {_c(min(unmeasured))} is not a measured node")
-        self._declare(self.declared_unitary)
         self.schedule = _lower(self)
-
-    def _declare(self, u: np.ndarray | None) -> None:
-        d = 2 ** len(self.inputs)
-        if u is not None and u.shape != (d, d):
-            raise InputError("declared unitary dimension mismatch")
-        self.declared_unitary = u
 
     def declaring(self, u: np.ndarray) -> MeasurementPattern:
         """A copy that declares u, with lists and dicts of its own and this
         pattern's schedule: only u's shape is checked, nothing is lowered."""
+        if u.shape != (2 ** len(self.inputs),) * 2:
+            raise InputError("declared unitary dimension mismatch")
         out = copy.copy(self)
         for name in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
             setattr(out, name, copy.copy(getattr(self, name)))
-        out._declare(u)
+        out.declared_unitary = u
         return out
 
     @property
@@ -613,12 +610,13 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     label ("spec", i); the target is the declared unitary applied to the
     probe, on the output nodes. The probe is one amplitude times the sum of
     |c>|c> over input words c, so the target is that amplitude times U with
-    its rows on the outputs and its columns on the spectators.
+    its rows on the outputs and its columns on the spectators: a fresh
+    product on as many distinct labels as the probe's, so it is not copied.
     """
     probe = None
     for i, node in enumerate(p.inputs):
         pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
         probe = pair if probe is None else sv.tensor(probe, pair)
     specs = [("spec", i) for i in range(len(p.inputs))]
-    target = sv.PureState(probe.amps.flat[0] * p.declared_unitary, list(p.outputs) + specs)
-    return probe, target
+    amps = (probe.amps.flat[0] * p.declared_unitary).reshape(probe.amps.shape)
+    return probe, sv._derived(amps, list(p.outputs) + specs)

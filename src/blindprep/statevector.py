@@ -55,9 +55,10 @@ Label = object  # any hashable
 # ---------------------------------------------------------------- gates ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """A named unitary on k qubits (matrix is 2^k x 2^k, row-major).
+    """A named unitary on k qubits (matrix is 2^k x 2^k, row-major). Gates
+    compare and hash by identity; compare matrices with np.array_equal.
 
     ``rows`` lists each output row that is not the identity's row as (row
     bits, terms): one (column bits, entry) term per non-zero entry, entry
@@ -68,7 +69,7 @@ class Gate:
 
     kind: str
     matrix: np.ndarray
-    rows: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
@@ -154,10 +155,11 @@ OutcomeSource = BornSampler | ForcedBranch
 # --------------------------------------------------------------- states ----
 
 
-@dataclass
+@dataclass(eq=False)
 class PureState:
     """A normalized pure state over labeled qubits. It keeps a copy of the
-    amplitudes it is given, so no later write by the caller reaches it."""
+    amplitudes it is given, so no later write by the caller reaches it.
+    States compare and hash by identity; compare them with fidelity."""
 
     amps: np.ndarray
     labels: list = field(default_factory=list)

@@ -8,6 +8,9 @@ Every command runs in-process through `cli.main` with BLINDPREP_SEED unset.
 The script prints the digest and exits 0 when it equals the value recorded
 in `tests/cli_digest.sha256`; otherwise it prints both values and exits 1.
 That value is re-recorded under the same rule as the golden records.
+An exception raised in a finalizer, such as the ResourceWarning that
+`python3 -X dev -W error` makes of a file left unclosed, also exits 1:
+Python itself only prints such an exception and goes on.
 
 The file name does not match pytest's test patterns, so it is not collected.
 """
@@ -107,8 +110,13 @@ def digest() -> str:
 RECORDED = Path(__file__).with_name("cli_digest.sha256")
 
 if __name__ == "__main__":
+    unraisable: list = []
+    sys.unraisablehook = unraisable.append
     got, want = digest(), RECORDED.read_text(encoding="utf-8").strip()
     print(f"sha256 over {len(INVOCATIONS)} invocations: {got}")
+    for hook in unraisable:
+        print(f"raised in a finalizer: {hook.exc_type.__name__}: {hook.exc_value}")
     if got != want:
         print(f"recorded in {RECORDED.name}: {want}")
+    if got != want or unraisable:
         sys.exit(1)

@@ -124,7 +124,7 @@ def test_gate_pattern_blindness_exact_over_theta_grid():
 
 
 def test_preparation_blindness_sampled_runs():
-    report = preparation_blindness(thetas=(0.0, math.pi / 4, math.pi), paths=4, seed=2)
+    report = preparation_blindness(paths=4, seed=2)
     assert not report.exact
     assert report.sampled_paths == 4
     assert report.measured_count == 162
@@ -140,17 +140,10 @@ def test_blindness_requires_valid_data_node_and_grid():
     p = pattern_for_gate(HadamardGate())
     with pytest.raises(InputError):
         blindness_over_thetas(p, (9, 9))
-    with pytest.raises(InputError):
-        blindness_over_thetas(p, (1, 0), thetas=(0.0,))
 
 
 def test_report_blind_property_thresholds():
-    base = dict(
-        thetas=(0.0, 1.0),
-        measured_count=3,
-        sampled_paths=0,
-        coverage=(1.0, 1.0),
-    )
+    base = dict(measured_count=3, sampled_paths=0, coverage=(1.0,) * 8)
     good = BlindnessReport(max_prob_deviation=0.0, tv_max=0.0, **base)
     leaky = BlindnessReport(max_prob_deviation=0.0, tv_max=0.3, **base)
     assert good.exact

@@ -442,6 +442,13 @@ def test_config_bad_line_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_that_is_not_utf8_rejected(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"alpha = 0.2\n\xff\xfe = 1\n")
+    result = run_cli(capsys, "resources", "--config", str(path))
+    assert_one_line_usage_error(result, f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_config_invalid_params_rejected(capsys, tmp_path):
     path = write_config(tmp_path, "v1 = 0.9\n")  # decoy brighter than signal
     code, _, err = run_cli(capsys, "resources", "--config", path)

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,8 +259,7 @@ def test_z_elimination_is_neutral_after_correction():
         edges=[((0, 0), (0, 1))],
         x_corr={},
         z_corr={(0, 0): {(0, 1)}},
-        declared_unitary=np.eye(2),
-    )
+    ).declaring(np.eye(2))
     psi = sv.new_plus_theta(0.7).amps.reshape(-1)
     for s in (0, 1):
         state, transcript, frame = run_pattern(p, {(0, 0): psi}, sv.ForcedBranch([s]))
@@ -634,14 +634,23 @@ def test_declaring_copies_every_list_and_dict_and_checks_only_the_shape():
     u = mbqc.gate_unitary(CNOTGate(1))
     p = layout.declaring(u)
     assert p.declared_unitary is u and layout.declared_unitary is None
-    for name in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
+    names = ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr")
+    for name in names:
         assert getattr(p, name) == getattr(layout, name)
         assert getattr(p, name) is not getattr(layout, name)
-    # the same refusal that construction makes
     with pytest.raises(InputError, match="^declared unitary dimension mismatch$"):
         layout.declaring(np.eye(2))
-    with pytest.raises(InputError, match="^declared unitary dimension mismatch$"):
-        dataclasses.replace(layout, declared_unitary=np.eye(2))
+    # declaring is the only way in: neither the constructor nor replace takes a unitary
+    with pytest.raises(ValueError, match="declared_unitary"):
+        dataclasses.replace(layout, declared_unitary=u)
+    with pytest.raises(TypeError, match="declared_unitary"):
+        MeasurementPattern(**{name: getattr(layout, name) for name in names}, declared_unitary=u)
+
+
+@pytest.mark.parametrize("gate", [HadamardGate(), RotationGate(0.3, 0.5, 0.7), CNOTGate(1)])
+def test_patterns_compare_by_layout_not_by_unitary(gate):
+    assert pattern_for_gate(gate) == pattern_for_gate(gate) == mbqc.gate_layout(gate)
+    assert pattern_for_gate(gate) != mbqc.gate_layout(CNOTGate(2))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -713,6 +722,7 @@ def test_an_in_place_edit_of_the_steps_is_not_run():
 def test_replace_lowers_the_new_pattern_afresh():
     p = pattern_for_gate(CNOTGate(3))
     q = dataclasses.replace(p, steps=list(reversed(p.steps)))
+    assert q.declared_unitary is None  # the gate's unitary is not carried onto a new layout
     assert q.schedule is not p.schedule and q.schedule != p.schedule
     assert q.schedule[0] == adjacency_walk(q, ())
     assert without(q.schedule[0], set(q.inputs)) == adjacency_walk(q, q.inputs)
@@ -753,6 +763,20 @@ def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
         assert target.labels == p.outputs + specs
         want = reference_choi_target(p)
         assert target.vector(order=want.labels).tobytes() == want.vector().tobytes(), gate
+
+
+def test_choi_probe_holds_the_probe_and_the_target_and_no_copy():
+    # at sep 7 both are 16-qubit states of 1 MiB; a copy of the scaled
+    # unitary would take the peak to three of them
+    p = pattern_for_gate(CNOTGate(7))  # the unitary is built outside the traced span
+    tracemalloc.start()
+    try:
+        probe, target = choi_probe(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.amps.nbytes == target.amps.nbytes == 2**20
+    assert peak <= 2.5 * 2**20
 
 
 def test_hop_outcomes_are_uniform_for_any_input():

@@ -1,5 +1,6 @@
 """Property tests of the one text boundary, config files, and of the
-resource estimate behind the config.
+resource estimate behind the config. A config is drawn as text and as raw
+bytes, which need not decode as UTF-8.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
@@ -40,14 +41,11 @@ _CONFIG_LINE = st.one_of(
 )
 
 
-@BOUNDED
-@given(st.lists(_CONFIG_LINE, max_size=5).map("\n".join))
-@example("S = " + "9" * 400)
-def test_load_config_returns_params_or_raises_usage_error(text):
+def _load_or_refuse(data: bytes) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "params.cfg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         try:
             params = load_config(path)
         except InputError as ex:
@@ -55,6 +53,25 @@ def test_load_config_returns_params_or_raises_usage_error(text):
             assert str(ex).startswith(f"{path}:")
             return
     assert isinstance(params, ExperimentParams)
+
+
+@BOUNDED
+@given(st.lists(_CONFIG_LINE, max_size=5).map("\n".join))
+@example("S = " + "9" * 400)
+def test_load_config_returns_params_or_raises_usage_error(text):
+    _load_or_refuse(text.encode("utf-8"))
+
+
+# config lines with raw bytes among them, such as a Latin-1 file or a binary one
+@BOUNDED
+@given(
+    st.lists(st.one_of(_CONFIG_LINE.map(str.encode), st.binary(max_size=8)), max_size=5).map(
+        b"\n".join
+    )
+)
+@example(b"alpha = 0.2\n\xff\xfe = 1\n")
+def test_load_config_of_any_bytes_returns_params_or_raises_usage_error(data):
+    _load_or_refuse(data)
 
 
 # subnormals included: the failures this guards against were underflows

@@ -69,6 +69,13 @@ def test_a_gate_keeps_its_own_read_only_matrix():
         g.matrix[0, 0] = 0.0
 
 
+def test_gates_compare_and_hash_by_identity():
+    # a generated == would compare the matrices as arrays, whose truth is ambiguous
+    assert sv.rz(0.1) != sv.rz(0.1) and sv.X == sv.X
+    assert len({sv.X, sv.Z, sv.X}) == 2 and hash(sv.CZ) == hash(sv.CZ)
+    assert np.array_equal(sv.rz(0.1).matrix, sv.rz(0.1).matrix)
+
+
 def test_cz_symmetric():
     assert np.array_equal(sv.CZ.matrix, sv.CZ.matrix.T)
 
@@ -85,6 +92,12 @@ def test_plus_theta_at_half_pi():
     s = sv.new_plus_theta(math.pi / 2)
     want = np.array([1.0, 1j]) / math.sqrt(2)
     assert np.allclose(s.vector(), want, atol=ATOL)
+
+
+def test_states_compare_and_hash_by_identity():
+    a, b = sv.new_plus_theta(0.3), sv.new_plus_theta(0.3)
+    assert a != b and a == a and len({a, b, a}) == 2
+    assert sv.fidelity(a, b) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_basis_state_bits():
