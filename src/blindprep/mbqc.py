@@ -57,7 +57,7 @@ import numpy as np
 from . import statevector as sv
 from .errors import DegenerateBranchError, InputError
 
-LIVE_CAP = 20  # max simultaneously-alive qubits during pattern execution
+LIVE_CAP = 20  # most qubits a run holds at once: lowered per pattern, checked before any state
 MAX_ENUMERATED = 22  # most measurements whose branches enumerate_branches walks
 
 Node = tuple  # (x, y) int pairs
@@ -128,7 +128,8 @@ class MeasurementPattern:
     schedule: what the executor runs, lowered by _lower when the pattern is
     built: the steps, each measured one with its delta and the bit mask of
     its deps (bit i is step i), the x_corr / z_corr masks of each output,
-    and the node set. It is immutable, so copies of a pattern share it.
+    the node set, and the live widths (dict and joint inputs) that run_pattern
+    checks before it builds any state. It is immutable, so copies share it.
 
     Construction validates and lowers once; a change made in place later is
     not checked, and the executor still runs the steps, edges and
@@ -264,13 +265,14 @@ def run_pattern(
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    The steps are p.schedule, lowered when p was built: nodes are created
-    only when first needed (a joint state's inputs never are) and each CZ
-    edge is folded into the measurement of its first measured endpoint, so
-    the live width (spectators excluded) stays within LIVE_CAP. Only an edge
-    between two outputs goes through sv.apply_gate, last.
+    The steps are p.schedule, lowered once when p was built: nodes are
+    created only when first needed (a joint state's inputs never are) and
+    each CZ edge is folded into the measurement of its first measured
+    endpoint; only an edge between two outputs goes through sv.apply_gate,
+    last. The input form's lowered live width (spectators excluded) is
+    checked against LIVE_CAP before any state is built.
     """
-    steps, corr, nodes = p.schedule
+    steps, corr, nodes, widths = p.schedule
     # a joint state is used as given: measure, apply_gate and tensor never
     # write to their input; its labels past the inputs are spectators
     live = inputs if isinstance(inputs, sv.PureState) else None
@@ -284,18 +286,15 @@ def run_pattern(
         if node not in wires:
             raise InputError(f"state supplied for non-input node {node}")
 
+    if (width := widths[live is not None]) > LIVE_CAP:
+        raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
     held = () if live is None else wires  # the inputs a joint state already holds
-    width = len(held)
     transcript = Transcript()
     bits = 0  # bit i is the outcome of step i
     for i, (node, delta, deps, new, cz) in enumerate(steps):
         for fresh in new:
             if fresh in held:
                 continue
-            width += 1
-            # checked before the tensor, so no state past the cap is ever built
-            if width > LIVE_CAP:
-                raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
             q = sv._relabeled(sv.PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
@@ -306,7 +305,6 @@ def run_pattern(
         if (deps & bits).bit_count() & 1:
             delta = -delta
         outcome, prob, live = sv.measure(live, node, delta, src, cz)
-        width -= 1
         bits |= outcome << i
         transcript.entries.append(TranscriptEntry(node, delta, outcome, prob))
 
@@ -315,12 +313,13 @@ def run_pattern(
 
 
 def _lower(p: MeasurementPattern) -> tuple:
-    """run_pattern's (steps, corr, nodes). steps: (node, delta, deps mask,
-    nodes to create first, CZ partners) per measured node, delta its
+    """run_pattern's (steps, corr, nodes, widths). steps: (node, delta, deps
+    mask, nodes to create first, CZ partners) per measured node, delta its
     FIXED_BASES value or rot angle, then (None, None, 0, outputs to create,
     edges between two outputs). Each node is created at its first use,
     inputs included. corr: (output, x_corr mask, z_corr mask) per output.
-    Bit i of a mask is step i. nodes: every node, as a frozenset."""
+    Bit i of a mask is step i. nodes: every node, as a frozenset. widths: the
+    most qubits alive at once with dict inputs, then with a joint state."""
     last = len(p.steps)
     at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
 
@@ -333,16 +332,20 @@ def _lower(p: MeasurementPattern) -> tuple:
         partners[at[a]].append(b if at[a] < last else (a, b))
     created: set = set()
     steps = []
+    width, peak, joint = 0, 0, len(p.inputs)  # a joint state also holds uncreated inputs
     # the last step measures nothing: a z role gives it delta None, deps 0
     for (node, role), cz in zip(p.steps + [(None, Role("z"))], partners):
         new = tuple(q for q in ([node] + cz if node is not None else p.outputs) if q not in created)
         created.update(new)
         delta = FIXED_BASES.get(role.kind, role.angle)
         steps.append((node, delta, mask(role.deps), new, tuple(cz)))
+        width += len(new)
+        peak, joint = max(peak, width), max(joint, width + sum(q not in created for q in p.inputs))
+        width -= node is not None
     corr = tuple(
         (out, mask(p.x_corr.get(out, ())), mask(p.z_corr.get(out, ()))) for out in p.outputs
     )
-    return tuple(steps), corr, frozenset(at)
+    return tuple(steps), corr, frozenset(at), (peak, joint)
 
 
 def enumerate_branches(
@@ -378,16 +381,10 @@ def check_enumerable(p: MeasurementPattern) -> None:
 
 def check_choi_width(p: MeasurementPattern) -> None:
     """Refuse a pattern whose run on choi_probe would hold more than QUBIT_CAP
-    qubits: each input and its spectator, plus the nodes the schedule creates
-    and has not yet measured. Callers check before building the unitary."""
-    wires = set(p.inputs)
-    width = peak = 2 * len(wires)
-    for node, _, _, new, _ in p.schedule[0]:
-        width += sum(q not in wires for q in new)
-        peak = max(peak, width)
-        width -= node is not None
-    if peak > sv.QUBIT_CAP:
-        raise InputError(f"a Choi run holds {peak} qubits, over the cap of {sv.QUBIT_CAP}")
+    qubits: its joint live width, lowered once, plus a spectator per input.
+    Callers check before they build the unitary or any state."""
+    if (qubits := p.schedule[3][1] + len(p.inputs)) > sv.QUBIT_CAP:
+        raise InputError(f"a Choi run holds {qubits} qubits, over the cap of {sv.QUBIT_CAP}")
 
 
 def runs(
@@ -613,6 +610,9 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     its rows on the outputs and its columns on the spectators: a fresh
     product on as many distinct labels as the probe's, so it is not copied.
     """
+    norm = float(np.vdot(p.declared_unitary, p.declared_unitary).real) / len(p.declared_unitary)
+    if not abs(norm - 1.0) <= sv._NORM_TOL:
+        raise InputError(f"declared map takes the probe to norm^2 {norm}, not 1")
     probe = None
     for i, node in enumerate(p.inputs):
         pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from blindprep import mbqc
 from blindprep import resources as rs
 from blindprep import statevector as sv
 from blindprep.errors import (
@@ -121,6 +122,29 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
     return outcome, prob, sv._derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
+
+
+def traced_widths(p) -> tuple[int, int]:
+    """The most qubits run_pattern holds at once on p, as the largest state it
+    builds: with dict inputs, then with a joint |+> product over p's inputs.
+    A dict run's first node is no tensor, so it counts as a 1-qubit state,
+    and a joint run counts the input state it is given."""
+    joint = None
+    for node in p.inputs:
+        q = sv.new_plus_theta(0.0, node)
+        joint = q if joint is None else sv.tensor(joint, q)
+    sizes: list = []
+    tensor = sv.tensor
+    sv.tensor = lambda a, b: sizes.append(a.n + b.n) or tensor(a, b)
+    try:
+        mbqc.run_pattern(p, {}, sv.BornSampler(0))
+        widths = [max(sizes, default=1)]
+        sizes.clear()
+        mbqc.run_pattern(p, joint, sv.BornSampler(0))
+        widths.append(max(sizes + [joint.n]))
+    finally:
+        sv.tensor = tensor
+    return widths[0], widths[1]
 
 
 def reference_choi_target(p) -> sv.PureState:

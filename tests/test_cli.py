@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,25 @@ def test_stdout_matches_golden_record(capsys, name, argv):
 
 
 # -------------------------------------------------------------- exit codes ----
+
+
+def test_module_entry_point_exits_with_the_code_main_returns():
+    # python -m blindprep.cli in a fresh process, through sys.exit(main())
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "BLINDPREP_SEED"}
+    env["PYTHONPATH"] = str(src)
+
+    def run(*argv):
+        cmd = [sys.executable, "-W", "error", "-m", "blindprep.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=120, check=False)
+
+    ok = run("prepare", "--branches", "zero")
+    assert ok.returncode == 0
+    assert ok.stdout == (GOLDEN / "prepare_zero_branch.txt").read_bytes()
+    bad = run("prepare", "--theta", "9")
+    assert bad.returncode == 1 and bad.stdout == b""
+    assert bad.stderr.count(b"\n") == 1 and bad.stderr.startswith(b"error: ")
+    assert run("blindness", "--epsilon", "1e-300").returncode == 2
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

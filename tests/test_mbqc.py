@@ -38,7 +38,7 @@ from blindprep.mbqc import (
     run_pattern,
     runs,
 )
-from helpers import build_cluster, reference_choi_target
+from helpers import build_cluster, reference_choi_target, traced_widths
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -577,6 +577,22 @@ def lowering_cases():
     yield "output_edge", output_edge_pattern()
 
 
+def walk_width(steps, held):
+    """The most qubits alive at once over steps, from held alive at the start."""
+    width = peak = len(held)
+    for node, _, _, new, _ in steps:
+        width += len(new)
+        peak = max(peak, width)
+        width -= node is not None
+    return peak
+
+
+def walk_widths(p):
+    """The live widths of p counted from adjacency_walk's steps: with dict
+    inputs, then with a joint state that holds every input from the start."""
+    return walk_width(adjacency_walk(p, ()), ()), walk_width(adjacency_walk(p, p.inputs), p.inputs)
+
+
 def without(steps, held):
     """steps with the nodes in held dropped from each step's nodes to create."""
     return tuple(
@@ -587,8 +603,9 @@ def without(steps, held):
 
 def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
     for name, p in lowering_cases():
-        steps, _, nodes = p.schedule
+        steps, _, nodes, widths = p.schedule
         assert nodes == frozenset(p.nodes), name
+        assert widths == walk_widths(p), name
         # dict inputs: every node, inputs included, is created at its first use
         assert steps == adjacency_walk(p, ()), name
         # a joint state, such as the Choi probe, holds the inputs plus
@@ -677,6 +694,19 @@ def test_choi_width_admits_cnot_to_sep_9(monkeypatch):
         mbqc.check_choi_width(p)
 
 
+def test_gate_and_encoder_widths_are_pinned_against_traced_runs():
+    # the same width with dict inputs and with a joint state for each gate;
+    # the encoder's 10 is the benchmark's traced peak live width
+    from blindprep.cli import _ROTATION_TRIPLES
+    from blindprep.steane import compile_encoder
+
+    cases = [(HadamardGate(), 2)] + [(RotationGate(*t), 2) for t in _ROTATION_TRIPLES]
+    cases += zip(map(CNOTGate, range(1, 10)), (3, 5, 6, 8, 8, 10, 10, 12, 12))
+    patterns = [(mbqc.gate_layout(gate), width) for gate, width in cases]
+    for p, width in patterns + [(compile_encoder(), 10)]:
+        assert p.schedule[3] == (width, width) == traced_widths(p)
+
+
 def test_runs_after_construction_never_lower_again(monkeypatch):
     from blindprep import steane
 
@@ -726,6 +756,7 @@ def test_replace_lowers_the_new_pattern_afresh():
     assert q.schedule is not p.schedule and q.schedule != p.schedule
     assert q.schedule[0] == adjacency_walk(q, ())
     assert without(q.schedule[0], set(q.inputs)) == adjacency_walk(q, q.inputs)
+    assert q.schedule[3] == walk_widths(q)
     # the same fields give an equal schedule, lowered again
     again = dataclasses.replace(p)
     assert again.schedule == p.schedule and again.schedule is not p.schedule
@@ -763,6 +794,14 @@ def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
         assert target.labels == p.outputs + specs
         want = reference_choi_target(p)
         assert target.vector(order=want.labels).tobytes() == want.vector().tobytes(), gate
+
+
+def test_choi_probe_refuses_a_declared_map_that_does_not_keep_the_norm():
+    # declaring checks only the shape, so a scaled identity reaches choi_probe,
+    # which refuses it as the caller's mistake before it builds the probe
+    p = mbqc.gate_layout(CNOTGate(1)).declaring(2 * np.eye(4))
+    with pytest.raises(InputError, match=r"^declared map takes the probe to norm\^2 4\.0, not 1$"):
+        choi_probe(p)
 
 
 def test_choi_probe_holds_the_probe_and_the_target_and_no_copy():
@@ -941,26 +980,26 @@ def test_live_width_cap_is_enforced():
 
 
 def test_live_width_cap_is_checked_before_the_tensor(monkeypatch):
-    widths = []
-    tensor = sv.tensor
-
-    def recording_tensor(a, b):
-        out = tensor(a, b)
-        widths.append(out.n)
-        return out
-
-    monkeypatch.setattr(sv, "tensor", recording_tensor)
-    with pytest.raises(InputError, match=f"live width 21 exceeds the cap of {LIVE_CAP}"):
-        run_pattern(star_pattern(21), None, sv.BornSampler(0))
-    assert max(widths) == LIVE_CAP
-    # with one spectator, the largest state carries LIVE_CAP graph qubits
-    widths.clear()
+    # the width is lowered with the schedule, so a pattern past the cap is
+    # refused before any state is built, with the pattern's peak: the centre
+    # and 21 leaves, then the held input and LIVE_CAP leaves beside a spectator
+    calls = []
+    monkeypatch.setattr(sv, "tensor", lambda a, b: calls.append((a, b)))
     amps = np.zeros((2, 2), dtype=complex)
     amps[0, 0] = amps[1, 1] = SQ2
     bell = sv.PureState(amps, [(0, 0), "spec"])
-    with pytest.raises(InputError, match="live width"):
+    with pytest.raises(InputError, match=f"^live width 22 exceeds the cap of {LIVE_CAP}$"):
+        run_pattern(star_pattern(21), None, sv.BornSampler(0))
+    with pytest.raises(InputError, match=f"^live width 21 exceeds the cap of {LIVE_CAP}$"):
         run_pattern(star_pattern(LIVE_CAP), bell, sv.BornSampler(0))
-    assert max(widths) == LIVE_CAP + 1
+    # a mistake in the inputs is reported before the width
+    with pytest.raises(InputError, match="^joint input state must cover every input node$"):
+        run_pattern(star_pattern(LIVE_CAP), sv.PureState(amps, ["a", "spec"]), sv.BornSampler(0))
+    with pytest.raises(InputError, match="^joint input state labels collide with non-input"):
+        run_pattern(star_pattern(LIVE_CAP), sv.PureState(amps, [(0, 0), (1, 0)]), sv.BornSampler(0))
+    with pytest.raises(InputError, match=r"^state supplied for non-input node \(1, 0\)$"):
+        run_pattern(star_pattern(21), {(1, 0): FIVE_STATES[0]}, sv.BornSampler(0))
+    assert calls == []
 
 
 def test_build_cluster_matches_manual_preparation():

@@ -1,6 +1,7 @@
-"""Property tests of the one text boundary, config files, and of the
-resource estimate behind the config. A config is drawn as text and as raw
-bytes, which need not decode as UTF-8.
+"""Property tests of the one text boundary, config files, of the resource
+estimate behind the config, and of the live widths that each measurement
+pattern is lowered with. A config is drawn as text and as raw bytes, which
+need not decode as UTF-8.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
@@ -10,6 +11,7 @@ message led by the config's path, and EstimationError for an estimate.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 
 from blindprep.cli import CONFIG_KEYS, load_config
 from blindprep.errors import EstimationError, InputError
+from blindprep.mbqc import MeasurementPattern, Role
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
+from helpers import traced_widths
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -118,3 +122,30 @@ def test_estimate_returns_a_row_or_raises_estimation_error(params, length):
     except EstimationError:
         return
     assert isinstance(row, ResourceRow)
+
+
+@st.composite
+def _small_patterns(draw):
+    """A valid pattern of at most 8 nodes: random inputs and edges, and x, y
+    or z roles measured in a random order; the unmeasured nodes are outputs."""
+    nodes = [(i % 3, i // 3) for i in range(draw(st.integers(1, 8)))]
+    order = draw(st.permutations(nodes))
+    measured = order[: draw(st.integers(0, len(nodes)))]
+    pairs = list(itertools.combinations(nodes, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return MeasurementPattern(
+        inputs=draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True)),
+        outputs=order[len(measured) :],
+        steps=[(node, Role(draw(st.sampled_from("xyz")))) for node in measured],
+        edges=edges,
+        x_corr={},
+        z_corr={},
+    )
+
+
+@BOUNDED
+@given(_small_patterns())
+def test_lowered_widths_are_the_largest_states_a_run_builds(p):
+    # dict inputs create every node at its first use; a joint |+> product
+    # holds every input from the start
+    assert p.schedule[3] == traced_widths(p)
