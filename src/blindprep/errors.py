@@ -6,8 +6,8 @@
 - EstimationError: a resource estimate is undefined; the sweep writes an NA row.
 - DegenerateBranchError: a forced branch is impossible; enumerate_branches
   prunes its subtree.
-- ContractViolation: an internal invariant failed; a bug, so it keeps its
-  traceback.
+- ContractViolation: an internal invariant failed, such as the one norm check
+  at run time (a measurement's p0 + p1 is not 1); a bug, so it keeps its traceback.
 """
 
 from __future__ import annotations

@@ -273,8 +273,8 @@ def run_pattern(
     checked against LIVE_CAP before any state is built.
     """
     steps, corr, nodes, widths = p.schedule
-    # a joint state is used as given: measure, apply_gate and tensor never
-    # write to their input; its labels past the inputs are spectators
+    # a joint state is used as given, since states are read-only values;
+    # its labels past the inputs are spectators
     live = inputs if isinstance(inputs, sv.PureState) else None
     seeded = {} if live is not None else dict(inputs or {})
     wires = set(p.inputs)
@@ -296,7 +296,7 @@ def run_pattern(
             if fresh in held:
                 continue
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
-            q = sv._relabeled(sv.PLUS, [fresh]) if spec is None else sv.qubit_state(spec, fresh)
+            q = sv._state(sv.PLUS.amps, (fresh,)) if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
         if node is None:  # the last step: edges between two outputs
             for a, b in cz:
@@ -619,4 +619,4 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
         probe = pair if probe is None else sv.tensor(probe, pair)
     specs = [("spec", i) for i in range(len(p.inputs))]
     amps = (probe.amps.flat[0] * p.declared_unitary).reshape(probe.amps.shape)
-    return probe, sv._derived(amps, list(p.outputs) + specs)
+    return probe, sv._state(amps, (*p.outputs, *specs))

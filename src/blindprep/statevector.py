@@ -13,6 +13,9 @@ Design notes:
   seeded Born sampling and forced-branch enumeration.
 - States are compared with global-phase-insensitive fidelity; nothing in
   this package should ever assert on a global phase.
+- A state is an immutable value whose norm PureState checks once, where it is
+  made from outside values; _state builds kernel outputs from checked states
+  unchecked, and each measurement checks p0 + p1, the one norm check at run time.
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order matching
 ``labels``. A hard cap of 24 qubits keeps accidental blowups from eating the machine. Every
@@ -24,7 +27,7 @@ of basis states, so apply_cnots moves the amplitudes once, by a cached gather in
 same kernel builds from the run. That index is also the only source of dense unitaries:
 mbqc scatters a CNOT's 1s at it, and steane gathers the encoder's H layer by it. A
 measurement takes the measured qubit's two halves as copies and works on them in place: the
-residual is a fresh array, and the call's peak is those two halves plus one more for the new
+residual is one of them, and the call's peak is those two halves plus one more for the new
 branch in M(delta). A measurement can also take the measured qubit's CZ partners: each
 partner's CZ negates, in place, the slice of the |1> half where that partner is 1, so the
 peak stays the same. An in-place scale takes a view on the first or last axis, else a where=
@@ -155,30 +158,29 @@ OutcomeSource = BornSampler | ForcedBranch
 # --------------------------------------------------------------- states ----
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized pure state over labeled qubits. It keeps a copy of the
-    amplitudes it is given, so no later write by the caller reaches it.
-    States compare and hash by identity; compare them with fidelity."""
+    """A normalized pure state over labeled qubits, as an immutable value: a read-only copy
+    of the (2,)*n amplitudes it is given and a tuple of labels, so the norm checked here
+    holds for its lifetime. States compare and hash by identity; compare with fidelity."""
 
     amps: np.ndarray
-    labels: list = field(default_factory=list)
+    labels: tuple = ()
 
     def __post_init__(self) -> None:
-        self.amps = np.array(self.amps, dtype=complex)
-        self.labels = list(self.labels)
-        n = len(self.labels)
+        amps, labels = np.array(self.amps, dtype=complex), tuple(self.labels)
+        n = len(labels)
         if n > QUBIT_CAP:
             raise InputError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise InputError("qubit labels must be unique")
-        if self.amps.shape != (2,) * n:
-            if self.amps.size != 2**n:
-                raise InputError(f"{self.amps.size} amplitudes do not fit {n} qubits")
-            self.amps = self.amps.reshape((2,) * n)
-        norm = float(np.vdot(self.amps, self.amps).real)
+        if amps.shape != (2,) * n:
+            raise InputError(f"amplitudes must be shaped {(2,) * n}, got {amps.shape}")
+        norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails
             raise InputError(f"state norm^2 = {norm} is not 1 within {_NORM_TOL}")
+        amps.setflags(write=False)
+        self.__dict__.update(amps=amps, labels=labels)
 
     # -- bookkeeping --
 
@@ -203,19 +205,30 @@ class PureState:
         return np.transpose(self.amps, perm).reshape(-1)
 
 
-# the two fixed one-qubit states, each checked once; _relabeled puts one on a
-# qubit, sharing its read-only array, so no caller builds or checks it again
+def _state(amps: np.ndarray, labels: tuple) -> PureState:
+    """A state on amps, made read-only, and labels, checking nothing: amps is a kernel's fresh
+    output or a checked state's shared array, so shape, labels, cap and norm hold by
+    construction. The fields go straight into __dict__, the cheapest way past frozen."""
+    amps.setflags(write=False)
+    out = PureState.__new__(PureState)
+    d = out.__dict__
+    d["amps"] = amps
+    d["labels"] = labels
+    return out
+
+
+# the two fixed one-qubit states, each checked once; _state puts one on a
+# qubit, sharing its array, so no caller builds or checks it again
 PLUS = PureState(np.full(2, _INV_SQRT2, dtype=complex), ["+"])
 ZERO = PureState(np.array([1.0, 0.0], dtype=complex), ["0"])
-PLUS.amps.flags.writeable = ZERO.amps.flags.writeable = False
 
 
 def qubit_state(spec, label: Label) -> PureState:
-    """A copy of a 2-vector or of a 1-qubit PureState, as a state on ``label``."""
+    """A 2-vector, copied and checked, or a 1-qubit PureState, shared, on ``label``."""
     if isinstance(spec, PureState):
         if spec.n != 1:
             raise InputError(f"expected a single-qubit state, got {spec.n} qubits")
-        spec = spec.amps
+        return _state(spec.amps, (label,))
     vec = np.asarray(spec, dtype=complex).reshape(-1)  # PureState copies it
     if vec.shape != (2,):
         raise InputError("expected a 2-vector or a 1-qubit state")
@@ -238,7 +251,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
     # one rank-1 matrix product of the two flat amplitude vectors
     amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
-    return _derived(amps.reshape((2,) * n), labels)
+    return _state(amps.reshape((2,) * n), labels)
 
 
 # ----------------------------------------------------------- operations ----
@@ -247,14 +260,14 @@ def tensor(a: PureState, b: PureState) -> PureState:
 def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     """Apply gate g to the given target qubits (order matters for multi-qubit gates)."""
     axes = [s.axis(t) for t in _targets(g, targets)]
-    return _derived(_contract(g, s.amps, axes), list(s.labels))
+    return _state(_contract(g, s.amps, axes), s.labels)
 
 
 def apply_cnots(s: PureState, pairs: Sequence[Sequence[Label]]) -> PureState:
     """Apply CNOT to each (control, target) pair in order, as one gather;
     the result equals the same apply_gate calls bit for bit."""
     axes = tuple(tuple(s.axis(t) for t in _targets(CNOT, pair)) for pair in pairs)
-    return _derived(s.amps.reshape(-1).take(_cnot_index(s.n, axes)), list(s.labels))
+    return _state(s.amps.reshape(-1).take(_cnot_index(s.n, axes)), s.labels)
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,25 +325,6 @@ def _scale(a: np.ndarray, picks: list, entry) -> None:
     np.multiply(view, entry, out=view)
 
 
-def _relabeled(s: PureState, labels: list) -> PureState:
-    """A new state on s's amplitudes, shared, under as many new labels: s's
-    norm was checked when s was built, so nothing is checked again."""
-    out = PureState.__new__(PureState)
-    out.amps, out.labels = s.amps, labels
-    return out
-
-
-def _derived(amps: np.ndarray, labels: list) -> PureState:
-    """A state computed from valid states: labels and cap hold by
-    construction, so only the norm is checked."""
-    out = PureState.__new__(PureState)
-    out.amps, out.labels = amps, labels
-    norm = float(np.vdot(amps, amps).real)
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise ContractViolation(f"norm drifted to {norm}")
-    return out
-
-
 def measure(
     s: PureState, q: Label, delta: float | None, src: OutcomeSource, cz: Sequence[Label] = ()
 ) -> tuple[int, float, PureState]:
@@ -345,12 +339,12 @@ def measure(
     CZ only negates the amplitudes where both of its qubits are 1, so each
     partner's CZ is applied in place to q's |1> half, with the same bits as
     apply_gate(s, CZ, [q, partner]) per partner first, by _scale (a view on the last
-    axis, where run_pattern puts most partners). p0 + p1 stands in for the norm check.
+    axis, where run_pattern puts most partners). p0 + p1 must be 1 within _NORM_TOL:
+    the one norm check made at run time, at every measurement.
 
-    The residual is a fresh array that shares no memory with s: one of the
-    two half-size copies the call takes from s. Those two are the call's peak
-    in Z, with or without partners; M(delta) adds one more half for the new
-    branch.
+    The residual is one of the two half-size copies the call takes from s, so
+    it shares no memory with s. Those two are the call's peak in Z, with or
+    without partners; M(delta) adds one more half for the new branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
@@ -388,7 +382,7 @@ def measure(
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
-    return outcome, prob, _derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
+    return outcome, prob, _state(branch, s.labels[:ax] + s.labels[ax + 1 :])
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:

@@ -122,7 +122,7 @@ def encode_circuit(data) -> sv.PureState:
         if i == DATA_WIRE:
             q = data_q
         else:  # the shared, already checked |+> or |0>
-            q = sv._relabeled(sv.PLUS if i in PIVOT_WIRES else sv.ZERO, [("d", i)])
+            q = sv._state((sv.PLUS if i in PIVOT_WIRES else sv.ZERO).amps, (("d", i),))
         state = q if state is None else sv.tensor(state, q)
     return sv.apply_cnots(state, [(("d", c), ("d", t)) for c, t in ENCODER_CNOTS])
 
@@ -151,10 +151,9 @@ def inject_error(state: sv.PureState, err: PauliError) -> sv.PureState:
 
 
 # the two syndrome ancillas, built and checked once on their own labels:
-# |+>_L on ("bit", 1..7) and |0>_L on ("phase", 1..7), read-only
-_PLUS_L = sv._relabeled(logical_plus_theta(0.0), [("bit", i) for i in range(1, 8)])
-_ZERO_L = sv._relabeled(logical_zero(), [("phase", i) for i in range(1, 8)])
-_PLUS_L.amps.flags.writeable = _ZERO_L.amps.flags.writeable = False
+# |+>_L on ("bit", 1..7) and |0>_L on ("phase", 1..7)
+_PLUS_L = sv._state(logical_plus_theta(0.0).amps, tuple(("bit", i) for i in range(1, 8)))
+_ZERO_L = sv._state(logical_zero().amps, tuple(("phase", i) for i in range(1, 8)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ def prepare_encoded_mbqc(theta: float, src: sv.OutcomeSource) -> EncodedBlock:
     state = mbqc.apply_byproducts(state, frame)
     relabel = {node: ("d", i + 1) for i, node in enumerate(p.outputs)}
     # a fresh kernel output, so it is renamed, not copied and checked again
-    state = sv._relabeled(state, [relabel.get(lb, lb) for lb in state.labels])
+    state = sv._state(state.amps, tuple(relabel.get(lb, lb) for lb in state.labels))
     frame = mbqc.ByproductFrame(
         {relabel[node]: exps for node, exps in frame.exps.items()}
     )

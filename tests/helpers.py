@@ -35,6 +35,26 @@ def new_basis_state(n, bits=0, labels=None) -> sv.PureState:
     return sv.PureState(amps, list(labels) if labels is not None else list(range(n)))
 
 
+def random_state(rng, n, labels=None) -> sv.PureState:
+    """A state of n qubits with complex Gaussian amplitudes, labels 0..n-1
+    unless given explicitly."""
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v = (v / np.linalg.norm(v)).reshape((2,) * n)
+    return sv.PureState(v, labels if labels is not None else list(range(n)))
+
+
+def random_unitary(rng, k) -> sv.Gate:
+    """A 2^k x 2^k unitary from the QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    q, r = np.linalg.qr(z)
+    return sv.Gate(f"U{k}", q * (np.diag(r) / abs(np.diag(r))))
+
+
+def is_read_only_value(state) -> bool:
+    """Whether state's amplitudes are read-only and its labels a tuple."""
+    return not state.amps.flags.writeable and isinstance(state.labels, tuple)
+
+
 def build_cluster(p, inputs=None) -> sv.PureState:
     """The full cluster state of pattern p: |+> on every node except the
     supplied inputs, then CZ along every edge. The executor's reference."""
@@ -86,7 +106,7 @@ def reference_tensor(a, b) -> sv.PureState:
     if a.n + b.n > sv.QUBIT_CAP:
         raise InputError(f"tensor would exceed the {sv.QUBIT_CAP}-qubit cap")
     amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
-    return sv._derived(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
+    return sv._state(amps.reshape((2,) * (a.n + b.n)), a.labels + b.labels)
 
 
 def reference_measure(s, q, delta, src, cz=()) -> tuple:
@@ -121,7 +141,7 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
         raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
-    return outcome, prob, sv._derived(branch, s.labels[:ax] + s.labels[ax + 1 :])
+    return outcome, prob, sv._state(branch, s.labels[:ax] + s.labels[ax + 1 :])
 
 
 def traced_widths(p) -> tuple[int, int]:

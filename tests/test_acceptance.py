@@ -130,7 +130,8 @@ def _check_products(p: mbqc.MeasurementPattern) -> None:
         psi = vecs[0]
         for v in vecs[1:]:
             psi = np.kron(psi, v)
-        target = sv.PureState(p.declared_unitary @ psi, list(p.outputs))
+        out = (p.declared_unitary @ psi).reshape((2,) * n)
+        target = sv.PureState(out, list(p.outputs))
         _check_exhaustive(p, dict(zip(p.inputs, vecs)), target)
 
 

@@ -38,7 +38,7 @@ from blindprep.mbqc import (
     run_pattern,
     runs,
 )
-from helpers import build_cluster, reference_choi_target, traced_widths
+from helpers import build_cluster, is_read_only_value, reference_choi_target, traced_widths
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -63,7 +63,7 @@ def product_target(p, vecs):
     for v in vecs[1:]:
         psi = np.kron(psi, v)
     out = p.declared_unitary @ psi
-    return sv.PureState(out, list(p.outputs))
+    return sv.PureState(out.reshape((2,) * len(p.outputs)), list(p.outputs))
 
 
 def full_build_run(p, inputs, bits):
@@ -791,7 +791,7 @@ def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
         p = pattern_for_gate(gate)
         target = choi_probe(p)[1]
         specs = [("spec", i) for i in range(len(p.inputs))]
-        assert target.labels == p.outputs + specs
+        assert target.labels == (*p.outputs, *specs)
         want = reference_choi_target(p)
         assert target.vector(order=want.labels).tobytes() == want.vector().tobytes(), gate
 
@@ -925,9 +925,18 @@ def test_run_pattern_leaves_a_joint_input_state_as_it_was():
     # the probe is used as given, not copied, so nothing may write to it
     p = pattern_for_gate(CNOTGate(1))
     probe, _ = choi_probe(p)
-    amps, labels = probe.amps.tobytes(), list(probe.labels)
+    amps, labels = probe.amps.tobytes(), probe.labels
     assert sum(1 for _ in enumerate_branches(p, probe)) == 2**p.measured_count
     assert probe.amps.tobytes() == amps and probe.labels == labels
+
+
+def test_run_pattern_and_choi_probe_return_read_only_values():
+    p = pattern_for_gate(CNOTGate(1))
+    state, _, frame = run_pattern(p, {p.inputs[0]: FIVE_STATES[1]}, sv.BornSampler(0))
+    probe, target = choi_probe(p)
+    joint, _, _ = run_pattern(p, probe, sv.BornSampler(0))
+    for out in (state, apply_byproducts(state, frame), probe, target, joint):
+        assert is_read_only_value(out)
 
 
 def test_run_pattern_rejects_state_on_non_input():

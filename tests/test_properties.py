@@ -1,7 +1,8 @@
 """Property tests of the one text boundary, config files, of the resource
-estimate behind the config, and of the live widths that each measurement
-pattern is lowered with. A config is drawn as text and as raw bytes, which
-need not decode as UTF-8.
+estimate behind the config, of the live widths that each measurement
+pattern is lowered with, and of the states that chains of statevector
+kernels return. A config is drawn as text and as raw bytes, which need not
+decode as UTF-8.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
@@ -15,17 +16,19 @@ import itertools
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from blindprep import statevector as sv
 from blindprep.cli import CONFIG_KEYS, load_config
-from blindprep.errors import EstimationError, InputError
+from blindprep.errors import DegenerateBranchError, EstimationError, InputError
 from blindprep.mbqc import MeasurementPattern, Role
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
-from helpers import traced_widths
+from helpers import is_read_only_value, random_state, random_unitary, traced_widths
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -149,3 +152,53 @@ def test_lowered_widths_are_the_largest_states_a_run_builds(p):
     # dict inputs create every node at its first use; a joint |+> product
     # holds every input from the start
     assert p.schedule[3] == traced_widths(p)
+
+
+_SHARED_GATES = (sv.X, sv.Y, sv.Z, sv.H, sv.CZ, sv.CNOT, sv.rz(0.7))
+_MAX_QUBITS = 8
+
+
+def _step(data, rng, state, fresh):
+    """One kernel on state, drawn: a product with a random state on fresh
+    labels, a shared or random dense gate, a CNOT run, or a measurement in Z
+    or M(delta) with CZ partners, its outcome Born-sampled or forced."""
+    labels = list(state.labels)
+    kinds = ["tensor"] * (state.n < _MAX_QUBITS) + ["gate", "measure"] * (state.n > 0)
+    kind = data.draw(st.sampled_from(kinds + ["cnots"] * (state.n > 1)))
+    if kind == "tensor":
+        k = data.draw(st.integers(1, _MAX_QUBITS - state.n))
+        return sv.tensor(state, random_state(rng, k, [next(fresh) for _ in range(k)]))
+    if kind == "gate":
+        k = data.draw(st.integers(1, min(3, state.n)))
+        gates = [g for g in _SHARED_GATES if g.arity == k] + [random_unitary(rng, k)]
+        targets = data.draw(st.permutations(labels))[:k]
+        return sv.apply_gate(state, data.draw(st.sampled_from(gates)), targets)
+    if kind == "cnots":
+        pair = st.permutations(labels).map(lambda p: p[:2])
+        return sv.apply_cnots(state, data.draw(st.lists(pair, min_size=1, max_size=4)))
+    q, *others = data.draw(st.permutations(labels))
+    cz = others[: data.draw(st.integers(0, len(others)))]
+    delta = data.draw(st.one_of(st.none(), st.floats(-4.0, 4.0)))
+    outcome = data.draw(st.sampled_from([None, 0, 1]))
+    born = sv.BornSampler(int(rng.integers(2**32)))
+    src = born if outcome is None else sv.ForcedBranch([outcome])
+    try:
+        return sv.measure(state, q, delta, src, cz)[2]
+    except DegenerateBranchError:  # a forced outcome of ~zero probability
+        return state
+
+
+@BOUNDED
+@given(st.data())
+def test_kernel_chains_return_normalized_read_only_values(data):
+    # states are checked once, when made from outside values; every kernel
+    # output must stay normalized and immutable without a check of its own
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fresh = itertools.count()
+    n = data.draw(st.integers(1, _MAX_QUBITS))
+    state = random_state(rng, n, [next(fresh) for _ in range(n)])
+    for _ in range(data.draw(st.integers(1, 12))):
+        state = _step(data, rng, state, fresh)
+        norm = float(np.vdot(state.amps, state.amps).real)
+        assert abs(norm - 1.0) <= sv._NORM_TOL
+        assert is_read_only_value(state)

@@ -6,6 +6,7 @@ einsum partial traces), not from the module under test.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -19,7 +20,16 @@ from blindprep.errors import (
     DegenerateBranchError,
     InputError,
 )
-from helpers import I2, S, new_basis_state, reference_measure, reference_tensor
+from helpers import (
+    I2,
+    S,
+    is_read_only_value,
+    new_basis_state,
+    random_state,
+    random_unitary,
+    reference_measure,
+    reference_tensor,
+)
 
 ATOL = 1e-12
 
@@ -113,7 +123,7 @@ def test_basis_state_int_form():
 def test_qubit_cap_enforced():
     with pytest.raises(InputError):
         new_basis_state(sv.QUBIT_CAP + 1)
-    with pytest.raises(InputError):  # refused before the amplitudes are reshaped
+    with pytest.raises(InputError):  # refused before the amplitudes' shape is checked
         sv.PureState(np.zeros(1), range(sv.QUBIT_CAP + 1))
     # a unitary on n wires is a 2n-qubit tensor; a CNOT that wide is refused before it is laid
     from blindprep.mbqc import CNOTGate, gate_layout
@@ -128,10 +138,13 @@ def test_duplicate_labels_rejected():
 
 
 def test_mis_sized_amplitudes_rejected():
-    with pytest.raises(InputError, match="3 amplitudes"):
+    # amplitudes come shaped (2,)*n, one axis per qubit; a flat vector is refused
+    with pytest.raises(InputError, match=r"^amplitudes must be shaped \(2,\), got \(3,\)$"):
         sv.PureState(np.ones(3) / 3**0.5, [0])
-    with pytest.raises(InputError, match="2 amplitudes"):
+    with pytest.raises(InputError, match=r"^amplitudes must be shaped \(2, 2\), got \(2,\)$"):
         sv.PureState(np.array([1.0, 0.0]), ["a", "b"])
+    with pytest.raises(InputError, match=r"^amplitudes must be shaped \(2, 2\), got \(4,\)$"):
+        sv.PureState(np.array([1.0, 0.0, 0.0, 0.0]), ["a", "b"])
 
 
 # -------------------------------------------------------------- apply_gate
@@ -171,11 +184,6 @@ def test_cnot_unitary_matches_the_permutation_oracle():
         assert gate_unitary(CNOTGate(n - 1)).tobytes() == want.tobytes()
 
 
-def _random_state(rng, n, labels=None):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return sv.PureState(v / np.linalg.norm(v), labels if labels is not None else list(range(n)))
-
-
 def _dense(g, amps, axes):
     """The gate as one tensordot + moveaxis contraction, independent of the
     row-by-row kernel."""
@@ -207,7 +215,7 @@ def test_monomial_gate_matches_tensordot_and_matrix_oracles():
     # diagonal and asymmetric in its two targets, so a wrong axis order shows
     d = np.array([1, 1j, -1, -1j])
     g = sv.Gate("D", np.diag(d))
-    s = _random_state(np.random.default_rng(3), 4)
+    s = random_state(np.random.default_rng(3), 4)
     for targets in ([0, 2], [2, 0], [3, 1], [1, 3]):
         out = sv.apply_gate(s, g, targets)
         assert np.array_equal(out.amps, _dense(g, s.amps, targets))
@@ -238,7 +246,7 @@ PERMUTATIONS = [sv.X, sv.Y, sv.CNOT, SWAP, TOFFOLI, PHASED_X, PHASED_CYCLE]
 def test_permutation_gate_matches_tensordot_and_matrix_oracles(g):
     rng = np.random.default_rng(11)
     for n in (4, 5, 6):
-        s = _random_state(rng, n)
+        s = random_state(rng, n)
         for targets in _target_lists(g.arity, n):
             out = sv.apply_gate(s, g, targets)
             dense = _dense(g, s.amps, targets)
@@ -251,11 +259,12 @@ def test_permutation_gate_matches_tensordot_and_matrix_oracles(g):
 
 @pytest.mark.parametrize("g", [sv.X, sv.Y, sv.CZ, sv.Gate("I", np.eye(4))], ids=lambda g: g.kind)
 def test_monomial_result_does_not_alias_the_input(g):
-    s = _random_state(np.random.default_rng(5), 3)
+    s = random_state(np.random.default_rng(5), 3)
     before = s.amps.copy()
     out = sv.apply_gate(s, g, [2, 0][: g.arity])
     assert not np.shares_memory(out.amps, s.amps)
-    out.amps[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        out.amps[...] = 0
     assert np.array_equal(s.amps, before)
 
 
@@ -267,7 +276,7 @@ SCALING = [sv.Z, sv.rz(0.3), sv.CZ, sv.Gate("P0", np.diag([cmath.exp(0.2j), 1]))
 def test_a_row_that_only_scales_itself_keeps_the_out_of_place_bits(g):
     rng = np.random.default_rng(29)
     for n in (1, 2, 4, 7, 14):
-        s = _random_state(rng, n)
+        s = random_state(rng, n)
         if n > 2:
             target_lists = _target_lists(g.arity, n)
         else:
@@ -289,7 +298,7 @@ def test_a_row_that_only_scales_itself_keeps_the_out_of_place_bits(g):
 )
 def test_a_row_that_only_scales_itself_is_scaled_without_a_temporary(g, targets):
     # the fresh copy is the only state-size array the call allocates
-    s = _random_state(np.random.default_rng(31), 14)
+    s = random_state(np.random.default_rng(31), 14)
     tracemalloc.start()
     try:
         sv.apply_gate(s, g, targets)
@@ -302,7 +311,7 @@ def test_a_row_that_only_scales_itself_is_scaled_without_a_temporary(g, targets)
 def test_identity_gate_is_monomial_and_keeps_every_bit():
     g = sv.Gate("I", np.eye(4))
     assert g.rows == ()
-    s = _random_state(np.random.default_rng(6), 3)
+    s = random_state(np.random.default_rng(6), 3)
     assert sv.apply_gate(s, g, [2, 0]).amps.tobytes() == s.amps.tobytes()
 
 
@@ -318,19 +327,12 @@ def test_h_is_dense_and_rz_is_a_diagonal_monomial():
     assert sv.CNOT.rows == (((1, 0), (((1, 1), None),)), ((1, 1), (((1, 0), None),)))
 
 
-def _random_unitary(rng, k):
-    """A 2^k x 2^k unitary from the QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-    q, r = np.linalg.qr(z)
-    return sv.Gate(f"U{k}", q * (np.diag(r) / abs(np.diag(r))))
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_random_dense_gate_matches_tensordot_and_matrix_oracles(k):
     rng = np.random.default_rng(20 + k)
-    g = _random_unitary(rng, k)
+    g = random_unitary(rng, k)
     for n in (4, 5):
-        s = _random_state(rng, n)
+        s = random_state(rng, n)
         for targets in _target_lists(k, n):
             out = sv.apply_gate(s, g, targets)
             assert np.allclose(out.amps, _dense(g, s.amps, targets), atol=ATOL)
@@ -339,7 +341,7 @@ def test_random_dense_gate_matches_tensordot_and_matrix_oracles(k):
 
 RY = sv.Gate("Ry", [[math.cos(0.45), -math.sin(0.45)], [math.sin(0.45), math.cos(0.45)]])
 FRESH = [sv.H, RY, sv.X, sv.CZ, sv.CNOT, sv.Gate("I", np.eye(4))]
-FRESH.append(_random_unitary(np.random.default_rng(9), 3))
+FRESH.append(random_unitary(np.random.default_rng(9), 3))
 # the first target is the last axis, not the leading one
 FRESH_OPS = [(g.kind, lambda s, g=g: sv.apply_gate(s, g, [2, 0, 1][: g.arity])) for g in FRESH]
 FRESH_OPS.append(("cnots", lambda s: sv.apply_cnots(s, [(2, 0), (0, 1)])))
@@ -347,12 +349,13 @@ FRESH_OPS.append(("cnots", lambda s: sv.apply_cnots(s, [(2, 0), (0, 1)])))
 
 @pytest.mark.parametrize("op", [op for _, op in FRESH_OPS], ids=[kind for kind, _ in FRESH_OPS])
 def test_every_gate_result_is_fresh_and_c_contiguous(op):
-    s = _random_state(np.random.default_rng(5), 3)
+    s = random_state(np.random.default_rng(5), 3)
     before = s.amps.copy()
     out = op(s)
     assert out.amps.flags.c_contiguous and out.amps.flags.owndata
     assert not np.shares_memory(out.amps, s.amps)
-    out.amps[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        out.amps[...] = 0
     assert np.array_equal(s.amps, before)
 
 
@@ -371,7 +374,7 @@ def test_apply_cnots_matches_sequential_cnot_gates_bit_for_bit(n):
     rng = np.random.default_rng(100 + n)
     for shuffled in (False, True):
         labels = [("q", int(i)) for i in (rng.permutation(n) if shuffled else range(n))]
-        s = _random_state(rng, n, labels)
+        s = random_state(rng, n, labels)
         for run in _cnot_runs(rng, n):
             pairs = [(("q", c), ("q", t)) for c, t in run]
             want = s
@@ -383,7 +386,7 @@ def test_apply_cnots_matches_sequential_cnot_gates_bit_for_bit(n):
 
 
 def test_apply_cnots_index_is_cached_and_read_only():
-    s = _random_state(np.random.default_rng(6), 4)
+    s = random_state(np.random.default_rng(6), 4)
     sv.apply_cnots(s, [(0, 1), (2, 3)])
     idx = sv._cnot_index(4, ((0, 1), (2, 3)))
     assert idx is sv._cnot_index(4, ((0, 1), (2, 3)))
@@ -393,7 +396,7 @@ def test_apply_cnots_index_is_cached_and_read_only():
 
 
 def test_apply_cnots_rejects_a_repeated_target_and_an_unknown_label():
-    s = _random_state(np.random.default_rng(7), 3)
+    s = random_state(np.random.default_rng(7), 3)
     with pytest.raises(InputError, match="duplicate target labels"):
         sv.apply_cnots(s, [(0, 1), (2, 2)])
     with pytest.raises(InputError):
@@ -404,13 +407,13 @@ def test_apply_cnots_rejects_a_repeated_target_and_an_unknown_label():
 
 def test_tensor_matches_kron():
     rng = np.random.default_rng(5)
-    a = _random_state(rng, 2, ["a0", "a1"])
-    b = _random_state(rng, 3, ["b0", "b1", "b2"])
+    a = random_state(rng, 2, ["a0", "a1"])
+    b = random_state(rng, 3, ["b0", "b1", "b2"])
     ab = sv.tensor(a, b)
-    assert ab.labels == ["a0", "a1", "b0", "b1", "b2"]
+    assert ab.labels == ("a0", "a1", "b0", "b1", "b2")
     assert np.allclose(ab.vector(), np.kron(a.vector(), b.vector()), atol=ATOL)
     # same bits as the tensordot outer product the golden CLI records were made with
-    for x, y in ((a, b), (b, a), (_random_state(rng, 7), _random_state(rng, 7, list("abcdefg")))):
+    for x, y in ((a, b), (b, a), (random_state(rng, 7), random_state(rng, 7, list("abcdefg")))):
         assert np.array_equal(sv.tensor(x, y).amps, np.tensordot(x.amps, y.amps, axes=0))
 
 
@@ -464,7 +467,7 @@ def test_branch_probabilities_sum_to_one():
 def test_measure_is_destructive_and_renormalized():
     s = sv.tensor(sv.new_plus_theta(0.4, "d"), new_basis_state(1, [0], labels=["anc"]))
     outcome, prob, rest = sv.measure(s, "anc", None, sv.ForcedBranch([0]))
-    assert rest.labels == ["d"]
+    assert rest.labels == ("d",)
     assert np.vdot(rest.vector(), rest.vector()).real == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(InputError, match="^qubit 'anc' is not part of this state$"):
         sv.measure(rest, "anc", None, sv.ForcedBranch([0]))
@@ -473,21 +476,23 @@ def test_measure_is_destructive_and_renormalized():
 @pytest.mark.parametrize("basis", [None, 0.4])
 def test_measure_residual_does_not_alias_input(basis):
     rng = np.random.default_rng(11)
-    mixed = _random_state(rng, 3, ["a", "m", "b"])
+    mixed = random_state(rng, 3, ["a", "m", "b"])
     # measured qubit in |0>: outcome 0 has probability 1 in the Z basis
-    certain = sv.tensor(new_basis_state(1, 0, ["m"]), _random_state(rng, 2))
+    certain = sv.tensor(new_basis_state(1, 0, ["m"]), random_state(rng, 2))
     for s in (mixed, certain):
+        before = s.amps.copy()
         _, _, rest = sv.measure(s, "m", basis, sv.ForcedBranch([0]))
-        before = rest.amps.copy()
-        s.amps[...] = 0.0
-        assert np.array_equal(rest.amps, before)
+        assert not np.shares_memory(rest.amps, s.amps)
+        with pytest.raises(ValueError, match="read-only"):
+            rest.amps[...] = 0.0
+        assert np.array_equal(s.amps, before)
 
 
 def test_measure_residual_has_the_bits_of_division_by_root_prob():
     # the CLI's recorded fidelities were made by dividing by sqrt(p)
     rng = np.random.default_rng(13)
     for n, q, basis in ((3, 2, None), (5, 1, 2.2), (10, 9, -0.7)):
-        s = _random_state(rng, n)
+        s = random_state(rng, n)
         _, prob, rest = sv.measure(s, q, basis, sv.ForcedBranch([1]))
         a0, a1 = np.take(s.amps, 0, axis=q), np.take(s.amps, 1, axis=q)
         if basis is None:
@@ -517,7 +522,7 @@ def _out_of_place_measure(s, q, delta, outcome):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_measure_matches_the_out_of_place_formula_bit_for_bit(n):
     rng = np.random.default_rng(100 + n)
-    s = _random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
+    s = random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
     for q in s.labels:
         for delta in (None, 0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi))):
             for outcome in (0, 1):
@@ -525,14 +530,14 @@ def test_measure_matches_the_out_of_place_formula_bit_for_bit(n):
                 want_prob, want = _out_of_place_measure(s, q, delta, outcome)
                 assert got == outcome
                 assert prob == want_prob
-                assert rest.labels == [lb for lb in s.labels if lb != q]
+                assert rest.labels == tuple(lb for lb in s.labels if lb != q)
                 assert (rest.amps + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_measure_with_cz_partners_equals_cz_gates_then_measure_bit_for_bit(n):
     rng = np.random.default_rng(200 + n)
-    s = _random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
+    s = random_state(rng, n, [f"q{i}" for i in rng.permutation(n)])
     for q in s.labels:
         others = [lb for lb in s.labels if lb != q]
         for k in range(min(3, n - 1) + 1):
@@ -560,7 +565,7 @@ def _half_axes(n, q):
 def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
     # the end axes take a view, an interior axis the where= mask
     rng = np.random.default_rng(300 + n)
-    s = _random_state(rng, n)
+    s = random_state(rng, n)
     for q in sorted({0, n // 2, n - 1}):
         for partner in _half_axes(n, q):
             if partner is None:
@@ -579,7 +584,7 @@ def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
 def test_measure_keeps_the_reference_bits(n):
     # partners on each kind of axis of the half, Z and M(delta), both outcomes
     rng = np.random.default_rng(400 + n)
-    s = _random_state(rng, n)
+    s = random_state(rng, n)
     for q in sorted({0, n // 2, n - 1}):
         first, interior, last = _half_axes(n, q) if n > 1 else (None, None, None)
         partner_sets = {(), (first,), (interior,), (last,), (first, interior, last)}
@@ -597,9 +602,9 @@ def test_measure_keeps_the_reference_bits(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_tensor_keeps_the_reference_bits(n):
     rng = np.random.default_rng(500 + n)
-    a = _random_state(rng, n)
+    a = random_state(rng, n)
     for k in (1, 7):
-        b = _random_state(rng, k, [("b", i) for i in range(k)])
+        b = random_state(rng, k, [("b", i) for i in range(k)])
         got, want = sv.tensor(a, b), reference_tensor(a, b)
         assert got.labels == want.labels
         assert got.amps.shape == want.amps.shape
@@ -607,7 +612,7 @@ def test_tensor_keeps_the_reference_bits(n):
 
 
 def test_measure_rejects_a_repeated_or_unknown_cz_partner():
-    s = _random_state(np.random.default_rng(23), 3)
+    s = random_state(np.random.default_rng(23), 3)
     for cz in ([0], [1, 1], [2, 1, 2]):
         with pytest.raises(InputError, match="duplicate target labels"):
             sv.measure(s, 0, None, sv.ForcedBranch([0]), cz)
@@ -618,7 +623,7 @@ def test_measure_rejects_a_repeated_or_unknown_cz_partner():
 @pytest.mark.parametrize("delta, halves", [(None, 2), (0.0, 3), (0.7, 3)])
 def test_measure_peak_memory_is_the_two_halves_plus_the_new_branch(delta, halves):
     # bytes that Python's tracer sees, not page faults, which depend on the allocator
-    s = _random_state(np.random.default_rng(17), 14)
+    s = random_state(np.random.default_rng(17), 14)
     half = s.amps.nbytes // 2
     for q in (0, 6, 13):
         first, _, last = _half_axes(14, q)
@@ -636,7 +641,7 @@ def test_measure_peak_memory_is_the_two_halves_plus_the_new_branch(delta, halves
 def test_measure_leaves_the_input_amplitudes_unchanged(basis):
     rng = np.random.default_rng(19)
     for n in (1, 2, 5):
-        s = _random_state(rng, n)
+        s = random_state(rng, n)
         before = s.amps.copy()
         for q in range(n):
             others = [lb for lb in range(n) if lb != q]
@@ -744,6 +749,35 @@ def test_label_order_must_be_a_permutation_by_identity():
             s.vector(order=order)
 
 
+# ---------------------------------------------------------- read-only values
+
+
+VALUES = [
+    ("PureState", lambda s: sv.PureState(s.amps, s.labels)),
+    ("new_plus_theta", lambda s: sv.new_plus_theta(0.3)),
+    ("qubit_state", lambda s: sv.qubit_state([0.6, 0.8], "q")),
+    ("tensor", lambda s: sv.tensor(s, sv.new_plus_theta(0.2, "t"))),
+    ("H", lambda s: sv.apply_gate(s, sv.H, [1])),
+    ("CZ", lambda s: sv.apply_gate(s, sv.CZ, [2, 0])),
+    ("cnots", lambda s: sv.apply_cnots(s, [(0, 2), (2, 1)])),
+    ("measure_z", lambda s: sv.measure(s, 1, None, sv.ForcedBranch([1]))[2]),
+    ("measure_cz", lambda s: sv.measure(s, 0, 0.7, sv.ForcedBranch([0]), [2])[2]),
+]
+
+
+@pytest.mark.parametrize("op", [op for _, op in VALUES], ids=[kind for kind, _ in VALUES])
+def test_every_state_is_a_read_only_value(op):
+    # nothing can change a state after its one norm check
+    out = op(random_state(np.random.default_rng(37), 3))
+    assert is_read_only_value(out)
+    with pytest.raises(ValueError, match="read-only"):
+        out.amps[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.amps = np.zeros_like(out.amps)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.labels = ()
+
+
 # ------------------------------------------------------------ norm guards
 
 
@@ -755,14 +789,11 @@ def test_norm_drift_detected():
 
 
 def test_kernels_reject_a_nan_state_that_skipped_validation():
-    bad = new_basis_state(1)
-    bad.amps = np.array([math.nan, 0.0], dtype=complex)
+    # only the internal constructor skips the check; measure's p0 + p1 is the
+    # one norm check at run time, so such a state fails at its first measurement
+    bad = sv._state(np.array([math.nan, 0.0], dtype=complex), (0,))
     with pytest.raises(ContractViolation):
         sv.measure(bad, 0, None, sv.BornSampler(0))
-    with pytest.raises(ContractViolation):
-        sv.apply_gate(bad, sv.X, [0])
-    with pytest.raises(ContractViolation):
-        sv.tensor(bad, new_basis_state(1, labels=["b"]))
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -784,14 +815,28 @@ def test_a_state_keeps_a_copy_of_its_amplitudes():
         sv.measure(s, "a", None, sv.ForcedBranch([1]))
 
 
-def test_qubit_state_copies_a_vector_or_a_one_qubit_state():
+def test_qubit_state_copies_a_vector_and_shares_a_one_qubit_state(monkeypatch):
+    # a vector from outside is copied and checked; a state was checked when it
+    # was built, so its read-only array is put on the new label unchecked
+    checked = []
+    check = sv.PureState.__post_init__
+
+    def counting(state):
+        checked.append(tuple(state.labels))
+        check(state)
+
+    one = sv.new_plus_theta(0.4, "b")
+    monkeypatch.setattr(sv.PureState, "__post_init__", counting)
     vec = np.array([0.6, 0.8j])
     from_vec = sv.qubit_state(vec, "a")
-    one = sv.new_plus_theta(0.4, "b")
     from_state = sv.qubit_state(one, "c")
+    assert checked == [("a",)]
     vec[0] = 0.0
-    one.amps[...] = 0.0
-    assert from_vec.labels == ["a"] and from_state.labels == ["c"]
+    assert not np.shares_memory(from_vec.amps, vec)
+    assert np.shares_memory(from_state.amps, one.amps)
+    with pytest.raises(ValueError, match="read-only"):
+        one.amps[...] = 0.0
+    assert from_vec.labels == ("a",) and from_state.labels == ("c",)
     assert np.array_equal(from_vec.amps, [0.6, 0.8j])
     assert np.array_equal(from_state.amps, sv.new_plus_theta(0.4).amps)
     with pytest.raises(InputError):

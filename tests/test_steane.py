@@ -40,6 +40,7 @@ from blindprep.steane import (
     logical_zero,
     prepare_encoded_mbqc,
 )
+from helpers import is_read_only_value
 
 SQ8 = 1.0 / math.sqrt(8.0)
 
@@ -240,6 +241,16 @@ def test_syndrome_case_checks_only_its_data_qubit(monkeypatch):
     for shared in (sv.PLUS, sv.ZERO, steane._PLUS_L, steane._ZERO_L):
         with pytest.raises(ValueError, match="read-only"):
             shared.amps[(0,) * shared.n] = 0.0
+
+
+def test_every_returned_block_is_a_read_only_value():
+    encoded = encode_circuit(np.array([1.0, 0.0]))
+    hurt = inject_error(encoded, PauliError("X", 2))
+    result, survived = extract_syndrome(hurt, sv.BornSampler(0))
+    fixed = apply_correction(survived, result)
+    prepared = prepare_encoded_mbqc(0.3, sv.BornSampler(1)).state
+    for state in (encoded, hurt, survived, fixed, prepared, steane._PLUS_L, steane._ZERO_L):
+        assert is_read_only_value(state)
 
 
 def test_bit_check_with_zeroed_ancilla_target_collapses_data():
