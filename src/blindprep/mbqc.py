@@ -19,9 +19,10 @@ Conventions (fixed once, everything else is derived):
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
   computed symbolically by PatternBuilder while a layout is described.
-  Construction lowers each set to a bit mask over step positions, so a run
-  keeps its outcomes as one int and reads each sign or exponent as the
-  parity of that int under a mask.
+  Construction lowers each set to a bit mask over step positions and each
+  node to an integer axis, so a run keeps its outcomes as one int, reads each
+  sign or exponent as the parity of that int under a mask, and reads node
+  labels only at its boundary.
 
 Gate layouts (node counts are this implementation's choice; the soundness
 tests are the authority for their correctness):
@@ -48,6 +49,7 @@ transcripts, corrections, and the validator's messages readable.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -128,8 +130,9 @@ class MeasurementPattern:
     schedule: what the executor runs, lowered by _lower when the pattern is
     built: the steps, each measured one with its delta and the bit mask of
     its deps (bit i is step i), the x_corr / z_corr masks of each output,
-    the node set, and the live widths (dict and joint inputs) that run_pattern
-    checks before it builds any state. It is immutable, so copies share it.
+    the node set, the live widths (dict and joint inputs) that run_pattern
+    checks before it builds any state, and the steps placed on integer axes
+    for dict inputs. It is immutable, so copies share it.
 
     Construction validates and lowers once; a change made in place later is
     not checked, and the executor still runs the steps, edges and
@@ -256,23 +259,19 @@ def apply_byproducts(state: sv.PureState, frame: ByproductFrame) -> sv.PureState
 
 
 def run_pattern(
-    p: MeasurementPattern,
-    inputs: dict | sv.PureState | None,
-    src: sv.OutcomeSource,
+    p: MeasurementPattern, inputs: dict | sv.PureState | None, src: sv.OutcomeSource
 ) -> tuple[sv.PureState, Transcript, ByproductFrame]:
     """Execute a pattern and return (residual state, transcript, byproduct frame).
 
     inputs: dict node -> 1-qubit state/2-vector (missing input nodes default
     to |+>), or a joint PureState whose labels include every input node
     (extra labels ride along untouched as spectators, e.g. Choi probes).
-    The steps are p.schedule, lowered once when p was built: nodes are
-    created only when first needed (a joint state's inputs never are) and
-    each CZ edge is folded into the measurement of its first measured
-    endpoint; only an edge between two outputs goes through sv.apply_gate,
-    last. The input form's lowered live width (spectators excluded) is
-    checked against LIVE_CAP before any state is built.
+    The steps are p.schedule, lowered once when p was built (a joint state's
+    inputs are never created), on the axes _place numbered: labels are read
+    only here, and the residual is labelled last. The input form's lowered live
+    width (spectators excluded) is checked against LIVE_CAP before any state.
     """
-    steps, corr, nodes, widths = p.schedule
+    steps, corr, nodes, widths, placed = p.schedule
     # a joint state is used as given, since states are read-only values;
     # its labels past the inputs are spectators
     live = inputs if isinstance(inputs, sv.PureState) else None
@@ -288,38 +287,38 @@ def run_pattern(
 
     if (width := widths[live is not None]) > LIVE_CAP:
         raise InputError(f"live width {width} exceeds the cap of {LIVE_CAP}")
-    held = () if live is None else wires  # the inputs a joint state already holds
+    plan, labels = placed if live is None else _place(steps, live.labels)
     transcript = Transcript()
     bits = 0  # bit i is the outcome of step i
-    for i, (node, delta, deps, new, cz) in enumerate(steps):
+    for i, (node, delta, deps, new, ax, cz) in enumerate(plan):
         for fresh in new:
-            if fresh in held:
-                continue
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
-            q = sv._state(sv.PLUS.amps, (fresh,)) if spec is None else sv.qubit_state(spec, fresh)
+            q = sv.PLUS if spec is None else sv.qubit_state(spec, fresh)
             live = q if live is None else sv.tensor(live, q)
-        if node is None:  # the last step: edges between two outputs
-            for a, b in cz:
-                live = sv.apply_gate(live, sv.CZ, [a, b])
-            continue
+        if node is None:  # the last step: its cz are edges between two outputs
+            break
         if (deps & bits).bit_count() & 1:
             delta = -delta
-        outcome, prob, live = sv.measure(live, node, delta, src, cz)
+        outcome, prob, live = sv.measure(live, ax, delta, src, cz)
         bits |= outcome << i
         transcript.entries.append(TranscriptEntry(node, delta, outcome, prob))
 
+    state = sv._state(live.amps, labels)
+    for a, b in cz:
+        state = sv.apply_gate(state, sv.CZ, [a, b])
     frame = {out: ((x & bits).bit_count() & 1, (z & bits).bit_count() & 1) for out, x, z in corr}
-    return live, transcript, ByproductFrame(frame)
+    return state, transcript, ByproductFrame(frame)
 
 
 def _lower(p: MeasurementPattern) -> tuple:
-    """run_pattern's (steps, corr, nodes, widths). steps: (node, delta, deps
-    mask, nodes to create first, CZ partners) per measured node, delta its
+    """run_pattern's (steps, corr, nodes, widths, placed). steps: (node, delta,
+    deps mask, nodes to create first, CZ partners) per measured node, delta its
     FIXED_BASES value or rot angle, then (None, None, 0, outputs to create,
     edges between two outputs). Each node is created at its first use,
     inputs included. corr: (output, x_corr mask, z_corr mask) per output.
     Bit i of a mask is step i. nodes: every node, as a frozenset. widths: the
-    most qubits alive at once with dict inputs, then with a joint state."""
+    most qubits alive at once with dict inputs, then with a joint state.
+    placed: the steps on the axes of a run with dict inputs (see _place)."""
     last = len(p.steps)
     at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
 
@@ -345,7 +344,27 @@ def _lower(p: MeasurementPattern) -> tuple:
     corr = tuple(
         (out, mask(p.x_corr.get(out, ())), mask(p.z_corr.get(out, ()))) for out in p.outputs
     )
-    return tuple(steps), corr, frozenset(at), (peak, joint)
+    steps = tuple(steps)
+    return steps, corr, frozenset(at), (peak, joint), _place(steps, ())
+
+
+@functools.lru_cache(maxsize=16)
+def _place(steps: tuple, held: tuple) -> tuple:
+    """(plan, labels): steps on the axes of a run from a state on the labels held (none
+    for dict inputs, a joint state's otherwise, so a joint plan is placed once per label
+    order). A created node takes the next axis; a measured one is removed, and each later
+    axis moves down one. plan: (node, delta, deps, nodes to create, measured axis, CZ
+    partners' axes in the residual) per step; the last has axis None and keeps its edges
+    between two outputs as labels. labels: the residual's, in axis order."""
+    order, plan = list(held), []
+    for node, delta, deps, new, cz in steps:
+        order += (new := tuple(q for q in new if q not in held))
+        ax = None if node is None else order.index(node)
+        if node is not None:
+            del order[ax]
+            cz = tuple(order.index(b) for b in cz)
+        plan.append((node, delta, deps, new, ax, cz))
+    return tuple(plan), tuple(order)
 
 
 def enumerate_branches(
@@ -613,10 +632,8 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     norm = float(np.vdot(p.declared_unitary, p.declared_unitary).real) / len(p.declared_unitary)
     if not abs(norm - 1.0) <= sv._NORM_TOL:
         raise InputError(f"declared map takes the probe to norm^2 {norm}, not 1")
-    probe = None
-    for i, node in enumerate(p.inputs):
-        pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
-        probe = pair if probe is None else sv.tensor(probe, pair)
     specs = [("spec", i) for i in range(len(p.inputs))]
-    amps = (probe.amps.flat[0] * p.declared_unitary).reshape(probe.amps.shape)
-    return probe, sv._state(amps, (*p.outputs, *specs))
+    pair = sv.PureState(np.eye(2) / math.sqrt(2.0), ["input", "spectator"])  # checked once
+    probe = functools.reduce(sv.tensor, [pair] * len(specs)).amps
+    amps = (probe.flat[0] * p.declared_unitary).reshape(probe.shape)
+    return sv._state(probe, sum(zip(p.inputs, specs), ())), sv._state(amps, (*p.outputs, *specs))

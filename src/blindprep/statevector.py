@@ -1,10 +1,12 @@
-"""Dense statevector simulator over labeled qubits.
+"""Dense statevector simulator: labels at the boundary, integer axes inside a run.
 
 Design notes:
-- Qubits are identified by hashable labels, not positions. Measurement is
-  destructive: the measured qubit's axis is removed and the survivors keep
-  their labels, which is what a one-way computation needs (nodes disappear
-  as they are consumed).
+- A PureState carries one hashable label per qubit. apply_gate, apply_cnots and
+  fidelity map each label to its axis once, at their boundary. The two kernels a
+  run repeats, tensor and measure, take integer axes and return Slots, amplitudes
+  with no labels: mbqc numbers every axis when it lowers a pattern and labels the
+  residual once, at the end. Measurement is destructive: the measured axis is
+  removed and each later axis moves down by one (nodes vanish as they are consumed).
 - A measurement basis is given by its angle: None means Z (|0>, |1>), a
   float delta means M(delta), the equatorial basis
   |+/-_delta> = (|0> +/- e^{i delta} |1>)/sqrt(2). Outcome 0 always means
@@ -14,8 +16,8 @@ Design notes:
 - States are compared with global-phase-insensitive fidelity; nothing in
   this package should ever assert on a global phase.
 - A state is an immutable value whose norm PureState checks once, where it is
-  made from outside values; _state builds kernel outputs from checked states
-  unchecked, and each measurement checks p0 + p1, the one norm check at run time.
+  made from outside values; _state labels kernel outputs unchecked, and each
+  measurement checks p0 + p1, the one norm check at run time.
 
 The amplitude array is shaped (2,)*n with one axis per qubit, axis order matching
 ``labels``. A hard cap of 24 qubits keeps accidental blowups from eating the machine. Every
@@ -26,12 +28,9 @@ diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a
 of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
 same kernel builds from the run. That index is also the only source of dense unitaries:
 mbqc scatters a CNOT's 1s at it, and steane gathers the encoder's H layer by it. A
-measurement takes the measured qubit's two halves as copies and works on them in place: the
-residual is one of them, and the call's peak is those two halves plus one more for the new
-branch in M(delta). A measurement can also take the measured qubit's CZ partners: each
-partner's CZ negates, in place, the slice of the |1> half where that partner is 1, so the
-peak stays the same. An in-place scale takes a view on the first or last axis, else a where=
-mask: a ufunc over an interior view copies the array.
+measurement works in place on copies of the measured qubit's two halves (see measure). An
+in-place scale takes a view on the first or last axis, else a where= mask: a ufunc over an
+interior view copies the array.
 """
 
 from __future__ import annotations
@@ -182,27 +181,21 @@ class PureState:
         amps.setflags(write=False)
         self.__dict__.update(amps=amps, labels=labels)
 
-    # -- bookkeeping --
-
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def axis(self, label: Label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"qubit {label!r} is not part of this state") from None
 
-    def vector(self, order: Sequence[Label] | None = None) -> np.ndarray:
-        """Flat amplitude vector, axes permuted to ``order`` (default: self.labels)."""
-        if order is None:
-            return self.amps.reshape(-1)
-        order = list(order)
-        if len(order) != self.n or set(order) != set(self.labels):
-            raise InputError("order must be a permutation of the state's labels")
-        perm = [self.labels.index(lb) for lb in order]
-        return np.transpose(self.amps, perm).reshape(-1)
+@dataclass(slots=True, eq=False)
+class Slots:
+    """A run's state between its boundaries: the (2,)*n amplitudes alone, each qubit an integer
+    axis. tensor and measure return one and read any state's amps and n, as bench/spans.py does."""
+
+    amps: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.amps.ndim
 
 
 def _state(amps: np.ndarray, labels: tuple) -> PureState:
@@ -217,8 +210,8 @@ def _state(amps: np.ndarray, labels: tuple) -> PureState:
     return out
 
 
-# the two fixed one-qubit states, each checked once; _state puts one on a
-# qubit, sharing its array, so no caller builds or checks it again
+# the two fixed one-qubit states, each checked once; tensor reads their shared
+# arrays, so no caller builds or checks them again
 PLUS = PureState(np.full(2, _INV_SQRT2, dtype=complex), ["+"])
 ZERO = PureState(np.array([1.0, 0.0], dtype=complex), ["0"])
 
@@ -241,17 +234,13 @@ def new_plus_theta(theta: float, label: Label = 0) -> PureState:
     return PureState(amps, [label])
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Product state a (x) b; label sets must be disjoint."""
-    if not set(b.labels).isdisjoint(a.labels):
-        raise InputError("tensor: overlapping qubit labels")
-    labels = a.labels + b.labels
-    n = len(labels)
+def tensor(a: Slots | PureState, b: Slots | PureState) -> Slots:
+    """Product state a (x) b: a's axes, then b's."""
+    n = a.n + b.n
     if n > QUBIT_CAP:
         raise InputError(f"tensor would exceed the {QUBIT_CAP}-qubit cap")
     # one rank-1 matrix product of the two flat amplitude vectors
-    amps = np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))
-    return _state(amps.reshape((2,) * n), labels)
+    return Slots(np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1)).reshape((2,) * n))
 
 
 # ----------------------------------------------------------- operations ----
@@ -259,14 +248,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     """Apply gate g to the given target qubits (order matters for multi-qubit gates)."""
-    axes = [s.axis(t) for t in _targets(g, targets)]
-    return _state(_contract(g, s.amps, axes), s.labels)
+    return _state(_contract(g, s.amps, _axes(s, g, targets)), s.labels)
 
 
 def apply_cnots(s: PureState, pairs: Sequence[Sequence[Label]]) -> PureState:
     """Apply CNOT to each (control, target) pair in order, as one gather;
     the result equals the same apply_gate calls bit for bit."""
-    axes = tuple(tuple(s.axis(t) for t in _targets(CNOT, pair)) for pair in pairs)
+    axes = tuple(tuple(_axes(s, CNOT, pair)) for pair in pairs)
     return _state(s.amps.reshape(-1).take(_cnot_index(s.n, axes)), s.labels)
 
 
@@ -280,14 +268,17 @@ def _cnot_index(n: int, axes: tuple) -> np.ndarray:
     return idx
 
 
-def _targets(g: Gate, targets: Sequence) -> list:
-    """targets as a list, once g's arity is met and no target repeats."""
+def _axes(s: PureState, g: Gate, targets: Sequence[Label]) -> list:
+    """The axis in s of each of g's targets, once g's arity is met and no target repeats."""
     targets = list(targets)
     if len(targets) != g.arity:
         raise InputError(f"gate {g.kind} expects {g.arity} targets, got {len(targets)}")
     if len(set(targets)) != len(targets):
         raise InputError("duplicate target labels")
-    return targets
+    for label in targets:
+        if label not in s.labels:
+            raise InputError(f"qubit {label!r} is not part of this state")
+    return [s.labels.index(label) for label in targets]
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
@@ -326,38 +317,35 @@ def _scale(a: np.ndarray, picks: list, entry) -> None:
 
 
 def measure(
-    s: PureState, q: Label, delta: float | None, src: OutcomeSource, cz: Sequence[Label] = ()
-) -> tuple[int, float, PureState]:
-    """Destructively measure qubit q in Z (delta None) or in M(delta), delta
-    finite, after CZ between q and each of its partners cz. Returns
-    (outcome, Born probability, residual state).
+    s: Slots | PureState, ax: int, delta: float | None, src: OutcomeSource, cz: Sequence[int] = ()
+) -> tuple[int, float, Slots]:
+    """Destructively measure axis ax of s in Z (delta None) or in M(delta), delta
+    finite, after CZ with each partner in cz, numbered in the residual: an axis
+    past ax is one less. Returns (outcome, Born probability, residual state).
 
-    Outcome 0 is the |0> / |+_delta> branch. The measured qubit is removed;
+    Outcome 0 is the |0> / |+_delta> branch. The measured axis is removed;
     the residual state is renormalized. A state may become empty (n == 0), in
     which case the residual has a 0-dim amplitude scalar of modulus 1.
 
     CZ only negates the amplitudes where both of its qubits are 1, so each
-    partner's CZ is applied in place to q's |1> half, with the same bits as
-    apply_gate(s, CZ, [q, partner]) per partner first, by _scale (a view on the last
-    axis, where run_pattern puts most partners). p0 + p1 must be 1 within _NORM_TOL:
+    partner's CZ is applied in place to the |1> half, with the same bits as
+    apply_gate with CZ per partner first, by _scale (a view on the last axis,
+    where run_pattern puts most partners). p0 + p1 must be 1 within _NORM_TOL:
     the one norm check made at run time, at every measurement.
 
-    The residual is one of the two half-size copies the call takes from s, so
-    it shares no memory with s. Those two are the call's peak in Z, with or
-    without partners; M(delta) adds one more half for the new branch.
+    The residual is one of the two half-size copies the call takes from s and
+    works on in place, so it shares no memory with s. Those two are the call's
+    peak in Z, with or without partners; M(delta) adds one more half for the new
+    branch.
     """
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
-    ax = s.axis(q)
     # take copies, so the in-place updates below never reach s.amps; at
     # n == 1 the halves are numpy scalars, which augmented assignment rebinds
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
-    if cz and (q in cz or len(set(cz)) != len(cz)):
-        raise InputError("duplicate target labels")
-    for partner in cz:
-        at = s.axis(partner)
-        _scale(a1, [(at if at < ax else at - 1, 1)], _CZ_SIGN)
+    for at in cz:
+        _scale(a1, [(at, 1)], _CZ_SIGN)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently
@@ -379,14 +367,15 @@ def measure(
         raise InputError(f"outcome source returned {outcome!r}")
     prob = p0 if outcome == 0 else p1
     if prob < _DEGENERATE_TOL:
-        raise DegenerateBranchError(f"outcome {outcome} on {q!r} has probability {prob}")
+        raise DegenerateBranchError(f"outcome {outcome} on axis {ax} has probability {prob}")
     branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
-    return outcome, prob, _state(branch, s.labels[:ax] + s.labels[ax + 1 :])
+    return outcome, prob, Slots(branch)
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:
-    """|<s1|s2>|^2, insensitive to global phase; labels are aligned first."""
-    v1 = s1.vector()
-    v2 = s2.vector(order=s1.labels)
-    return float(abs(np.vdot(v1, v2)) ** 2)
+    """|<s1|s2>|^2, insensitive to global phase; s2's axes are put in s1's label order first."""
+    if set(s2.labels) != set(s1.labels):
+        raise InputError("fidelity compares two states on the same labels")
+    v2 = np.transpose(s2.amps, [s2.labels.index(lb) for lb in s1.labels]).reshape(-1)
+    return float(abs(np.vdot(s1.amps.reshape(-1), v2)) ** 2)

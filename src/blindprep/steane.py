@@ -119,11 +119,10 @@ def encode_circuit(data) -> sv.PureState:
     data_q = sv.qubit_state(data, ("d", DATA_WIRE))
     state = None
     for i in range(1, 8):
-        if i == DATA_WIRE:
-            q = data_q
-        else:  # the shared, already checked |+> or |0>
-            q = sv._state((sv.PLUS if i in PIVOT_WIRES else sv.ZERO).amps, (("d", i),))
+        # the data, else the shared, already checked |+> or |0>
+        q = data_q if i == DATA_WIRE else sv.PLUS if i in PIVOT_WIRES else sv.ZERO
         state = q if state is None else sv.tensor(state, q)
+    state = sv._state(state.amps, DATA_LABELS)
     return sv.apply_cnots(state, [(("d", c), ("d", t)) for c, t in ENCODER_CNOTS])
 
 
@@ -180,28 +179,30 @@ def extract_syndrome(
 ) -> tuple[SyndromeResult, sv.PureState]:
     """Run one bit round and one phase round; returns (result, surviving data).
 
-    The data state must live on the ("d", 1..7) labels. Each round tensors a
-    fresh 7-qubit logical ancilla (14 live qubits), couples transversally,
-    and destructively reads the ancilla out.
+    The data state must live on the ("d", 1..7) labels, and on no ancilla
+    label. Each round tensors a fresh 7-qubit logical ancilla (14 live
+    qubits), couples transversally, and destructively reads the ancilla out.
     """
     for lb in DATA_LABELS:
         if lb not in state.labels:
             raise InputError("state does not carry the encoded-block labels")
+    if not set(state.labels).isdisjoint(_PLUS_L.labels + _ZERO_L.labels):
+        raise InputError("state carries a syndrome ancilla label")
 
     # per round: fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
     joint, words = state, []
     for ancilla, anc_controls, delta in ((_PLUS_L, False, None), (_ZERO_L, True, 0.0)):
         anc = ancilla.labels
-        joint = sv.tensor(joint, ancilla)
+        joint = sv._state(sv.tensor(joint, ancilla).amps, state.labels + anc)
         pairs = zip(anc, DATA_LABELS) if anc_controls else zip(DATA_LABELS, anc)
         joint = sv.apply_cnots(joint, list(pairs))
         word = []
-        for a in anc:
-            outcome, _, joint = sv.measure(joint, a, delta, src)
+        for _ in anc:  # the ancilla's first axis is state.n; the next moves there
+            outcome, _, joint = sv.measure(joint, state.n, delta, src)
             word.append(outcome)
         words.append(tuple(word))
 
-    return SyndromeResult(*words, *map(_position, words)), joint
+    return SyndromeResult(*words, *map(_position, words)), sv._state(joint.amps, state.labels)
 
 
 def apply_correction(state: sv.PureState, result: SyndromeResult) -> sv.PureState:

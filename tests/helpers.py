@@ -10,6 +10,7 @@ import numpy as np
 from blindprep import mbqc
 from blindprep import resources as rs
 from blindprep import statevector as sv
+from blindprep import steane
 from blindprep.errors import (
     ContractViolation,
     DegenerateBranchError,
@@ -50,6 +51,33 @@ def random_unitary(rng, k) -> sv.Gate:
     return sv.Gate(f"U{k}", q * (np.diag(r) / abs(np.diag(r))))
 
 
+def vector(s, order=None) -> np.ndarray:
+    """s's amplitudes as a flat vector, its axes put in ``order`` (default:
+    s.labels) first; order must hold each of s's labels once."""
+    order = s.labels if order is None else tuple(order)
+    if len(order) != s.n or set(order) != set(s.labels):
+        raise InputError("order must be a permutation of the state's labels")
+    return np.transpose(s.amps, [s.labels.index(lb) for lb in order]).reshape(-1)
+
+
+def labeled_tensor(a, b) -> sv.PureState:
+    """sv.tensor of two labelled states, labelled a's labels then b's; like a
+    kernel's output, it is made read-only and not checked again."""
+    if not set(b.labels).isdisjoint(a.labels):
+        raise InputError("tensor: overlapping qubit labels")
+    return sv._state(sv.tensor(a, b).amps, a.labels + b.labels)
+
+
+def labeled_measure(s, q, delta, src, cz=()) -> tuple:
+    """sv.measure on labels: q and its partners cz mapped to axes, each partner
+    numbered in the residual, and the residual labelled (read-only)."""
+    rest = tuple(lb for lb in s.labels if lb != q)
+    if len(rest) == s.n:
+        raise InputError(f"qubit {q!r} is not part of this state")
+    outcome, prob, out = sv.measure(s, s.labels.index(q), delta, src, [rest.index(p) for p in cz])
+    return outcome, prob, sv._state(out.amps, rest)
+
+
 def is_read_only_value(state) -> bool:
     """Whether state's amplitudes are read-only and its labels a tuple."""
     return not state.amps.flags.writeable and isinstance(state.labels, tuple)
@@ -66,7 +94,7 @@ def build_cluster(p, inputs=None) -> sv.PureState:
     for node in p.nodes:
         spec = inputs.get(node)
         q = sv.new_plus_theta(0.0, node) if spec is None else sv.qubit_state(spec, node)
-        state = q if state is None else sv.tensor(state, q)
+        state = q if state is None else labeled_tensor(state, q)
     for a, b in p.edges:
         state = sv.apply_gate(state, sv.CZ, [a, b])
     return state
@@ -114,13 +142,13 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
     kernel is checked against these bits."""
     if delta is not None and not math.isfinite(delta):
         raise InputError(f"basis angle must be finite, got {delta!r}")
-    ax = s.axis(q)
+    ax = s.labels.index(q)
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
     if cz and (q in cz or len(set(cz)) != len(cz)):
         raise InputError("duplicate target labels")
     for partner in cz:
-        at = s.axis(partner)
+        at = s.labels.index(partner)
         sv._scale(a1, [(at if at < ax else at - 1, 1)], sv._CZ_SIGN)
     if delta is None:
         b0, b1 = a0, a1
@@ -144,6 +172,55 @@ def reference_measure(s, q, delta, src, cz=()) -> tuple:
     return outcome, prob, sv._state(branch, s.labels[:ax] + s.labels[ax + 1 :])
 
 
+def reference_run(p, inputs, src) -> tuple:
+    """mbqc.run_pattern as it ran before its steps were placed on integer axes:
+    p's lowered label steps, each qubit found by its label, with
+    reference_tensor and reference_measure. Returns (state, transcript as
+    (node, delta, outcome, prob) tuples, frame): the executor's bit-for-bit
+    reference."""
+    steps, corr = p.schedule[:2]
+    live = inputs if isinstance(inputs, sv.PureState) else None
+    seeded = {} if live is not None else dict(inputs or {})
+    held = () if live is None else set(p.inputs)
+    entries, bits = [], 0
+    for i, (node, delta, deps, new, cz) in enumerate(steps):
+        for fresh in new:
+            if fresh in held:
+                continue
+            spec = seeded.get(fresh)
+            q = sv.qubit_state(sv.PLUS if spec is None else spec, fresh)
+            live = q if live is None else reference_tensor(live, q)
+        if node is None:  # the last step: edges between two outputs
+            for a, b in cz:
+                live = sv.apply_gate(live, sv.CZ, [a, b])
+            continue
+        if (deps & bits).bit_count() & 1:
+            delta = -delta
+        outcome, prob, live = reference_measure(live, node, delta, src, cz)
+        bits |= outcome << i
+        entries.append((node, delta, outcome, prob))
+    frame = {out: ((x & bits).bit_count() & 1, (z & bits).bit_count() & 1) for out, x, z in corr}
+    return live, entries, frame
+
+
+def reference_syndrome(state, src) -> tuple:
+    """steane.extract_syndrome as it ran before it passed axes: each ancilla
+    qubit tensored and measured by its label, with reference_tensor and
+    reference_measure. Returns (bit word, phase word, surviving data state)."""
+    joint, words = state, []
+    rounds = ((steane._PLUS_L, False, None), (steane._ZERO_L, True, 0.0))
+    for ancilla, anc_controls, delta in rounds:
+        anc = ancilla.labels
+        pairs = zip(anc, steane.DATA_LABELS) if anc_controls else zip(steane.DATA_LABELS, anc)
+        joint = sv.apply_cnots(reference_tensor(joint, ancilla), list(pairs))
+        word = []
+        for a in anc:
+            outcome, _, joint = reference_measure(joint, a, delta, src)
+            word.append(outcome)
+        words.append(tuple(word))
+    return (*words, joint)
+
+
 def traced_widths(p) -> tuple[int, int]:
     """The most qubits run_pattern holds at once on p, as the largest state it
     builds: with dict inputs, then with a joint |+> product over p's inputs.
@@ -152,10 +229,10 @@ def traced_widths(p) -> tuple[int, int]:
     joint = None
     for node in p.inputs:
         q = sv.new_plus_theta(0.0, node)
-        joint = q if joint is None else sv.tensor(joint, q)
+        joint = q if joint is None else labeled_tensor(joint, q)
     sizes: list = []
     tensor = sv.tensor
-    sv.tensor = lambda a, b: sizes.append(a.n + b.n) or tensor(a, b)
+    sv.tensor = lambda a, b: sizes.append(a.amps.ndim + b.amps.ndim) or tensor(a, b)
     try:
         mbqc.run_pattern(p, {}, sv.BornSampler(0))
         widths = [max(sizes, default=1)]
@@ -174,7 +251,7 @@ def reference_choi_target(p) -> sv.PureState:
     probe = None
     for i, node in enumerate(p.inputs):
         pair = sv.PureState(np.eye(2) / math.sqrt(2.0), [node, ("spec", i)])
-        probe = pair if probe is None else sv.tensor(probe, pair)
+        probe = pair if probe is None else labeled_tensor(probe, pair)
     moved = sv.apply_gate(probe, sv.Gate("declared", p.declared_unitary), list(p.inputs))
     relabel = dict(zip(p.inputs, p.outputs))
     return sv.PureState(moved.amps, [relabel.get(lb, lb) for lb in moved.labels])

@@ -21,7 +21,7 @@ import blindprep.statevector as sv
 import blindprep.steane as steane
 from blindprep.cli import CSV_HEADER, main
 from blindprep.resources import ExperimentParams, repetition_factor, sweep, transmittance
-from helpers import min_cluster_residual
+from helpers import labeled_tensor, min_cluster_residual
 
 
 def _timed(n: int, name: str, budget_s: float, body) -> None:
@@ -143,7 +143,7 @@ def _check_choi(p: mbqc.MeasurementPattern) -> None:
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = amps[1, 1] = _SQ2
         pair = sv.PureState(amps, [node, ("spec", i)])
-        probe = pair if probe is None else sv.tensor(probe, pair)
+        probe = pair if probe is None else labeled_tensor(probe, pair)
     gate = sv.Gate("declared", p.declared_unitary)
     moved = sv.apply_gate(probe, gate, list(p.inputs))
     relabel = dict(zip(p.inputs, p.outputs))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -38,7 +39,17 @@ from blindprep.mbqc import (
     run_pattern,
     runs,
 )
-from helpers import build_cluster, is_read_only_value, reference_choi_target, traced_widths
+from helpers import (
+    build_cluster,
+    is_read_only_value,
+    labeled_measure,
+    labeled_tensor,
+    random_state,
+    reference_choi_target,
+    reference_run,
+    traced_widths,
+    vector,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -79,7 +90,7 @@ def full_build_run(p, inputs, bits):
             basis = -role.angle if sum(outcomes[d] for d in role.deps) % 2 else role.angle
         else:
             basis = {"x": 0.0, "y": math.pi / 2}[role.kind]
-        outcomes[node], step_prob, state = sv.measure(state, node, basis, src)
+        outcomes[node], step_prob, state = labeled_measure(state, node, basis, src)
         prob *= step_prob
     frame = {
         out: (
@@ -603,7 +614,7 @@ def without(steps, held):
 
 def test_lowering_matches_the_adjacency_walk_with_dict_and_joint_inputs():
     for name, p in lowering_cases():
-        steps, _, nodes, widths = p.schedule
+        steps, _, nodes, widths, _ = p.schedule
         assert nodes == frozenset(p.nodes), name
         assert widths == walk_widths(p), name
         # dict inputs: every node, inputs included, is created at its first use
@@ -768,16 +779,20 @@ def test_an_encoder_run_creates_its_nodes_in_the_walk_order(monkeypatch):
     real, created = sv.tensor, []
 
     def spy(a, b):
-        created.extend(b.labels)
+        created.append(b)
         return real(a, b)
 
     monkeypatch.setattr(sv, "tensor", spy)
     p = compile_encoder()
-    run_pattern(p, {p.inputs[3]: FIVE_STATES[4]}, sv.BornSampler(7))
+    state, _, _ = run_pattern(p, {p.inputs[3]: FIVE_STATES[4]}, sv.BornSampler(7))
     walk = [node for _, _, _, new, _ in adjacency_walk(p, ()) for node in new]
-    # the first node starts the state; each later one comes through a tensor
-    assert created == walk[1:]
-    assert len(created) == 168
+    plan, labels = p.schedule[4]
+    assert [node for _, _, _, new, _, _ in plan for node in new] == walk
+    # the first node starts the state; each later one comes through a tensor,
+    # the shared |+> but for the supplied input, at its place in the walk
+    assert len(created) == len(walk) - 1 == 168
+    assert [i + 1 for i, q in enumerate(created) if q is not sv.PLUS] == [walk.index(p.inputs[3])]
+    assert labels == state.labels and sorted(labels) == sorted(p.outputs)
 
 
 def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
@@ -793,7 +808,7 @@ def test_choi_target_matches_the_dense_gate_path_bit_for_bit():
         specs = [("spec", i) for i in range(len(p.inputs))]
         assert target.labels == (*p.outputs, *specs)
         want = reference_choi_target(p)
-        assert target.vector(order=want.labels).tobytes() == want.vector().tobytes(), gate
+        assert vector(target, want.labels).tobytes() == vector(want).tobytes(), gate
 
 
 def test_choi_probe_refuses_a_declared_map_that_does_not_keep_the_norm():
@@ -961,6 +976,84 @@ def test_run_pattern_rejects_colliding_spectator_labels():
         run_pattern(p, bad, sv.BornSampler(0))
 
 
+# ------------------------------------------------ integer axes vs labels ----
+
+
+def assert_runs_alike(p, inputs, make_src):
+    """run_pattern against reference_run, the executor that found each qubit
+    by its label: amplitudes, labels, every transcript entry and the frame."""
+    state, transcript, frame = run_pattern(p, inputs, make_src())
+    want, entries, want_frame = reference_run(p, inputs, make_src())
+    assert state.labels == want.labels
+    assert state.amps.tobytes() == want.amps.tobytes()
+    assert [(e.node, e.basis, e.outcome, e.prob) for e in transcript.entries] == entries
+    assert frame.exps == want_frame
+
+
+def test_the_encoder_runs_on_axes_with_the_bits_of_a_run_by_label():
+    from blindprep.steane import DATA_WIRE, compile_encoder
+
+    p = compile_encoder()
+    for k in range(8):
+        inputs = {p.inputs[DATA_WIRE - 1]: sv.new_plus_theta(k * math.pi / 4)}
+        for seed in range(3):
+            assert_runs_alike(p, inputs, lambda: sv.BornSampler(seed))
+        assert_runs_alike(p, inputs, lambda: sv.ForcedBranch([0] * p.measured_count))
+
+
+def test_gate_patterns_run_on_axes_with_the_bits_of_a_run_by_label():
+    # every branch of each one-wire gate on five inputs; CNOTs on their Choi probes
+    from blindprep.cli import _ROTATION_TRIPLES
+
+    for gate in [HadamardGate(), *(RotationGate(*t) for t in _ROTATION_TRIPLES)]:
+        p = pattern_for_gate(gate)
+        for vec in FIVE_STATES:
+            for word in itertools.product((0, 1), repeat=p.measured_count):
+                assert_runs_alike(p, {p.inputs[0]: vec}, lambda: sv.ForcedBranch(word))
+    for d in (1, 2, 3):
+        p = pattern_for_gate(CNOTGate(d))
+        probe = choi_probe(p)[0]
+        for seed in range(8):
+            assert_runs_alike(p, probe, lambda: sv.BornSampler(seed))
+        assert_runs_alike(p, probe, lambda: sv.ForcedBranch([0] * p.measured_count))
+
+
+def test_joint_inputs_run_on_axes_wherever_their_spectators_sit():
+    # spectators before, between (the benchmark's Bell-pair order) and after
+    # the inputs, and the inputs in reverse order
+    rng = np.random.default_rng(41)
+    for p in (pattern_for_gate(HadamardGate()), *map(pattern_for_gate, map(CNOTGate, (1, 2)))):
+        ins, specs = list(p.inputs), [("spec", i) for i in range(len(p.inputs) + 1)]
+        between = [lb for pair in zip(ins, specs) for lb in pair]
+        for order in (specs + ins, between, ins + specs, specs[:1] + ins[::-1] + specs[1:]):
+            joint = random_state(rng, len(order), order)
+            for seed in range(4):
+                assert_runs_alike(p, joint, lambda: sv.BornSampler(seed))
+
+
+def test_a_joint_input_is_placed_once_per_label_order():
+    # most certify ops are branches of a Choi probe: none may place it again
+    p = pattern_for_gate(CNOTGate(1))
+    probe = choi_probe(p)[0]
+    mbqc._place.cache_clear()
+    runs_made = sum(1 for _ in enumerate_branches(p, probe))
+    assert mbqc._place.cache_info().misses == 1 and runs_made == 2**p.measured_count
+    swapped = sv.PureState(probe.amps.T, probe.labels[::-1])
+    run_pattern(p, swapped, sv.BornSampler(0))
+    run_pattern(p, probe, sv.BornSampler(0))
+    assert mbqc._place.cache_info().misses == 2
+
+
+def test_a_joint_input_past_the_qubit_cap_is_refused_by_tensor(monkeypatch):
+    # spectators are left out of the live width, so the cap on the whole state
+    # is tensor's: one line, before any array of that size is built
+    p = hop_pattern("x")
+    monkeypatch.setattr(sv, "QUBIT_CAP", 4)
+    joint = random_state(np.random.default_rng(3), 4, [(0, 0), "s1", "s2", "s3"])
+    with pytest.raises(InputError, match="^tensor would exceed the 4-qubit cap$"):
+        run_pattern(p, joint, sv.BornSampler(0))
+
+
 def star_pattern(n_leaves, kind="z"):
     """An input centre, measured as kind, joined to n_leaves output leaves."""
     centre = (0, 0)
@@ -1013,7 +1106,7 @@ def test_live_width_cap_is_checked_before_the_tensor(monkeypatch):
 
 def test_build_cluster_matches_manual_preparation():
     state = build_cluster(two_node(X00))
-    manual = sv.tensor(sv.new_plus_theta(0.0, (0, 0)), sv.new_plus_theta(0.0, (1, 0)))
+    manual = labeled_tensor(sv.new_plus_theta(0.0, (0, 0)), sv.new_plus_theta(0.0, (1, 0)))
     manual = sv.apply_gate(manual, sv.CZ, [(0, 0), (1, 0)])
     assert sv.fidelity(state, manual) == pytest.approx(1.0, abs=1e-12)
 

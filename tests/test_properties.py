@@ -28,7 +28,14 @@ from blindprep.cli import CONFIG_KEYS, load_config
 from blindprep.errors import DegenerateBranchError, EstimationError, InputError
 from blindprep.mbqc import MeasurementPattern, Role
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
-from helpers import is_read_only_value, random_state, random_unitary, traced_widths
+from helpers import (
+    is_read_only_value,
+    labeled_measure,
+    labeled_tensor,
+    random_state,
+    random_unitary,
+    traced_widths,
+)
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -167,7 +174,7 @@ def _step(data, rng, state, fresh):
     kind = data.draw(st.sampled_from(kinds + ["cnots"] * (state.n > 1)))
     if kind == "tensor":
         k = data.draw(st.integers(1, _MAX_QUBITS - state.n))
-        return sv.tensor(state, random_state(rng, k, [next(fresh) for _ in range(k)]))
+        return labeled_tensor(state, random_state(rng, k, [next(fresh) for _ in range(k)]))
     if kind == "gate":
         k = data.draw(st.integers(1, min(3, state.n)))
         gates = [g for g in _SHARED_GATES if g.arity == k] + [random_unitary(rng, k)]
@@ -183,7 +190,7 @@ def _step(data, rng, state, fresh):
     born = sv.BornSampler(int(rng.integers(2**32)))
     src = born if outcome is None else sv.ForcedBranch([outcome])
     try:
-        return sv.measure(state, q, delta, src, cz)[2]
+        return labeled_measure(state, q, delta, src, cz)[2]
     except DegenerateBranchError:  # a forced outcome of ~zero probability
         return state
 

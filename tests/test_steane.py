@@ -10,6 +10,7 @@ damages the encoded data; they pin down why the wiring is what it is.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +41,13 @@ from blindprep.steane import (
     logical_zero,
     prepare_encoded_mbqc,
 )
-from helpers import is_read_only_value
+from helpers import (
+    is_read_only_value,
+    labeled_measure,
+    labeled_tensor,
+    reference_syndrome,
+    vector,
+)
 
 SQ8 = 1.0 / math.sqrt(8.0)
 
@@ -129,7 +136,7 @@ def test_encoder_unitary_matches_circuit_on_plus_inputs():
     for wire in range(1, 8):
         vec = np.kron(vec, psi if wire == 3 else plus)
     out = encoder_unitary() @ vec
-    ref = encode_circuit(psi).vector(order=list(DATA_LABELS))
+    ref = vector(encode_circuit(psi), DATA_LABELS)
     assert np.allclose(out, ref, atol=1e-12)
 
 
@@ -217,9 +224,33 @@ def test_syndrome_is_deterministic_but_readout_words_vary():
     assert len(words) > 1  # the raw word is coset-random, only parities are fixed
 
 
+SYNDROME_DATA = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), sv.new_plus_theta(math.pi / 4))
+
+
+def test_extract_syndrome_matches_the_label_reference_bit_for_bit():
+    # the 63 cases of the correction matrix, and a block with its labels in
+    # reverse order: each ancilla qubit is measured on axis state.n with the
+    # bits of a measurement by label
+    cases = list(itertools.product(SYNDROME_DATA, "XYZ", range(1, 8)))
+    for seed, (data, kind, position) in enumerate(cases):
+        hurt = inject_error(encode_circuit(data), PauliError(kind, position))
+        blocks = [hurt] + [sv.PureState(hurt.amps.T, hurt.labels[::-1])] * (seed % 9 == 0)
+        for block in blocks:
+            result, survived = extract_syndrome(block, sv.BornSampler(seed))
+            bit_word, phase_word, want = reference_syndrome(block, sv.BornSampler(seed))
+            assert (result.bit_word, result.phase_word) == (bit_word, phase_word)
+            assert survived.labels == want.labels == block.labels
+            assert survived.amps.tobytes() == want.amps.tobytes()
+
+
 def test_extract_requires_block_labels():
     with pytest.raises(InputError):
         extract_syndrome(sv.new_plus_theta(0.0, label="q"), sv.BornSampler(0))
+    # an ancilla label on the data state would make a joint state with one label twice
+    for spectator in (("bit", 3), ("phase", 7)):
+        crowded = labeled_tensor(logical_zero(), sv.new_plus_theta(0.0, spectator))
+        with pytest.raises(InputError, match="^state carries a syndrome ancilla label$"):
+            extract_syndrome(crowded, sv.BornSampler(0))
 
 
 def test_syndrome_case_checks_only_its_data_qubit(monkeypatch):
@@ -258,13 +289,13 @@ def test_bit_check_with_zeroed_ancilla_target_collapses_data():
     # The readout parities still vanish, but the superposition is gone.
     state = logical_plus_theta(math.pi / 4)
     anc = [("bit", i) for i in range(1, 8)]
-    joint = sv.tensor(state, sv.PureState(logical_zero().amps, anc))
+    joint = labeled_tensor(state, sv.PureState(logical_zero().amps, anc))
     for d, a in zip(DATA_LABELS, anc):
         joint = sv.apply_gate(joint, sv.CNOT, [d, a])
     src = sv.BornSampler(3)
     word = []
     for a in anc:
-        outcome, _, joint = sv.measure(joint, a, None, src)
+        outcome, _, joint = labeled_measure(joint, a, None, src)
         word.append(outcome)
     parities = [
         sum(bit for bit, ch in zip(word, row) if ch == "1") % 2 for row in PARITY_ROWS
@@ -279,12 +310,12 @@ def test_phase_check_with_plus_ancilla_control_disturbs_data():
     # It projects the data onto a logical-X eigenstate instead of probing it.
     state = logical_plus_theta(math.pi / 4)
     anc = [("phase", i) for i in range(1, 8)]
-    joint = sv.tensor(state, sv.PureState(logical_plus_theta(0.0).amps, anc))
+    joint = labeled_tensor(state, sv.PureState(logical_plus_theta(0.0).amps, anc))
     for d, a in zip(DATA_LABELS, anc):
         joint = sv.apply_gate(joint, sv.CNOT, [a, d])
     src = sv.BornSampler(5)
     for a in anc:
-        _, _, joint = sv.measure(joint, a, 0.0, src)
+        _, _, joint = labeled_measure(joint, a, 0.0, src)
     fid = sv.fidelity(joint, logical_plus_theta(math.pi / 4))
     assert fid < 0.9
 
