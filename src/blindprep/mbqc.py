@@ -155,6 +155,8 @@ class MeasurementPattern:
             if node in nodes:
                 raise InputError(f"node {_c(node)} is measured twice or also an output")
             nodes.add(node)
+        if not nodes:
+            raise InputError("a pattern needs at least one node")
         for i, node in enumerate(map(_pair, self.inputs)):
             if node not in nodes:
                 raise InputError(f"input {_c(node)} is not a measured node or an output")
@@ -293,7 +295,7 @@ def run_pattern(
     for i, (node, delta, deps, new, ax, cz) in enumerate(plan):
         for fresh in new:
             spec = seeded.get(fresh)  # the supplied state, else the shared |+>
-            q = sv.PLUS if spec is None else sv.qubit_state(spec, fresh)
+            q = sv.PLUS if spec is None else sv.qubit_state(spec)
             live = q if live is None else sv.tensor(live, q)
         if node is None:  # the last step: its cz are edges between two outputs
             break
@@ -629,6 +631,8 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     its rows on the outputs and its columns on the spectators: a fresh
     product on as many distinct labels as the probe's, so it is not copied.
     """
+    if not p.inputs:
+        raise InputError("a Choi probe needs at least one input node")
     norm = float(np.vdot(p.declared_unitary, p.declared_unitary).real) / len(p.declared_unitary)
     if not abs(norm - 1.0) <= sv._NORM_TOL:
         raise InputError(f"declared map takes the probe to norm^2 {norm}, not 1")

@@ -1,10 +1,10 @@
 """Dense statevector simulator: labels at the boundary, integer axes inside a run.
 
 Design notes:
-- A PureState carries one hashable label per qubit. apply_gate, apply_cnots and
-  fidelity map each label to its axis once, at their boundary. The two kernels a
-  run repeats, tensor and measure, take integer axes and return Slots, amplitudes
-  with no labels: mbqc numbers every axis when it lowers a pattern and labels the
+- A PureState carries one hashable label per qubit. apply_gate and fidelity map
+  each label to its axis once, at their boundary. The kernels a run repeats,
+  tensor, apply_cnots and measure, take integer axes and return Slots, amplitudes
+  with no labels: mbqc and steane number every axis up front and label the
   residual once, at the end. Measurement is destructive: the measured axis is
   removed and each later axis moves down by one (nodes vanish as they are consumed).
 - A measurement basis is given by its angle: None means Z (|0>, |1>), a
@@ -25,8 +25,8 @@ gate takes one kernel: the input is copied into a fresh contiguous array, and ea
 the gate that differs from the identity's is rewritten from that row's non-zero entries, one
 slice of the input each, or scaled in place on the copy when its one entry is on the
 diagonal (Z, Rz, CZ). CZ rewrites one row, CNOT two, H both. A run of CNOTs is a permutation
-of basis states, so apply_cnots moves the amplitudes once, by a cached gather index that the
-same kernel builds from the run. That index is also the only source of dense unitaries:
+of basis states, so apply_cnots moves the amplitudes once, by a gather index that the same
+kernel builds, and checks, once per run. That index is also the only source of dense unitaries:
 mbqc scatters a CNOT's 1s at it, and steane gathers the encoder's H layer by it. A
 measurement works in place on copies of the measured qubit's two halves (see measure). An
 in-place scale takes a view on the first or last axis, else a where= mask: a ufunc over an
@@ -189,7 +189,7 @@ class PureState:
 @dataclass(slots=True, eq=False)
 class Slots:
     """A run's state between its boundaries: the (2,)*n amplitudes alone, each qubit an integer
-    axis. tensor and measure return one and read any state's amps and n, as bench/spans.py does."""
+    axis. The run kernels return one and read any state's amps and n, as bench/spans.py does."""
 
     amps: np.ndarray
 
@@ -216,16 +216,16 @@ PLUS = PureState(np.full(2, _INV_SQRT2, dtype=complex), ["+"])
 ZERO = PureState(np.array([1.0, 0.0], dtype=complex), ["0"])
 
 
-def qubit_state(spec, label: Label) -> PureState:
-    """A 2-vector, copied and checked, or a 1-qubit PureState, shared, on ``label``."""
+def qubit_state(spec) -> PureState:
+    """A 1-qubit PureState, as given, or a 2-vector, copied and checked on label 0."""
     if isinstance(spec, PureState):
         if spec.n != 1:
             raise InputError(f"expected a single-qubit state, got {spec.n} qubits")
-        return _state(spec.amps, (label,))
+        return spec
     vec = np.asarray(spec, dtype=complex).reshape(-1)  # PureState copies it
     if vec.shape != (2,):
         raise InputError("expected a 2-vector or a 1-qubit state")
-    return PureState(vec, [label])
+    return PureState(vec, [0])
 
 
 def new_plus_theta(theta: float, label: Label = 0) -> PureState:
@@ -248,28 +248,6 @@ def tensor(a: Slots | PureState, b: Slots | PureState) -> Slots:
 
 def apply_gate(s: PureState, g: Gate, targets: Sequence[Label]) -> PureState:
     """Apply gate g to the given target qubits (order matters for multi-qubit gates)."""
-    return _state(_contract(g, s.amps, _axes(s, g, targets)), s.labels)
-
-
-def apply_cnots(s: PureState, pairs: Sequence[Sequence[Label]]) -> PureState:
-    """Apply CNOT to each (control, target) pair in order, as one gather;
-    the result equals the same apply_gate calls bit for bit."""
-    axes = tuple(tuple(_axes(s, CNOT, pair)) for pair in pairs)
-    return _state(s.amps.reshape(-1).take(_cnot_index(s.n, axes)), s.labels)
-
-
-@functools.lru_cache(maxsize=8)
-def _cnot_index(n: int, axes: tuple) -> np.ndarray:
-    """Read-only gather index of a CNOT run: the input's position of each output amplitude."""
-    idx = np.arange(2**n).reshape((2,) * n)
-    for pair in axes:
-        idx = _contract(CNOT, idx, list(pair))
-    idx.flags.writeable = False
-    return idx
-
-
-def _axes(s: PureState, g: Gate, targets: Sequence[Label]) -> list:
-    """The axis in s of each of g's targets, once g's arity is met and no target repeats."""
     targets = list(targets)
     if len(targets) != g.arity:
         raise InputError(f"gate {g.kind} expects {g.arity} targets, got {len(targets)}")
@@ -278,7 +256,26 @@ def _axes(s: PureState, g: Gate, targets: Sequence[Label]) -> list:
     for label in targets:
         if label not in s.labels:
             raise InputError(f"qubit {label!r} is not part of this state")
-    return [s.labels.index(label) for label in targets]
+    return _state(_contract(g, s.amps, [s.labels.index(lb) for lb in targets]), s.labels)
+
+
+def apply_cnots(s: Slots | PureState, axes: tuple) -> Slots:
+    """Apply CNOT to each (control axis, target axis) pair in axes, in order, as one gather with
+    the bits of the same apply_gate calls. axes is a tuple of tuples: the index's cache key."""
+    return Slots(s.amps.reshape(-1).take(_cnot_index(s.n, axes)))
+
+
+@functools.lru_cache(maxsize=8)
+def _cnot_index(n: int, axes: tuple) -> np.ndarray:
+    """Read-only gather index of a CNOT run on n axes, its pairs checked once per key: the
+    input's position of each output amplitude."""
+    idx = np.arange(2**n).reshape((2,) * n)
+    for c, t in axes:
+        if c == t or not 0 <= c < n or not 0 <= t < n:
+            raise InputError(f"CNOT on axes {c}, {t} needs two distinct axes below {n}")
+        idx = _contract(CNOT, idx, [c, t])
+    idx.flags.writeable = False
+    return idx
 
 
 def _contract(g: Gate, amps: np.ndarray, axes: list) -> np.ndarray:
@@ -365,10 +362,9 @@ def measure(
     outcome = src.choose(p0, p1)
     if outcome not in (0, 1):
         raise InputError(f"outcome source returned {outcome!r}")
-    prob = p0 if outcome == 0 else p1
+    prob, branch = (p0, b0) if outcome == 0 else (p1, b1)
     if prob < _DEGENERATE_TOL:
         raise DegenerateBranchError(f"outcome {outcome} on axis {ax} has probability {prob}")
-    branch = b0 if outcome == 0 else b1
     branch *= 1.0 / math.sqrt(prob)
     return outcome, prob, Slots(branch)
 

@@ -16,8 +16,8 @@ which stays |+>; the remaining wires 5, 6, 7 are Hadamard-ed to |0>; the
 data then fans out over the logical-X support and each pivot fans out
 over its row. Eleven CNOTs total, each compiled to a cluster tile between
 consecutive rows, giving a 7-row measurement pattern for the whole block.
-Its dense map, encoder_unitary, is the H layer gathered by the CNOT run's
-cached index, the same one encode_circuit applies to a state.
+Its dense map, encoder_unitary, is the H layer gathered by the cached index
+of _ENCODER_AXES, the CNOTs on axes that encode_circuit applies to a state.
 
 Syndrome extraction is ancilla-coupled and non-destructive:
 - bit check (finds X errors): fresh |+>_L ancilla as the TARGET of a
@@ -29,7 +29,8 @@ Syndrome extraction is ancilla-coupled and non-destructive:
 The roles are not interchangeable: flipping either ancilla choice still
 produces a valid-looking syndrome but collapses or overwrites the encoded
 data, which the tests demonstrate explicitly. Both ancillas are built once,
-and each round's seven CNOTs are applied as one sv.apply_cnots gather.
+and each round runs on axes: the ancilla tensored past the data's n axes, its
+seven CNOTs one sv.apply_cnots gather, its readout seven measurements of axis n.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ ZEROED_WIRES = tuple(w for w in range(1, 8) if w != DATA_WIRE and w not in PIVOT
 ENCODER_CNOTS = tuple(
     (support[0], t) for support in (LOGICAL_X_SUPPORT, *_ROW_SUPPORTS) for t in support[1:]
 )
+# the same CNOTs on axes, wire w on axis w - 1: the key of their cached gather index
+_ENCODER_AXES = tuple((c - 1, t - 1) for c, t in ENCODER_CNOTS)
 
 
 # --------------------------------------------------------------- codewords ----
@@ -107,8 +110,7 @@ def encoder_unitary() -> np.ndarray:
     layer on ZEROED_WIRES, its rows gathered by encode_circuit's cached CNOT index.
     Built once; every call returns the same read-only array."""
     layer = [sv.H.matrix if w in ZEROED_WIRES else np.eye(2) for w in range(1, 8)]
-    index = sv._cnot_index(7, tuple((c - 1, t - 1) for c, t in ENCODER_CNOTS))
-    u = functools.reduce(np.kron, layer)[index.reshape(-1)]
+    u = functools.reduce(np.kron, layer)[sv._cnot_index(7, _ENCODER_AXES).reshape(-1)]
     u.flags.writeable = False
     return u
 
@@ -116,14 +118,13 @@ def encoder_unitary() -> np.ndarray:
 def encode_circuit(data) -> sv.PureState:
     """Reference gate-model encoding of a single-qubit state (2-vector or
     1-qubit PureState); returns the encoded block on ("d", 1..7)."""
-    data_q = sv.qubit_state(data, ("d", DATA_WIRE))
+    data_q = sv.qubit_state(data)
     state = None
     for i in range(1, 8):
         # the data, else the shared, already checked |+> or |0>
         q = data_q if i == DATA_WIRE else sv.PLUS if i in PIVOT_WIRES else sv.ZERO
         state = q if state is None else sv.tensor(state, q)
-    state = sv._state(state.amps, DATA_LABELS)
-    return sv.apply_cnots(state, [(("d", c), ("d", t)) for c, t in ENCODER_CNOTS])
+    return sv._state(sv.apply_cnots(state, _ENCODER_AXES).amps, DATA_LABELS)
 
 
 # ------------------------------------------------------------------ errors ----
@@ -149,10 +150,9 @@ def inject_error(state: sv.PureState, err: PauliError) -> sv.PureState:
 # --------------------------------------------------------------- syndromes ----
 
 
-# the two syndrome ancillas, built and checked once on their own labels:
-# |+>_L on ("bit", 1..7) and |0>_L on ("phase", 1..7)
-_PLUS_L = sv._state(logical_plus_theta(0.0).amps, tuple(("bit", i) for i in range(1, 8)))
-_ZERO_L = sv._state(logical_zero().amps, tuple(("phase", i) for i in range(1, 8)))
+# the syndrome ancillas |+>_L and |0>_L, checked once; tensor reads only their amps
+_PLUS_L = logical_plus_theta(0.0)
+_ZERO_L = logical_zero()
 
 
 @dataclass(frozen=True)
@@ -179,23 +179,19 @@ def extract_syndrome(
 ) -> tuple[SyndromeResult, sv.PureState]:
     """Run one bit round and one phase round; returns (result, surviving data).
 
-    The data state must live on the ("d", 1..7) labels, and on no ancilla
-    label. Each round tensors a fresh 7-qubit logical ancilla (14 live
-    qubits), couples transversally, and destructively reads the ancilla out.
+    The data state must carry the ("d", 1..7) labels; others ride along. Each
+    round tensors a fresh 7-qubit logical ancilla (14 live qubits), couples
+    transversally, and destructively reads the ancilla out.
     """
-    for lb in DATA_LABELS:
-        if lb not in state.labels:
-            raise InputError("state does not carry the encoded-block labels")
-    if not set(state.labels).isdisjoint(_PLUS_L.labels + _ZERO_L.labels):
-        raise InputError("state carries a syndrome ancilla label")
+    if not set(DATA_LABELS) <= set(state.labels):
+        raise InputError("state does not carry the encoded-block labels")
+    data = [state.labels.index(lb) for lb in DATA_LABELS]
+    anc = range(state.n, state.n + 7)  # each ancilla's axes, past the data's
 
-    # per round: fresh ancilla, whether it is the CNOT control, readout (Z or X basis)
+    # per round: fresh ancilla, its (control, target) axis pairs, readout (Z or X basis)
     joint, words = state, []
-    for ancilla, anc_controls, delta in ((_PLUS_L, False, None), (_ZERO_L, True, 0.0)):
-        anc = ancilla.labels
-        joint = sv._state(sv.tensor(joint, ancilla).amps, state.labels + anc)
-        pairs = zip(anc, DATA_LABELS) if anc_controls else zip(DATA_LABELS, anc)
-        joint = sv.apply_cnots(joint, list(pairs))
+    for ancilla, cx, delta in ((_PLUS_L, zip(data, anc), None), (_ZERO_L, zip(anc, data), 0.0)):
+        joint = sv.apply_cnots(sv.tensor(joint, ancilla), tuple(cx))
         word = []
         for _ in anc:  # the ancilla's first axis is state.n; the next moves there
             outcome, _, joint = sv.measure(joint, state.n, delta, src)

@@ -78,6 +78,11 @@ def labeled_measure(s, q, delta, src, cz=()) -> tuple:
     return outcome, prob, sv._state(out.amps, rest)
 
 
+def labeled_qubit(spec, label) -> sv.PureState:
+    """sv.qubit_state of spec on label, sharing its read-only amplitudes."""
+    return sv._state(sv.qubit_state(spec).amps, (label,))
+
+
 def is_read_only_value(state) -> bool:
     """Whether state's amplitudes are read-only and its labels a tuple."""
     return not state.amps.flags.writeable and isinstance(state.labels, tuple)
@@ -93,7 +98,7 @@ def build_cluster(p, inputs=None) -> sv.PureState:
     state = None
     for node in p.nodes:
         spec = inputs.get(node)
-        q = sv.new_plus_theta(0.0, node) if spec is None else sv.qubit_state(spec, node)
+        q = sv.new_plus_theta(0.0, node) if spec is None else labeled_qubit(spec, node)
         state = q if state is None else labeled_tensor(state, q)
     for a, b in p.edges:
         state = sv.apply_gate(state, sv.CZ, [a, b])
@@ -188,7 +193,7 @@ def reference_run(p, inputs, src) -> tuple:
             if fresh in held:
                 continue
             spec = seeded.get(fresh)
-            q = sv.qubit_state(sv.PLUS if spec is None else spec, fresh)
+            q = labeled_qubit(sv.PLUS if spec is None else spec, fresh)
             live = q if live is None else reference_tensor(live, q)
         if node is None:  # the last step: edges between two outputs
             for a, b in cz:
@@ -204,18 +209,20 @@ def reference_run(p, inputs, src) -> tuple:
 
 
 def reference_syndrome(state, src) -> tuple:
-    """steane.extract_syndrome as it ran before it passed axes: each ancilla
-    qubit tensored and measured by its label, with reference_tensor and
-    reference_measure. Returns (bit word, phase word, surviving data state)."""
+    """steane.extract_syndrome rebuilt on labels, without sv.apply_cnots or the
+    module's ancillas: each round's |+>_L or |0>_L is built on labels of its own,
+    tensored by reference_tensor, coupled by one apply_gate(CNOT) per qubit pair
+    and read out by labeled_measure. Returns (bit word, phase word, survivor)."""
     joint, words = state, []
-    rounds = ((steane._PLUS_L, False, None), (steane._ZERO_L, True, 0.0))
-    for ancilla, anc_controls, delta in rounds:
-        anc = ancilla.labels
-        pairs = zip(anc, steane.DATA_LABELS) if anc_controls else zip(steane.DATA_LABELS, anc)
-        joint = sv.apply_cnots(reference_tensor(joint, ancilla), list(pairs))
+    rounds = ((steane.logical_plus_theta(0.0), False, None), (steane.logical_zero(), True, 0.0))
+    for r, (ancilla, anc_controls, delta) in enumerate(rounds):
+        anc = [("reference ancilla", r, i) for i in range(1, 8)]
+        joint = reference_tensor(joint, sv.PureState(ancilla.amps, anc))
+        for d, a in zip(steane.DATA_LABELS, anc):
+            joint = sv.apply_gate(joint, sv.CNOT, [a, d] if anc_controls else [d, a])
         word = []
         for a in anc:
-            outcome, _, joint = reference_measure(joint, a, delta, src)
+            outcome, _, joint = labeled_measure(joint, a, delta, src)
             word.append(outcome)
         words.append(tuple(word))
     return (*words, joint)

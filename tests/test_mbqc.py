@@ -140,6 +140,12 @@ def test_graph_rejects_edge_to_missing_node():
         two_node(X00, inputs=[(2, 0)])
 
 
+def test_graph_rejects_a_pattern_with_no_nodes():
+    # a run would have no state to return
+    with pytest.raises(InputError, match="^a pattern needs at least one node$"):
+        MeasurementPattern([], [], [], [], {}, {})
+
+
 def test_graph_bounding_box():
     p = two_node([((1, 0), Role("z"))], outputs=[(5, 2)], edges=[], inputs=[(1, 0)])
     assert p.bounding_grid() == (5, 3)
@@ -816,6 +822,13 @@ def test_choi_probe_refuses_a_declared_map_that_does_not_keep_the_norm():
     # which refuses it as the caller's mistake before it builds the probe
     p = mbqc.gate_layout(CNOTGate(1)).declaring(2 * np.eye(4))
     with pytest.raises(InputError, match=r"^declared map takes the probe to norm\^2 4\.0, not 1$"):
+        choi_probe(p)
+
+
+def test_choi_probe_refuses_a_pattern_with_no_inputs():
+    # there is no input to pair with a spectator, so no probe to build
+    p = MeasurementPattern([], [(0, 0)], [], [], {}, {}).declaring(np.eye(1))
+    with pytest.raises(InputError, match="^a Choi probe needs at least one input node$"):
         choi_probe(p)
 
 

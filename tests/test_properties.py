@@ -181,8 +181,9 @@ def _step(data, rng, state, fresh):
         targets = data.draw(st.permutations(labels))[:k]
         return sv.apply_gate(state, data.draw(st.sampled_from(gates)), targets)
     if kind == "cnots":
-        pair = st.permutations(labels).map(lambda p: p[:2])
-        return sv.apply_cnots(state, data.draw(st.lists(pair, min_size=1, max_size=4)))
+        pair = st.permutations(range(state.n)).map(lambda p: tuple(p[:2]))
+        axes = tuple(data.draw(st.lists(pair, min_size=1, max_size=4)))
+        return sv._state(sv.apply_cnots(state, axes).amps, state.labels)
     q, *others = data.draw(st.permutations(labels))
     cz = others[: data.draw(st.integers(0, len(others)))]
     delta = data.draw(st.one_of(st.none(), st.floats(-4.0, 4.0)))

@@ -347,7 +347,7 @@ FRESH = [sv.H, RY, sv.X, sv.CZ, sv.CNOT, sv.Gate("I", np.eye(4))]
 FRESH.append(random_unitary(np.random.default_rng(9), 3))
 # the first target is the last axis, not the leading one
 FRESH_OPS = [(g.kind, lambda s, g=g: sv.apply_gate(s, g, [2, 0, 1][: g.arity])) for g in FRESH]
-FRESH_OPS.append(("cnots", lambda s: sv.apply_cnots(s, [(2, 0), (0, 1)])))
+FRESH_OPS.append(("cnots", lambda s: sv._state(sv.apply_cnots(s, ((2, 0), (0, 1))).amps, s.labels)))
 
 
 @pytest.mark.parametrize("op", [op for _, op in FRESH_OPS], ids=[kind for kind, _ in FRESH_OPS])
@@ -383,14 +383,14 @@ def test_apply_cnots_matches_sequential_cnot_gates_bit_for_bit(n):
             want = s
             for pair in pairs:
                 want = sv.apply_gate(want, sv.CNOT, pair)
-            got = sv.apply_cnots(s, pairs)
-            assert got.labels == s.labels
+            got = sv.apply_cnots(s, tuple(tuple(map(s.labels.index, pair)) for pair in pairs))
+            assert isinstance(got, sv.Slots)
             assert (got.amps + 0.0).tobytes() == (want.amps + 0.0).tobytes()
 
 
 def test_apply_cnots_index_is_cached_and_read_only():
     s = random_state(np.random.default_rng(6), 4)
-    sv.apply_cnots(s, [(0, 1), (2, 3)])
+    sv.apply_cnots(s, ((0, 1), (2, 3)))
     idx = sv._cnot_index(4, ((0, 1), (2, 3)))
     assert idx is sv._cnot_index(4, ((0, 1), (2, 3)))
     assert not idx.flags.writeable
@@ -398,14 +398,13 @@ def test_apply_cnots_index_is_cached_and_read_only():
         idx[(0,) * 4] = 1
 
 
-def test_apply_cnots_rejects_a_repeated_target_and_an_unknown_label():
+def test_apply_cnots_rejects_a_repeated_axis_and_an_axis_out_of_range():
     s = random_state(np.random.default_rng(7), 3)
-    with pytest.raises(InputError, match="duplicate target labels"):
-        sv.apply_cnots(s, [(0, 1), (2, 2)])
-    with pytest.raises(InputError):
-        sv.apply_cnots(s, [(0, 1, 2)])
-    with pytest.raises(InputError, match="not part of this state"):
-        sv.apply_cnots(s, [(0, 1), (0, "z")])
+    # each twice: a refusal is never cached as an index
+    for run in (((0, 1), (2, 2)), ((0, 1), (0, 3)), ((-1, 0),)) * 2:
+        want = "^CNOT on axes {}, {} needs two distinct axes below 3$".format(*run[-1])
+        with pytest.raises(InputError, match=want):
+            sv.apply_cnots(s, run)
 
 
 def test_tensor_matches_kron():
@@ -752,11 +751,11 @@ def test_label_order_must_be_a_permutation_by_identity():
 VALUES = [
     ("PureState", lambda s: sv.PureState(s.amps, s.labels)),
     ("new_plus_theta", lambda s: sv.new_plus_theta(0.3)),
-    ("qubit_state", lambda s: sv.qubit_state([0.6, 0.8], "q")),
+    ("qubit_state", lambda s: sv.qubit_state([0.6, 0.8])),
     ("tensor", lambda s: labeled_tensor(s, sv.new_plus_theta(0.2, "t"))),
     ("H", lambda s: sv.apply_gate(s, sv.H, [1])),
     ("CZ", lambda s: sv.apply_gate(s, sv.CZ, [2, 0])),
-    ("cnots", lambda s: sv.apply_cnots(s, [(0, 2), (2, 1)])),
+    ("cnots", lambda s: sv._state(sv.apply_cnots(s, ((0, 2), (2, 1))).amps, s.labels)),
     ("measure_z", lambda s: labeled_measure(s, 1, None, sv.ForcedBranch([1]))[2]),
     ("measure_cz", lambda s: labeled_measure(s, 0, 0.7, sv.ForcedBranch([0]), [2])[2]),
 ]
@@ -814,7 +813,7 @@ def test_a_state_keeps_a_copy_of_its_amplitudes():
 
 def test_qubit_state_copies_a_vector_and_shares_a_one_qubit_state(monkeypatch):
     # a vector from outside is copied and checked; a state was checked when it
-    # was built, so its read-only array is put on the new label unchecked
+    # was built, so it is returned as it is
     checked = []
     check = sv.PureState.__post_init__
 
@@ -825,18 +824,16 @@ def test_qubit_state_copies_a_vector_and_shares_a_one_qubit_state(monkeypatch):
     one = sv.new_plus_theta(0.4, "b")
     monkeypatch.setattr(sv.PureState, "__post_init__", counting)
     vec = np.array([0.6, 0.8j])
-    from_vec = sv.qubit_state(vec, "a")
-    from_state = sv.qubit_state(one, "c")
-    assert checked == [("a",)]
+    from_vec = sv.qubit_state(vec)
+    assert sv.qubit_state(one) is one
+    assert checked == [(0,)]
     vec[0] = 0.0
     assert not np.shares_memory(from_vec.amps, vec)
-    assert np.shares_memory(from_state.amps, one.amps)
     with pytest.raises(ValueError, match="read-only"):
         one.amps[...] = 0.0
-    assert from_vec.labels == ("a",) and from_state.labels == ("c",)
+    assert from_vec.labels == (0,)
     assert np.array_equal(from_vec.amps, [0.6, 0.8j])
-    assert np.array_equal(from_state.amps, sv.new_plus_theta(0.4).amps)
-    with pytest.raises(InputError):
-        sv.qubit_state(new_basis_state(2), "d")
-    with pytest.raises(InputError):
-        sv.qubit_state([1.0, 0.0, 0.0], "d")
+    with pytest.raises(InputError, match="^expected a single-qubit state, got 2 qubits$"):
+        sv.qubit_state(new_basis_state(2))
+    with pytest.raises(InputError, match="^expected a 2-vector or a 1-qubit state$"):
+        sv.qubit_state([1.0, 0.0, 0.0])

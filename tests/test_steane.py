@@ -227,15 +227,25 @@ def test_syndrome_is_deterministic_but_readout_words_vary():
 SYNDROME_DATA = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), sv.new_plus_theta(math.pi / 4))
 
 
+def _syndrome_blocks(hurt, rng):
+    """hurt as given, with its DATA_LABELS in a random axis order, and with an
+    extra qubit before and one after the block, on the labels ("bit", 3) and
+    ("phase", 7) that the ancillas once carried."""
+    perm = [int(i) for i in rng.permutation(7)]
+    yield hurt
+    yield sv.PureState(np.transpose(hurt.amps, perm), [hurt.labels[i] for i in perm])
+    before = sv.new_plus_theta(0.7, ("bit", 3))
+    yield labeled_tensor(labeled_tensor(before, hurt), sv.new_plus_theta(-1.2, ("phase", 7)))
+
+
 def test_extract_syndrome_matches_the_label_reference_bit_for_bit():
-    # the 63 cases of the correction matrix, and a block with its labels in
-    # reverse order: each ancilla qubit is measured on axis state.n with the
-    # bits of a measurement by label
+    # the 63 cases of the correction matrix, each on three blocks: the ancilla
+    # axes follow the data's, wherever its labels sit and whatever rides along
+    rng = np.random.default_rng(63)
     cases = list(itertools.product(SYNDROME_DATA, "XYZ", range(1, 8)))
     for seed, (data, kind, position) in enumerate(cases):
         hurt = inject_error(encode_circuit(data), PauliError(kind, position))
-        blocks = [hurt] + [sv.PureState(hurt.amps.T, hurt.labels[::-1])] * (seed % 9 == 0)
-        for block in blocks:
+        for block in _syndrome_blocks(hurt, rng):
             result, survived = extract_syndrome(block, sv.BornSampler(seed))
             bit_word, phase_word, want = reference_syndrome(block, sv.BornSampler(seed))
             assert (result.bit_word, result.phase_word) == (bit_word, phase_word)
@@ -244,13 +254,11 @@ def test_extract_syndrome_matches_the_label_reference_bit_for_bit():
 
 
 def test_extract_requires_block_labels():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^state does not carry the encoded-block labels$"):
         extract_syndrome(sv.new_plus_theta(0.0, label="q"), sv.BornSampler(0))
-    # an ancilla label on the data state would make a joint state with one label twice
-    for spectator in (("bit", 3), ("phase", 7)):
-        crowded = labeled_tensor(logical_zero(), sv.new_plus_theta(0.0, spectator))
-        with pytest.raises(InputError, match="^state carries a syndrome ancilla label$"):
-            extract_syndrome(crowded, sv.BornSampler(0))
+    short = sv.PureState(logical_zero().amps, [*DATA_LABELS[:6], ("d", 8)])
+    with pytest.raises(InputError, match="^state does not carry the encoded-block labels$"):
+        extract_syndrome(short, sv.BornSampler(0))
 
 
 def test_syndrome_case_checks_only_its_data_qubit(monkeypatch):
@@ -267,7 +275,7 @@ def test_syndrome_case_checks_only_its_data_qubit(monkeypatch):
     hurt = inject_error(encode_circuit(np.array([1.0, 0.0])), PauliError("Y", 4))
     result, survived = extract_syndrome(hurt, sv.BornSampler(0))
     fixed = apply_correction(survived, result)
-    assert checked == [[("d", DATA_WIRE)]]
+    assert checked == [[0]]
     assert sv.fidelity(fixed, logical_zero()) == pytest.approx(1.0, abs=1e-9)
     for shared in (sv.PLUS, sv.ZERO, steane._PLUS_L, steane._ZERO_L):
         with pytest.raises(ValueError, match="read-only"):
