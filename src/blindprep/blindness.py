@@ -48,7 +48,7 @@ def min_cluster_pattern(basis: str) -> mbqc.MeasurementPattern:
     return mbqc.MeasurementPattern(
         inputs=[(0, 0)],
         outputs=[(1, 0)],
-        steps=[((0, 0), mbqc.Role(basis))],
+        steps=[((0, 0), mbqc.FIXED_BASES[basis], ())],
         edges=[((0, 0), (1, 0))],
         x_corr={(1, 0): frozenset()},
         z_corr={(1, 0): frozenset()},

@@ -10,11 +10,11 @@ Conventions (fixed once, everything else is derived):
 - Head-of-chain identity: measuring the first node of an edge pair in M(delta)
   leaves X^s H Rz(-delta) |psi> on its neighbour. Z-basis measurement of a
   neighbour removes it, leaving Z^s on the survivors.
-- Each non-output node is consumed in one of four ways: z (Z elimination),
-  x (M(0)), y (M(pi/2)), or rot (M(+/-alpha), the sign set by the parity of
-  earlier outcomes: the measurement calculus's s-domain). The builder lays
-  x, y and rot nodes; a z node comes only from a pattern built directly,
-  such as blindness.min_cluster_pattern("z").
+- Each non-output node is consumed by one step (node, delta, deps): Z if
+  delta is None, else M(delta), negated when its deps' outcomes have odd
+  parity (the measurement calculus's s-domain). Callers name fixed bases by
+  kind, through FIXED_BASES; the builder lays x, y and rot hops, so a Z step
+  comes only from a pattern built directly, e.g. min_cluster_pattern("z").
 - Byproducts are tracked as exponent pairs (a, b) meaning X^a Z^b per wire.
   Every exponent is a GF(2) sum of measurement outcomes, so patterns carry
   static node sets (x_corr / z_corr) and adaptive-angle dependency sets, all
@@ -51,6 +51,8 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -77,35 +79,8 @@ def _c(node: Node) -> str:
     return f"{node[0]},{node[1]}"
 
 
-# ----------------------------------------------------------------- roles ----
-
-
 # kind -> the delta sv.measure takes: None is Z, a float is M(delta)
 FIXED_BASES = {"z": None, "x": 0.0, "y": math.pi / 2}
-
-
-@dataclass(frozen=True)
-class Role:
-    """How a node is consumed: z, x or y measure at their FIXED_BASES delta
-    (Z, M(0), M(pi/2)); rot measures M(angle), negated when the parity of the
-    deps' outcomes is odd. Only rot carries an angle, which must be finite, or
-    deps."""
-
-    kind: str
-    angle: float = 0.0
-    deps: frozenset = frozenset()
-
-    def __post_init__(self) -> None:
-        angle, deps = float(self.angle), frozenset(map(_pair, self.deps))
-        if self.kind in FIXED_BASES:
-            if angle or deps:
-                raise InputError(f"only rot roles carry an angle or deps, not {self.kind}")
-        elif self.kind != "rot":
-            raise InputError(f"unknown role kind {self.kind!r}")
-        elif not math.isfinite(angle):
-            raise InputError(f"rot angle must be finite, got {angle!r}")
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "deps", deps)
 
 
 # -------------------------------------------------------------- patterns ----
@@ -117,7 +92,8 @@ class MeasurementPattern:
 
     Every non-output node is measured exactly once, so the node set is not
     stored: it is the measured nodes in step order, then the outputs.
-    steps: measurement order, one (node, Role) per measured node.
+    steps: measurement order, one (node, delta, deps) per measured node:
+    delta None (Z, with no deps) or a finite real, deps nodes measured earlier.
     edges: CZ pairs, each stored lowest node first; the list order is kept,
     because the executor entangles in that order.
     x_corr/z_corr: per output node, the set of measured nodes whose outcome
@@ -142,7 +118,7 @@ class MeasurementPattern:
 
     inputs: list
     outputs: list
-    steps: list  # [(node, Role)]
+    steps: list  # [(node, delta, deps)]
     edges: list
     x_corr: dict
     z_corr: dict
@@ -163,11 +139,21 @@ class MeasurementPattern:
             if node in self.inputs[:i]:
                 raise InputError(f"input {_c(node)} is declared twice")
         measured: set = set()
-        for node, role in self.steps:
-            late = role.deps - measured
-            if late:
+        steps = []
+        for node, delta, deps in self.steps:
+            deps = frozenset(map(_pair, deps))
+            if delta is not None:
+                # a float's range: refuses nan, inf and an int too large to convert
+                if not (isinstance(delta, numbers.Real) and abs(delta) <= sys.float_info.max):
+                    raise InputError(f"step {_c(node)}: delta {delta!r} is not a finite real")
+                delta = float(delta)
+            elif deps:
+                raise InputError(f"step {_c(node)}: a Z measurement takes no deps")
+            if late := deps - measured:
                 raise InputError(f"dep {_c(min(late))} is not measured earlier")
+            steps.append((node, delta, deps))
             measured.add(node)
+        self.steps = steps
         pairs: set = set()
         for a, b in self.edges:
             pair = frozenset((_pair(a), _pair(b)))
@@ -191,8 +177,9 @@ class MeasurementPattern:
 
     def declaring(self, u: np.ndarray) -> MeasurementPattern:
         """A copy that declares u, with lists and dicts of its own and this
-        pattern's schedule: only u's shape is checked, nothing is lowered."""
-        if u.shape != (2 ** len(self.inputs),) * 2:
+        pattern's schedule. Only shapes are checked, nothing is lowered: a
+        unitary maps k inputs to k outputs, so u must be 2^k x 2^k."""
+        if len(self.outputs) != len(self.inputs) or u.shape != (2 ** len(self.inputs),) * 2:
             raise InputError("declared unitary dimension mismatch")
         out = copy.copy(self)
         for name in ("inputs", "outputs", "steps", "edges", "x_corr", "z_corr"):
@@ -203,7 +190,7 @@ class MeasurementPattern:
     @property
     def nodes(self) -> list:
         """Measured nodes in step order, then the outputs."""
-        return [node for node, _ in self.steps] + list(self.outputs)
+        return [node for node, _, _ in self.steps] + list(self.outputs)
 
     @property
     def measured_count(self) -> int:
@@ -314,15 +301,15 @@ def run_pattern(
 
 def _lower(p: MeasurementPattern) -> tuple:
     """run_pattern's (steps, corr, nodes, widths, placed). steps: (node, delta,
-    deps mask, nodes to create first, CZ partners) per measured node, delta its
-    FIXED_BASES value or rot angle, then (None, None, 0, outputs to create,
-    edges between two outputs). Each node is created at its first use,
-    inputs included. corr: (output, x_corr mask, z_corr mask) per output.
-    Bit i of a mask is step i. nodes: every node, as a frozenset. widths: the
-    most qubits alive at once with dict inputs, then with a joint state.
-    placed: the steps on the axes of a run with dict inputs (see _place)."""
+    deps mask, nodes to create first, CZ partners) per measured node, then
+    (None, None, 0, outputs to create, edges between two outputs). Each node
+    is created at its first use, inputs included. corr: (output, x_corr mask,
+    z_corr mask) per output. Bit i of a mask is step i. nodes: every node, as
+    a frozenset. widths: the most qubits alive at once with dict inputs, then
+    with a joint state. placed: the steps on the axes of a run with dict
+    inputs (see _place)."""
     last = len(p.steps)
-    at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _) in enumerate(p.steps)}
+    at = dict.fromkeys(p.outputs, last) | {node: i for i, (node, _, _) in enumerate(p.steps)}
 
     def mask(nodes: Iterable[Node]) -> int:
         return sum(1 << at[node] for node in nodes)
@@ -334,12 +321,10 @@ def _lower(p: MeasurementPattern) -> tuple:
     created: set = set()
     steps = []
     width, peak, joint = 0, 0, len(p.inputs)  # a joint state also holds uncreated inputs
-    # the last step measures nothing: a z role gives it delta None, deps 0
-    for (node, role), cz in zip(p.steps + [(None, Role("z"))], partners):
+    for (node, delta, deps), cz in zip(p.steps + [(None, None, ())], partners):
         new = tuple(q for q in ([node] + cz if node is not None else p.outputs) if q not in created)
         created.update(new)
-        delta = FIXED_BASES.get(role.kind, role.angle)
-        steps.append((node, delta, mask(role.deps), new, tuple(cz)))
+        steps.append((node, delta, mask(deps), new, tuple(cz)))
         width += len(new)
         peak, joint = max(peak, width), max(joint, width + sum(q not in created for q in p.inputs))
         width -= node is not None
@@ -451,18 +436,19 @@ class PatternBuilder:
         return self._wires[key]["carrier"]
 
     def hop(self, key, kind: str, angle: float = 0.0, x: int | None = None) -> Node:
-        """Advance a wire one node along its row: measure the carrier as kind
-        ("x", "y", or "rot" with its base angle, whose sign adapts to the
-        pending X) and move to column x, by default one right of it."""
-        if kind == "z":
-            raise InputError("a Z measurement ends a wire")
+        """Advance a wire one node along its row: measure the carrier at
+        FIXED_BASES[kind] ("x", "y") or at angle ("rot"), whose sign adapts
+        to the pending X, and move to column x, by default one right of it."""
+        if kind not in ("x", "y", "rot"):
+            raise InputError(f"a hop measures x, y or rot, not {kind!r}")
+        if angle and kind != "rot":
+            raise InputError(f"only rot hops carry an angle, not {kind}")
         w = self._wires[key]
         u = w["carrier"]
         a, b = w["a"], w["b"]
-        role = Role(kind, angle, a if kind == "rot" else ())
         v = (u[0] + 1 if x is None else x, u[1])
         self._edges.append((u, v))
-        self._steps.append((u, role))
+        self._steps.append((u, angle, a) if kind == "rot" else (u, FIXED_BASES[kind], ()))
         # a pending X flips a fixed M(pi/2)'s sign, which re-reads the
         # outcome; fold that into the new frame
         w["a"], w["b"] = frozenset({u}) ^ b ^ (a if kind == "y" else frozenset()), a
@@ -484,7 +470,7 @@ class PatternBuilder:
         inner = [(int(x), int(y)) for x, y in coords]
         chain = [w1["carrier"], *inner, w2["carrier"]]
         self._edges.extend(zip(chain, chain[1:]))
-        self._steps.extend((node, Role("x")) for node in inner)
+        self._steps.extend((node, 0.0, ()) for node in inner)
         w1["b"] = w1["b"] ^ frozenset(inner[1::2]) ^ w2["a"]
         w2["b"] = w2["b"] ^ frozenset(inner[0::2]) ^ w1["a"]
 
@@ -633,6 +619,8 @@ def choi_probe(p: MeasurementPattern) -> tuple[sv.PureState, sv.PureState]:
     """
     if not p.inputs:
         raise InputError("a Choi probe needs at least one input node")
+    if p.declared_unitary is None:
+        raise InputError("a Choi probe needs a pattern that declares a unitary")
     norm = float(np.vdot(p.declared_unitary, p.declared_unitary).real) / len(p.declared_unitary)
     if not abs(norm - 1.0) <= sv._NORM_TOL:
         raise InputError(f"declared map takes the probe to norm^2 {norm}, not 1")

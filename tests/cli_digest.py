@@ -1,4 +1,4 @@
-"""One sha256 over the CLI's stdout and exit codes for a fixed list of 81 runs.
+"""One sha256 over the CLI's stdout and exit codes for a fixed list of 82 runs.
 
 Run as `python3 tests/cli_digest.py` from the repository root. Two checkouts
 whose CLI behaves byte for byte the same print the same digest, so the digest
@@ -71,7 +71,12 @@ BLINDNESS = [
     ["blindness", "--epsilon", "1e-300"],  # exits 2
 ]
 
-RESOURCES = [["resources"]]
+# the default sweep, and one read from a config file whose rows past 10 000 km
+# are NA; the file's path is relative to the repository root
+RESOURCES = [
+    ["resources"],
+    ["resources", "--config", "tests/sweep.cfg", "--lmax", "20000", "--step", "2500"],
+]
 
 USAGE_ERRORS = [
     ["verify-gates", "--paths", "0", "--branches", "sample"],

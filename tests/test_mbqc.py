@@ -14,6 +14,8 @@ import itertools
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from blindprep.mbqc import (
     HadamardGate,
     MeasurementPattern,
     PatternBuilder,
-    Role,
     RotationGate,
     apply_byproducts,
     choi_probe,
@@ -83,13 +84,8 @@ def full_build_run(p, inputs, bits):
     state = build_cluster(p, inputs)
     src = sv.ForcedBranch(bits)
     outcomes, prob = {}, 1.0
-    for node, role in p.steps:
-        if role.kind == "z":
-            basis = None
-        elif role.kind == "rot":
-            basis = -role.angle if sum(outcomes[d] for d in role.deps) % 2 else role.angle
-        else:
-            basis = {"x": 0.0, "y": math.pi / 2}[role.kind]
+    for node, delta, deps in p.steps:
+        basis = -delta if sum(outcomes[d] for d in deps) % 2 else delta
         outcomes[node], step_prob, state = labeled_measure(state, node, basis, src)
         prob *= step_prob
     frame = {
@@ -110,7 +106,7 @@ def two_node(steps, outputs=((1, 0),), edges=(((0, 0), (1, 0)),), inputs=((0, 0)
     return MeasurementPattern(list(inputs), list(outputs), steps, list(edges), {}, {})
 
 
-X00 = [((0, 0), Role("x"))]
+X00 = [((0, 0), FIXED_BASES["x"], ())]
 
 
 def test_graph_rejects_duplicate_nodes():
@@ -147,7 +143,7 @@ def test_graph_rejects_a_pattern_with_no_nodes():
 
 
 def test_graph_bounding_box():
-    p = two_node([((1, 0), Role("z"))], outputs=[(5, 2)], edges=[], inputs=[(1, 0)])
+    p = two_node([((1, 0), None, ())], outputs=[(5, 2)], edges=[], inputs=[(1, 0)])
     assert p.bounding_grid() == (5, 3)
 
 
@@ -159,40 +155,45 @@ def test_pattern_steps_must_cover_non_outputs():
 
 def test_pattern_rejects_acausal_dependency():
     steps = [
-        ((0, 0), Role("rot", 0.3, [(1, 0)])),  # depends on a later node
-        ((1, 0), Role("x")),
+        ((0, 0), 0.3, [(1, 0)]),  # depends on a later node
+        ((1, 0), 0.0, ()),
     ]
     edges = [((0, 0), (1, 0)), ((1, 0), (2, 0))]
     with pytest.raises(InputError, match="^dep 1,0 is not measured earlier$"):
         two_node(steps, outputs=[(2, 0)], edges=edges)
 
 
-def test_role_validation():
-    # unknown kinds, z/x/y with an angle or deps, rot with a non-finite angle
-    for kind, angle, deps, message in [
-        ("x", 0.3, (), "only rot roles carry an angle or deps, not x"),
-        ("x", 0.0, frozenset({(0, 0)}), "only rot roles carry an angle or deps, not x"),
-        ("q", 0.0, (), "unknown role kind 'q'"),
-        ("y", math.pi / 2, (), "only rot roles carry an angle or deps, not y"),
-        ("z", 0.0, [(1, 1)], "only rot roles carry an angle or deps, not z"),
-        ("rot", math.nan, (), "rot angle must be finite, got nan"),
-        ("rot", math.inf, (), "rot angle must be finite, got inf"),
-        ("rot", -math.inf, [(0, 0)], "rot angle must be finite, got -inf"),
+def test_step_validation():
+    # a Z step with deps, and a delta that is not a finite real number: each
+    # refused with one line, whatever exception converting it would raise
+    for step, message in [
+        (((1, 0), None, [(0, 0)]), "step 1,0: a Z measurement takes no deps"),
+        (((1, 0), math.nan, ()), "step 1,0: delta nan is not a finite real"),
+        (((1, 0), math.inf, ()), "step 1,0: delta inf is not a finite real"),
+        (((1, 0), -math.inf, [(0, 0)]), "step 1,0: delta -inf is not a finite real"),
+        (((1, 0), 10**400, ()), f"step 1,0: delta {10**400} is not a finite real"),
+        (((1, 0), "1.5", ()), "step 1,0: delta '1.5' is not a finite real"),
+        (((1, 0), "abc", ()), "step 1,0: delta 'abc' is not a finite real"),
+        (((1, 0), 1 + 0j, ()), r"step 1,0: delta \(1\+0j\) is not a finite real"),
+        (((1, 0), Decimal("0.5"), ()), r"step 1,0: delta Decimal\('0.5'\) is not a finite real"),
     ]:
         with pytest.raises(InputError, match=f"^{message}$"):
-            Role(kind, angle, deps)
+            two_node(X00 + [step], outputs=[(2, 0)])
+    # any other real is kept as its float, and deps as a frozenset of nodes
+    for delta in (1, True, Fraction(1, 2), np.float64(-0.0), np.int8(3)):
+        p = two_node(X00 + [((1, 0), delta, [(0, 0)])], outputs=[(2, 0)])
+        assert p.steps[1] == ((1, 0), float(delta), frozenset({(0, 0)}))
+        assert type(p.steps[1][1]) is float
 
 
-def test_role_basis_follows_the_kind():
-    # the executor measures x, y and z steps at their FIXED_BASES delta, and
-    # a rot step at its angle, negated when its deps' outcomes have odd parity
-    rot = Role("rot", 0.3, [(0, 0), (1, 0)])
-    assert rot.deps == frozenset({(0, 0), (1, 0)})
+def test_step_delta_is_the_measured_basis():
+    # the executor measures each step at its delta, None being Z, negated
+    # when its deps' outcomes have odd parity
     chain = [(x, 0) for x in range(5)]
-    kinds = [Role("x"), Role("y"), rot, Role("z")]
-    p = MeasurementPattern(
-        [(0, 0)], [(4, 0)], list(zip(chain, kinds)), list(zip(chain, chain[1:])), {}, {}
-    )
+    deltas = [(0.0, ()), (math.pi / 2, ()), (0.3, [(0, 0), (1, 0)]), (None, ())]
+    steps = [(node, *step) for node, step in zip(chain, deltas)]
+    p = MeasurementPattern([(0, 0)], [(4, 0)], steps, list(zip(chain, chain[1:])), {}, {})
+    assert p.steps[2][2] == frozenset({(0, 0), (1, 0)})
     words = []
     for word, _, _, transcript, _ in enumerate_branches(p, {}):
         bases = [e.basis for e in transcript.entries]
@@ -248,14 +249,20 @@ def test_y_hop_teleports_h_sdg(theta):
 def test_hop_rejects_z_and_fixed_hops_with_an_angle():
     b = PatternBuilder()
     b.wire("w", 0, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^a hop measures x, y or rot, not 'z'$"):
         b.hop("w", "z")
-    with pytest.raises(InputError, match="^only rot roles carry an angle or deps, not x$"):
+    with pytest.raises(InputError, match="^a hop measures x, y or rot, not 'q'$"):
+        b.hop("w", "q")
+    with pytest.raises(InputError, match="^only rot hops carry an angle, not x$"):
         b.hop("w", "x", 0.3)
-    with pytest.raises(InputError, match="^rot angle must be finite, got nan$"):
-        b.hop("w", "rot", math.nan)
+    with pytest.raises(InputError, match="^only rot hops carry an angle, not y$"):
+        b.hop("w", "y", math.nan)
     # a rejected hop leaves the builder untouched
     assert b.hop("w", "x") == (1, 0)
+    # a rot angle is checked with every other step when the pattern is built
+    b.hop("w", "rot", math.nan)
+    with pytest.raises(InputError, match="^step 1,0: delta nan is not a finite real$"):
+        b.build(["w"])
 
 
 def test_build_rejects_a_node_placed_twice():
@@ -272,7 +279,7 @@ def test_z_elimination_is_neutral_after_correction():
     p = MeasurementPattern(
         inputs=[(0, 0)],
         outputs=[(0, 0)],
-        steps=[((0, 1), Role("z"))],
+        steps=[((0, 1), None, ())],
         edges=[((0, 0), (0, 1))],
         x_corr={},
         z_corr={(0, 0): {(0, 1)}},
@@ -326,12 +333,11 @@ def test_hadamard_correction_sets_are_pinned():
     assert p.outputs == [out]
     assert p.x_corr[out] == frozenset({(1, 0), (3, 0), (4, 0)})
     assert p.z_corr[out] == frozenset({(2, 0), (3, 0)})
-    kinds = [(node, role.kind, role.angle, role.deps) for node, role in p.steps]
-    assert kinds == [
-        ((1, 0), "x", 0.0, frozenset()),
-        ((2, 0), "y", 0.0, frozenset()),
-        ((3, 0), "y", 0.0, frozenset()),
-        ((4, 0), "y", 0.0, frozenset()),
+    assert p.steps == [
+        ((1, 0), 0.0, frozenset()),
+        ((2, 0), math.pi / 2, frozenset()),
+        ((3, 0), math.pi / 2, frozenset()),
+        ((4, 0), math.pi / 2, frozenset()),
     ]
     _, transcript, _ = run_pattern(p, {}, sv.BornSampler(0))
     assert [e.basis for e in transcript.entries] == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
@@ -342,15 +348,14 @@ def test_rotation_dependencies_are_pinned():
     out = (5, 0)
     assert p.x_corr[out] == frozenset({(2, 0), (4, 0)})
     assert p.z_corr[out] == frozenset({(1, 0), (3, 0)})
-    assert [role.kind for _, role in p.steps] == ["x", "rot", "rot", "rot"]
-    deps = {node: role.deps for node, role in p.steps if role.kind == "rot"}
-    assert deps == {
+    assert {node: deps for node, _, deps in p.steps} == {
+        (1, 0): frozenset(),
         (2, 0): frozenset({(1, 0)}),
         (3, 0): frozenset({(2, 0)}),
         (4, 0): frozenset({(1, 0), (3, 0)}),
     }
-    angles = [role.angle for _, role in p.steps]
-    assert angles == pytest.approx([0.0, -0.3, -0.5, -0.7])
+    deltas = [delta for _, delta, _ in p.steps]
+    assert deltas == pytest.approx([0.0, -0.3, -0.5, -0.7])
 
 
 def parity(nodes, outcomes):
@@ -360,25 +365,22 @@ def parity(nodes, outcomes):
 
 def test_rot_basis_sign_follows_parity():
     # on every branch, against an oracle over the transcript's outcomes and
-    # the pattern's public node sets: each rot step is measured at -angle
-    # exactly when its deps have odd parity, each fixed step at its
-    # FIXED_BASES delta, and the frame is the parity of x_corr and z_corr
+    # the pattern's public node sets: each step is measured at -delta exactly
+    # when its deps have odd parity, else at delta, and the frame is the
+    # parity of x_corr and z_corr
     from blindprep.cli import _ROTATION_TRIPLES
 
     rotations = [*_ROTATION_TRIPLES, (math.pi / 4, 0.0, 0.0)]  # the last has -0.0 angles
     gates = [RotationGate(*t) for t in rotations] + [HadamardGate(), CNOTGate(1)]
     for gate in gates:
         p = pattern_for_gate(gate)
-        roles = dict(p.steps)
+        steps = {node: (delta, deps) for node, delta, deps in p.steps}
         count = 0
         for _, _, _, transcript, frame in enumerate_branches(p, {}):
             got = {e.node: e.outcome for e in transcript.entries}
             for e in transcript.entries:
-                role = roles[e.node]
-                if role.kind == "rot":
-                    want = -role.angle if parity(role.deps, got) else role.angle
-                else:
-                    want = FIXED_BASES[role.kind]
+                delta, deps = steps[e.node]
+                want = -delta if parity(deps, got) else delta
                 assert repr(e.basis) == repr(want), (gate, e.node)
             assert frame.exps == {
                 out: (parity(p.x_corr.get(out, ()), got), parity(p.z_corr.get(out, ()), got))
@@ -496,7 +498,7 @@ def test_cnot_rejects_bad_separation():
 def output_edge_pattern():
     """Two one-hop wires whose outputs share a CZ edge."""
     edges = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))]
-    steps = [((0, 0), Role("x")), ((0, 1), Role("x"))]
+    steps = [((0, 0), 0.0, ()), ((0, 1), 0.0, ())]
     return MeasurementPattern([(0, 0), (0, 1)], [(1, 0), (1, 1)], steps, edges, {}, {})
 
 
@@ -549,8 +551,7 @@ def adjacency_walk(p, created):
     lowered the pattern. Returns the same tuple of step tuples as the steps
     of p.schedule: each with its delta and the bit mask of its deps over
     step positions."""
-    deltas = {"z": None, "x": 0.0, "y": math.pi / 2}
-    position = {node: i for i, (node, _) in enumerate(p.steps)}
+    position = {node: i for i, (node, _, _) in enumerate(p.steps)}
     created = set(created)
     adjacent = {node: [] for node in p.nodes}
     for a, b in p.edges:
@@ -563,16 +564,15 @@ def adjacency_walk(p, created):
             created.add(node)
             new.append(node)
 
-    for node, role in p.steps:
+    for node, delta, deps in p.steps:
         new = []
         ensure(node, new)
         partners = [other for other in adjacent[node] if other not in measured]
         for other in partners:
             ensure(other, new)
         measured.add(node)
-        delta = role.angle if role.kind == "rot" else deltas[role.kind]
-        deps = sum(2 ** position[dep] for dep in role.deps)
-        steps.append((node, delta, deps, tuple(new), tuple(partners)))
+        mask = sum(2 ** position[dep] for dep in deps)
+        steps.append((node, delta, mask, tuple(new), tuple(partners)))
     new = []
     for node in p.outputs:
         ensure(node, new)
@@ -826,10 +826,27 @@ def test_choi_probe_refuses_a_declared_map_that_does_not_keep_the_norm():
 
 
 def test_choi_probe_refuses_a_pattern_with_no_inputs():
-    # there is no input to pair with a spectator, so no probe to build
-    p = MeasurementPattern([], [(0, 0)], [], [], {}, {}).declaring(np.eye(1))
+    # there is no input to pair with a spectator, so no probe to build; a
+    # pattern that declares a unitary has as many outputs as inputs, none here
+    p = MeasurementPattern([], [], [((0, 0), 0.0, ())], [], {}, {}).declaring(np.eye(1))
     with pytest.raises(InputError, match="^a Choi probe needs at least one input node$"):
         choi_probe(p)
+
+
+def test_choi_probe_refuses_a_pattern_that_declares_no_unitary():
+    # a gate layout declares none until declaring is called: there is no target
+    with pytest.raises(InputError, match="^a Choi probe needs a pattern that declares a unitary$"):
+        choi_probe(mbqc.gate_layout(CNOTGate(1)))
+
+
+def test_declaring_refuses_unequal_input_and_output_counts():
+    # a square u on the inputs' space would give choi_probe a target whose
+    # array does not fit the output labels; refused with one line instead
+    p = MeasurementPattern([(0, 0)], [(1, 0), (2, 0)], X00, [((0, 0), (1, 0))], {}, {})
+    for u in (np.eye(2), np.eye(4)):
+        with pytest.raises(InputError, match="^declared unitary dimension mismatch$"):
+            p.declaring(u)
+    assert p.declared_unitary is None
 
 
 def test_choi_probe_holds_the_probe_and_the_target_and_no_copy():
@@ -859,7 +876,7 @@ def test_hop_outcomes_are_uniform_for_any_input():
 def test_enumerate_prunes_deterministic_branches():
     # an isolated |0> measured in Z has only one possible outcome
     p = MeasurementPattern(
-        [(0, 0)], [(1, 0)], [((0, 0), Role("z"))], [], {}, {(1, 0): frozenset()}
+        [(0, 0)], [(1, 0)], [((0, 0), None, ())], [], {}, {(1, 0): frozenset()}
     )
     zero = np.array([1.0, 0.0], dtype=complex)
     branches = list(enumerate_branches(p, {(0, 0): zero}))
@@ -1074,7 +1091,7 @@ def star_pattern(n_leaves, kind="z"):
     return MeasurementPattern(
         [centre],
         leaves,
-        [(centre, Role(kind))],
+        [(centre, FIXED_BASES[kind], ())],
         [(centre, leaf) for leaf in leaves],
         {},
         {leaf: frozenset() for leaf in leaves},
@@ -1160,9 +1177,15 @@ def _layout(name):
 @pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
 def test_layouts_are_pinned_in_edge_order(name):
     # the executor creates nodes in edge-list order, which fixes the float
-    # bits; so the edges are hashed as listed, not sorted
+    # bits; so the edges are hashed as listed, not sorted. Each step is hashed
+    # as the (node, kind, angle, deps) text the digests were recorded from:
+    # a step with deps is rot, any other is named by its fixed delta
     p = _layout(name)
-    steps = [(node, role.kind, role.angle, sorted(role.deps)) for node, role in p.steps]
+    kind = {None: "z", 0.0: "x", math.pi / 2: "y"}
+    steps = [
+        (node, "rot", delta, sorted(deps)) if deps else (node, kind[delta], 0.0, [])
+        for node, delta, deps in p.steps
+    ]
     corr = [sorted((out, sorted(nodes)) for out, nodes in c.items()) for c in (p.x_corr, p.z_corr)]
     text = repr((p.inputs, p.outputs, steps, p.edges, corr))
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[name]
@@ -1173,7 +1196,7 @@ def test_layouts_are_pinned_in_edge_order(name):
 DIRECT_FAULTS = {
     "self_loop": ({"edges": [((0, 0), (0, 0))]}, "edge 0,0 0,0 is a self-loop"),
     "undeclared_edge_end": (
-        {"edges": [((0, 0), (2, 0))], "steps": X00 + [((3, 0), Role("x"))]},
+        {"edges": [((0, 0), (2, 0))], "steps": X00 + [((3, 0), 0.0, ())]},
         "edge end 2,0 is not a measured node or an output",
     ),
     "loose_input": (
@@ -1187,7 +1210,7 @@ DIRECT_FAULTS = {
         {"x_corr": {(1, 0): frozenset({(0, 0), (3, 3)})}}, "xcorr node 3,3 is not a measured node"
     ),
     "late_dep": (
-        {"steps": X00 + [((2, 0), Role("rot", 0.5, [(3, 0)])), ((3, 0), Role("x"))]},
+        {"steps": X00 + [((2, 0), 0.5, [(3, 0)]), ((3, 0), 0.0, ())]},
         "dep 3,0 is not measured earlier",
     ),
     "measured_twice": ({"steps": X00 + X00}, "node 0,0 is measured twice or also an output"),
@@ -1220,7 +1243,7 @@ LIST_NODE_FIELDS = {
     "edge_end": lambda: {"edges": [([0, 0], (1, 0))]},
     "xcorr": lambda: {"x_corr": {(1, 0): [[0, 0]]}},
     "zcorr": lambda: {"z_corr": {(1, 0): [[0, 0]]}},
-    "rot_dep": lambda: {"steps": [((0, 0), Role("rot", 0.1, [[0, 0]]))]},
+    "rot_dep": lambda: {"steps": [((0, 0), 0.1, [[0, 0]])]},
 }
 
 
@@ -1236,8 +1259,8 @@ def test_trimmed_wire_still_acts_as_hadamard():
     # a Hadamard chain whose input has a dangling neighbour, removed by a Z
     # measurement: after its Z byproduct the chain acts as if it were never
     # attached. The only pattern that eliminates a z node inside a chain.
-    steps = [((1, 0), Role("x")), ((1, 1), Role("z"))]
-    steps += [((x, 0), Role("y")) for x in (2, 3, 4)]
+    steps = [((1, 0), 0.0, ()), ((1, 1), None, ())]
+    steps += [((x, 0), math.pi / 2, ()) for x in (2, 3, 4)]
     chain = [(x, 0) for x in range(1, 6)]
     p = MeasurementPattern(
         inputs=[(1, 0)],
@@ -1247,7 +1270,7 @@ def test_trimmed_wire_still_acts_as_hadamard():
         x_corr={(5, 0): frozenset({(1, 0), (1, 1), (3, 0), (4, 0)})},
         z_corr={(5, 0): frozenset({(2, 0), (3, 0)})},
     )
-    assert [r.kind for _, r in p.steps].count("z") == 1
+    assert [delta for _, delta, _ in p.steps].count(None) == 1
     assert p.measured_count == 5
     for vec in FIVE_STATES:
         target = sv.PureState(sv.H.matrix @ vec, [p.outputs[0]])

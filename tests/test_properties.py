@@ -1,18 +1,20 @@
 """Property tests of the one text boundary, config files, of the resource
-estimate behind the config, of the live widths that each measurement
-pattern is lowered with, and of the states that chains of statevector
-kernels return. A config is drawn as text and as raw bytes, which need not
-decode as UTF-8.
+estimate behind the config, of the steps a measurement pattern is built
+from, of the live widths that each pattern is lowered with, and of the
+states that chains of statevector kernels return. A config is drawn as text
+and as raw bytes, which need not decode as UTF-8.
 
 Hypothesis generates the inputs, with a fixed number of examples and a
 derandomized search so that a run is repeatable. The only error each
 function may raise is its documented one: InputError for a config, its
-message led by the config's path, and EstimationError for an estimate.
+message led by the config's path, and for a pattern's steps; EstimationError
+for an estimate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import tempfile
 
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from blindprep import statevector as sv
 from blindprep.cli import CONFIG_KEYS, load_config
 from blindprep.errors import DegenerateBranchError, EstimationError, InputError
-from blindprep.mbqc import MeasurementPattern, Role
+from blindprep.mbqc import FIXED_BASES, MeasurementPattern, run_pattern
 from blindprep.resources import ExperimentParams, ResourceRow, estimate
 from helpers import (
     is_read_only_value,
@@ -137,7 +139,7 @@ def test_estimate_returns_a_row_or_raises_estimation_error(params, length):
 @st.composite
 def _small_patterns(draw):
     """A valid pattern of at most 8 nodes: random inputs and edges, and x, y
-    or z roles measured in a random order; the unmeasured nodes are outputs."""
+    or z steps measured in a random order; the unmeasured nodes are outputs."""
     nodes = [(i % 3, i // 3) for i in range(draw(st.integers(1, 8)))]
     order = draw(st.permutations(nodes))
     measured = order[: draw(st.integers(0, len(nodes)))]
@@ -146,11 +148,57 @@ def _small_patterns(draw):
     return MeasurementPattern(
         inputs=draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True)),
         outputs=order[len(measured) :],
-        steps=[(node, Role(draw(st.sampled_from("xyz")))) for node in measured],
+        steps=[(node, FIXED_BASES[draw(st.sampled_from("xyz"))], ()) for node in measured],
         edges=edges,
         x_corr={},
         z_corr={},
     )
+
+
+# deltas of every kind a caller might pass: reals of each type, ints past a
+# float's range, non-finite floats, numeric strings and complex numbers
+_DELTA = st.one_of(
+    st.sampled_from(list(FIXED_BASES.values())),
+    st.floats(),
+    st.integers(-(2**1100), 2**1100),
+    st.fractions(),
+    st.floats().map(np.float64),
+    st.sampled_from(["1.5", "abc", "nan", ""]) | st.complex_numbers(max_magnitude=4.0),
+)
+_NON_PAIR = st.sampled_from([[0, 0], (0, 0.0), (0, "1"), (0, 0, 0), "ab", None, 0])
+
+
+@st.composite
+def _chain_steps(draw):
+    """A chain of 2 to 6 nodes whose last is the output: each other node a
+    step with a drawn delta, and deps drawn from every node, earlier, itself
+    or later, and in half the chains from values that are not int pairs."""
+    nodes = [(x, 0) for x in range(draw(st.integers(2, 6)))]
+    dep = st.sampled_from(nodes) | _NON_PAIR if draw(st.booleans()) else st.sampled_from(nodes)
+    return nodes, [(node, draw(_DELTA), draw(st.lists(dep, max_size=2))) for node in nodes[:-1]]
+
+
+@BOUNDED
+@given(_chain_steps())
+@example(([(0, 0), (1, 0)], [((0, 0), "1.5", [])]))
+@example(([(0, 0), (1, 0)], [((0, 0), 1 + 0j, [])]))
+@example(([(0, 0), (1, 0)], [((0, 0), 2**1100, [])]))
+@example(([(0, 0), (1, 0), (2, 0)], [((0, 0), None, []), ((1, 0), 3, [(0, 0)])]))
+@example(([(0, 0), (1, 0), (2, 0)], [((0, 0), 0.0, []), ((1, 0), None, [(0, 0)])]))
+def test_steps_build_a_pattern_or_raise_input_error(chain):
+    # a built pattern holds each delta as None or a finite float and each
+    # deps as a frozenset of nodes measured earlier, none on a Z step, and runs
+    nodes, steps = chain
+    try:
+        p = MeasurementPattern(nodes[:1], nodes[-1:], steps, list(zip(nodes, nodes[1:])), {}, {})
+    except InputError:
+        return
+    for i, (node, delta, deps) in enumerate(p.steps):
+        assert node == nodes[i]
+        assert delta is None and not deps or type(delta) is float and math.isfinite(delta)
+        assert type(deps) is frozenset and deps <= set(nodes[:i])
+    state, transcript, _ = run_pattern(p, {}, sv.BornSampler(0))
+    assert state.labels == (nodes[-1],) and len(transcript.entries) == len(steps)
 
 
 @BOUNDED

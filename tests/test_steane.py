@@ -339,8 +339,9 @@ def test_compiled_encoder_size_and_shape():
     width, height = p.bounding_grid()
     assert height == 7
     assert width < 50
-    kinds = {role.kind for _, role in p.steps}
-    assert kinds == {"x", "y"}  # fully non-adaptive
+    # fully non-adaptive: every step is an x or y measurement, with no deps
+    bases = {(delta, deps) for _, delta, deps in p.steps}
+    assert bases == {(FIXED_BASES["x"], frozenset()), (FIXED_BASES["y"], frozenset())}
 
 
 def test_compiled_encoder_calls_are_equal_but_share_nothing_mutable():
