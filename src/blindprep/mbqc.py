@@ -74,6 +74,15 @@ def _pair(node) -> Node:
     return node
 
 
+def _node_set(value, name: str, node: Node) -> frozenset:
+    """value's nodes as a frozenset, each checked by _pair; a value that is
+    not iterable is refused as the field name of node."""
+    try:
+        return frozenset(map(_pair, value))
+    except TypeError:  # not iterable
+        raise InputError(f"{name} of {_c(node)} is {value!r}, not a collection of nodes") from None
+
+
 def _c(node: Node) -> str:
     """A node as the validator's messages print it: x,y."""
     return f"{node[0]},{node[1]}"
@@ -126,6 +135,13 @@ class MeasurementPattern:
     schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, size in (("inputs", None), ("outputs", None), ("steps", 3), ("edges", 2)):
+            rows = getattr(self, name)
+            if not isinstance(rows, (list, tuple)):
+                raise InputError(f"{name} must be a list, not {rows!r}")
+            for row in rows if size else ():
+                if not isinstance(row, (list, tuple)) or len(row) != size:
+                    raise InputError(f"{name} entry {row!r} is not a {size}-tuple")
         nodes: set = set()
         for node in map(_pair, self.nodes):
             if node in nodes:
@@ -141,7 +157,7 @@ class MeasurementPattern:
         measured: set = set()
         steps = []
         for node, delta, deps in self.steps:
-            deps = frozenset(map(_pair, deps))
+            deps = _node_set(deps, "deps", node)
             if delta is not None:
                 # a float's range: refuses nan, inf and an int too large to convert
                 if not (isinstance(delta, numbers.Real) and abs(delta) <= sys.float_info.max):
@@ -166,11 +182,14 @@ class MeasurementPattern:
                 raise InputError(f"edge {_c(a)} {_c(b)} is declared twice")
             pairs.add(pair)
         self.edges = [tuple(sorted(e)) for e in self.edges]
-        for kind, corr in (("xcorr", self.x_corr), ("zcorr", self.z_corr)):
+        for name in ("x_corr", "z_corr"):
+            kind, corr = name.replace("_", ""), getattr(self, name)
+            if not isinstance(corr, dict):
+                raise InputError(f"{name} must be a dict, not {corr!r}")
             for out, dep_nodes in corr.items():
-                if out not in self.outputs:
+                if _pair(out) not in self.outputs:
                     raise InputError(f"{kind} target {_c(out)} is not an output")
-                unmeasured = frozenset(map(_pair, dep_nodes)) - measured
+                unmeasured = _node_set(dep_nodes, name, out) - measured
                 if unmeasured:
                     raise InputError(f"{kind} node {_c(min(unmeasured))} is not a measured node")
         self.schedule = _lower(self)
@@ -432,8 +451,13 @@ class PatternBuilder:
         self._wires[key] = {"input": node, "carrier": node, "a": frozenset(), "b": frozenset()}
         return node
 
+    def _wire(self, key) -> dict:
+        if key not in self._wires:
+            raise InputError(f"wire {key!r} is not registered")
+        return self._wires[key]
+
     def carrier(self, key) -> Node:
-        return self._wires[key]["carrier"]
+        return self._wire(key)["carrier"]
 
     def hop(self, key, kind: str, angle: float = 0.0, x: int | None = None) -> Node:
         """Advance a wire one node along its row: measure the carrier at
@@ -443,7 +467,7 @@ class PatternBuilder:
             raise InputError(f"a hop measures x, y or rot, not {kind!r}")
         if angle and kind != "rot":
             raise InputError(f"only rot hops carry an angle, not {kind}")
-        w = self._wires[key]
+        w = self._wire(key)
         u = w["carrier"]
         a, b = w["a"], w["b"]
         v = (u[0] + 1 if x is None else x, u[1])
@@ -466,7 +490,7 @@ class PatternBuilder:
         """
         if len(coords) % 2 != 0:
             raise InputError("bridges must contain an even node count")
-        w1, w2 = self._wires[k1], self._wires[k2]
+        w1, w2 = self._wire(k1), self._wire(k2)
         inner = [(int(x), int(y)) for x, y in coords]
         chain = [w1["carrier"], *inner, w2["carrier"]]
         self._edges.extend(zip(chain, chain[1:]))
@@ -481,7 +505,7 @@ class PatternBuilder:
         both in wire_order. Measurements are ordered column-major by their
         grid coordinates.
         """
-        wires = [self._wires[k] for k in wire_order]
+        wires = [self._wire(k) for k in wire_order]
         return MeasurementPattern(
             inputs=[w["input"] for w in wires],
             outputs=[w["carrier"] for w in wires],

@@ -36,13 +36,13 @@ heavier ones of the 128, so for independent X errors at e = 0.01 its block
 fails with probability 2.004e-3, about 20 e^2; k keeps the e^2 model.
 
 Each ExperimentParams computes once, on first use, every term of these
-formulas that depends on it alone (the exponentials and squares of the
-intensities, the decoy bound's coefficients, ln(eps / S), p_mu mu, S f, the
-fixed transmittance) and k. A row then costs only its own arithmetic, with
-the bits and errors of computing each term per row: the terms after the
-bound's underflow guard are computed only when the guard passes, and a k
-that raises is not cached, so every row raises it anew after the checks
-that precede it. Rows are plain records.
+formulas that depends on it alone (the intensities' exponentials and
+squares, the decoy bound's coefficients, ln(eps / S), p_mu mu, S f, the
+fixed transmittance) and k. `estimate` prices a row in one pass, in the order
+above, computing each term and making each check once, with the bits and
+errors of computing each term per row: the terms after the bound's underflow
+guard are computed only when the guard passes, and a k that raises is not
+cached, so every row raises it anew after the checks that precede it.
 """
 
 from __future__ import annotations
@@ -57,12 +57,7 @@ __all__ = [
     "ExperimentParams",
     "ResourceRow",
     "transmittance",
-    "gain",
-    "p1_lower_bound",
-    "p1_asymptotic",
-    "pulses_needed",
     "repetition_factor",
-    "efficiency",
     "estimate",
     "sweep",
 ]
@@ -160,7 +155,7 @@ class _Priced:
         self.nu1_sq = p.nu1**2
         self.mu_sq = p.mu**2
         spread = p.mu * p.nu1 - self.nu1_sq
-        # the terms behind p1_lower_bound's guard: when it fails, every row
+        # the terms behind the decoy bound's guard: when it fails, every row
         # raises there, and they would divide by zero
         self.decoy_ok = spread != 0.0 and self.mu_sq != 0.0
         if self.decoy_ok:
@@ -181,65 +176,6 @@ def transmittance(length_km: float, p: ExperimentParams) -> float:
         raise InputError("fiber length cannot be negative")
     c = p._priced
     return c.fixed_t * 10.0 ** (c.neg_alpha * length_km / 10.0)
-
-
-def gain(t: float, intensity: float, p: ExperimentParams) -> float:
-    """Detection probability of a pulse with the given mean photon number."""
-    # expm1 keeps the full relative precision of 1 - exp(-x) when x*T is tiny
-    # (long fibers drive it below 1e-5, where the subtraction loses digits).
-    return p.y0_dark - math.expm1(-intensity * t)
-
-
-def p1_lower_bound(t: float, p: ExperimentParams) -> float:
-    """Weak+vacuum decoy lower bound on the single-photon fraction of
-    detected signal pulses; raises EstimationError when the bound is vacuous."""
-    c = p._priced
-    q_mu = gain(t, p.mu, p)
-    if q_mu <= 0.0:
-        raise EstimationError(
-            f"no detected signal events at T = {t:.6g}: channel is opaque"
-        )
-    q_nu1 = gain(t, p.nu1, p)
-    if not c.decoy_ok:
-        raise EstimationError(
-            f"intensities mu = {p.mu:.6g}, nu1 = {p.nu1:.6g} underflow the decoy bound"
-        )
-    y1 = c.mu_over_spread * (
-        q_nu1 * c.exp_nu1 - q_mu * c.exp_mu * c.nu1_sq / c.mu_sq - c.vacuum
-    )
-    p1 = y1 * p.mu * c.exp_neg_mu / q_mu
-    if not 0.0 < p1 < 1.0:
-        raise EstimationError(
-            f"single-photon bound left (0, 1): p1 = {p1:.6g} at T = {t:.6g}"
-        )
-    return p1
-
-
-def p1_asymptotic(t: float, p: ExperimentParams) -> float:
-    """Single-photon fraction with perfectly known yields (Y1 = Y0 + T)."""
-    q_mu = gain(t, p.mu, p)
-    if q_mu <= 0.0:
-        raise EstimationError(
-            f"no detected signal events at T = {t:.6g}: channel is opaque"
-        )
-    p1 = (p.y0_dark + t) * p.mu * p._priced.exp_neg_mu / q_mu
-    if not 0.0 < p1 < 1.0:
-        raise EstimationError(
-            f"asymptotic single-photon fraction left (0, 1): p1 = {p1:.6g}"
-        )
-    return p1
-
-
-def pulses_needed(t: float, p1: float, p: ExperimentParams, overhead: float) -> int:
-    """Total pulses to collect `successes` single-photon qubits except with
-    probability eps_fail, including `overhead` extra pulses per success."""
-    if t <= 0.0:  # dark counts alone can pass the decoy bounds
-        raise EstimationError(f"transmittance is {t!r}: channel is opaque")
-    c = p._priced
-    raw = (p.successes / t) * (c.log_ratio / (c.p_mu_mu * math.log1p(-p1)) + overhead)
-    if not math.isfinite(raw) or raw <= 0.0:
-        raise EstimationError(f"pulse count came out non-physical: {raw!r}")
-    return math.ceil(raw)
 
 
 def repetition_factor(p: ExperimentParams) -> float:
@@ -265,16 +201,6 @@ def _log_one_minus_exp(x: float) -> float:
     return math.log1p(-y) if y < 1.0 else math.log(-math.expm1(x))
 
 
-def efficiency(n_pulses: float, p: ExperimentParams) -> float:
-    """Prepared qubits per second: S f / N."""
-    if n_pulses <= 0:
-        raise EstimationError("efficiency needs a positive pulse count")
-    try:
-        return p._priced.rate / n_pulses
-    except OverflowError:  # an int pulse count beyond the range of a float
-        raise EstimationError("pulse count is too large for a float") from None
-
-
 @dataclass
 class ResourceRow:
     """One fiber length's worth of estimates (the CSV row of the CLI)."""
@@ -296,18 +222,57 @@ def estimate(length_km: float, p: ExperimentParams) -> ResourceRow:
     """Full estimate at one fiber length; raises EstimationError when any
     bound degenerates."""
     t = transmittance(length_km, p)
-    p1 = p1_lower_bound(t, p)
-    p1_inf = p1_asymptotic(t, p)
-    n_coded = pulses_needed(t, p1, p, p.block_overhead)
-    n_direct = pulses_needed(t, p1, p, 0.0)
-    n_asym = pulses_needed(t, p1_inf, p, 0.0)
+    c = p._priced
+    # expm1 keeps the full relative precision of 1 - exp(-x) when x*T is tiny
+    # (long fibers drive it below 1e-5, where the subtraction loses digits).
+    q_mu = p.y0_dark - math.expm1(-p.mu * t)
+    if q_mu <= 0.0:
+        raise EstimationError(f"no detected signal events at T = {t:.6g}: channel is opaque")
+    q_nu1 = p.y0_dark - math.expm1(-p.nu1 * t)
+    if not c.decoy_ok:
+        raise EstimationError(
+            f"intensities mu = {p.mu:.6g}, nu1 = {p.nu1:.6g} underflow the decoy bound"
+        )
+    y1 = c.mu_over_spread * (q_nu1 * c.exp_nu1 - q_mu * c.exp_mu * c.nu1_sq / c.mu_sq - c.vacuum)
+    p1 = y1 * p.mu * c.exp_neg_mu / q_mu
+    if not 0.0 < p1 < 1.0:
+        raise EstimationError(f"single-photon bound left (0, 1): p1 = {p1:.6g} at T = {t:.6g}")
+    p1_inf = (p.y0_dark + t) * p.mu * c.exp_neg_mu / q_mu  # Y1 = Y0 + T
+    if not 0.0 < p1_inf < 1.0:
+        raise EstimationError(f"asymptotic single-photon fraction left (0, 1): p1 = {p1_inf:.6g}")
+    if t <= 0.0:  # dark counts alone can pass the decoy bounds
+        raise EstimationError(f"transmittance is {t!r}: channel is opaque")
+    per_t = p.successes / t
+    # ln(eps / S) / (p_mu mu ln(1 - p1)) is never -0.0, so N_d need not add C = 0.0
+    per_success = c.log_ratio / (c.p_mu_mu * math.log1p(-p1))
+    n_coded = _count(per_t * (per_success + p.block_overhead))
+    n_direct = _count(per_t * per_success)
+    n_asym = _count(per_t * (c.log_ratio / (c.p_mu_mu * math.log1p(-p1_inf))))
     k = p._k
     k_n_direct = math.ceil(k) * n_direct
     # in field order: matching eleven keywords would cost about 1 us a row
     return ResourceRow(
         length_km, t, p1, n_coded, n_direct, k, k_n_direct, n_asym,
-        efficiency(n_coded, p), efficiency(k_n_direct, p), efficiency(n_asym, p),
+        _per_second(n_coded, c.rate), _per_second(k_n_direct, c.rate),
+        _per_second(n_asym, c.rate),
     )
+
+
+def _count(raw: float) -> int:
+    """A pulse count N from its unceiled value."""
+    if not math.isfinite(raw) or raw <= 0.0:
+        raise EstimationError(f"pulse count came out non-physical: {raw!r}")
+    return math.ceil(raw)
+
+
+def _per_second(n_pulses: int, rate: float) -> float:
+    """Prepared qubits per second, E = S f / N, for rate S f."""
+    if n_pulses <= 0:
+        raise EstimationError("efficiency needs a positive pulse count")
+    try:
+        return rate / n_pulses
+    except OverflowError:  # an int pulse count beyond the range of a float
+        raise EstimationError("pulse count is too large for a float") from None
 
 
 def sweep(lengths_km, p: ExperimentParams) -> list:

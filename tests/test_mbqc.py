@@ -265,6 +265,20 @@ def test_hop_rejects_z_and_fixed_hops_with_an_angle():
         b.build(["w"])
 
 
+def test_an_unregistered_wire_is_one_input_error():
+    b = PatternBuilder()
+    b.wire("w", 0, 0)
+    for call in (
+        lambda: b.carrier("nope"),
+        lambda: b.hop("nope", "x"),
+        lambda: b.bridge("w", "nope", []),
+        lambda: b.build(["w", "nope"]),
+    ):
+        with pytest.raises(InputError, match="^wire 'nope' is not registered$"):
+            call()
+    assert b.build(["w"]).inputs == [(0, 0)]  # a refused call leaves the builder untouched
+
+
 def test_build_rejects_a_node_placed_twice():
     b = PatternBuilder()
     b.wire("w", 0, 0)
@@ -1134,6 +1148,24 @@ def test_live_width_cap_is_checked_before_the_tensor(monkeypatch):
     assert calls == []
 
 
+def test_live_width_cap_reads_the_width_of_the_input_form(monkeypatch):
+    # the widest step, a Z-measured centre beside its three output leaves,
+    # comes before the input (0, 0) is first used: a dict run creates that
+    # input last, while a joint state holds it from the start
+    leaves = [(2, y) for y in range(3)]
+    p = MeasurementPattern(
+        [(0, 0)], [*leaves, (0, 0)], [((1, 0), None, ())],
+        [((1, 0), leaf) for leaf in leaves], {}, {},
+    )
+    assert p.schedule[3] == traced_widths(p) == (4, 5)
+    monkeypatch.setattr(mbqc, "LIVE_CAP", 4)
+    state, _, _ = run_pattern(p, {}, sv.BornSampler(0))
+    assert state.n == 4
+    joint = sv.PureState(np.array([1.0, 0.0], dtype=complex), [(0, 0)])
+    with pytest.raises(InputError, match="^live width 5 exceeds the cap of 4$"):
+        run_pattern(p, joint, sv.BornSampler(0))
+
+
 def test_build_cluster_matches_manual_preparation():
     state = build_cluster(two_node(X00))
     manual = labeled_tensor(sv.new_plus_theta(0.0, (0, 0)), sv.new_plus_theta(0.0, (1, 0)))
@@ -1191,8 +1223,8 @@ def test_layouts_are_pinned_in_edge_order(name):
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[name]
 
 
-# the one-hop wire of X00 with one structural fault: the fields that differ,
-# and the validator's message
+# the one-hop wire of X00 with one structural fault or one field in the wrong
+# shape: the fields that differ, and the validator's message
 DIRECT_FAULTS = {
     "self_loop": ({"edges": [((0, 0), (0, 0))]}, "edge 0,0 0,0 is a self-loop"),
     "undeclared_edge_end": (
@@ -1224,6 +1256,17 @@ DIRECT_FAULTS = {
     "edge_reversed": (
         {"edges": [((0, 0), (1, 0)), ((1, 0), (0, 0))]}, "edge 1,0 0,0 is declared twice"
     ),
+    # a field in the wrong shape
+    "two_field_step": ({"steps": [((0, 0), 0.0)]}, "steps entry ((0, 0), 0.0) is not a 3-tuple"),
+    "int_deps": ({"steps": [((0, 0), 0.0, 5)]}, "deps of 0,0 is 5, not a collection of nodes"),
+    "one_ended_edge": ({"edges": [((0, 0),)]}, "edges entry ((0, 0),) is not a 2-tuple"),
+    "no_steps": ({"steps": None}, "steps must be a list, not None"),
+    "no_inputs": ({"inputs": None}, "inputs must be a list, not None"),
+    "int_xcorr_nodes": (
+        {"x_corr": {(1, 0): 5}}, "x_corr of 1,0 is 5, not a collection of nodes"
+    ),
+    "xcorr_list": ({"x_corr": [(1, 0)]}, "x_corr must be a dict, not [(1, 0)]"),
+    "int_zcorr_target": ({"z_corr": {5: ()}}, "node 5 is not an (x, y) int pair"),
 }
 
 

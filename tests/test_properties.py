@@ -36,6 +36,7 @@ from helpers import (
     labeled_tensor,
     random_state,
     random_unitary,
+    reference_estimate,
     traced_widths,
 )
 
@@ -129,6 +130,15 @@ def _valid_params(draw):
 @example(ExperimentParams(y0_dark=1e-7), 20000.0)
 @example(ExperimentParams(eps_fail=1e-300, successes=10**30), 0.0)
 def test_estimate_returns_a_row_or_raises_estimation_error(params, length):
+    def outcome(compute):
+        try:
+            row = compute(length, params)
+        except Exception as exc:  # the reference's type and message, whatever it raises
+            return type(exc), str(exc)
+        return [repr(value) for value in vars(row).values()]
+
+    # the bits, the errors and their order of the reference
+    assert outcome(estimate) == outcome(reference_estimate)
     try:
         row = estimate(length, params)
     except EstimationError:

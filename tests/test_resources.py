@@ -17,12 +17,9 @@ from blindprep.errors import EstimationError, InputError
 from blindprep.resources import (
     ExperimentParams,
     ResourceRow,
-    efficiency,
+    _count,
+    _per_second,
     estimate,
-    gain,
-    p1_asymptotic,
-    p1_lower_bound,
-    pulses_needed,
     repetition_factor,
     sweep,
     transmittance,
@@ -134,33 +131,71 @@ def test_transmittance_matches_oracle(length):
     assert transmittance(length, p) == pytest.approx(ORACLE[length][0], rel=1e-12)
 
 
+def _mp_p1_lower(t, p):
+    """The weak+vacuum decoy bound at transmittance t, in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        t, y0, mu, nu1 = (mp.mpf(x) for x in (t, p.y0_dark, p.mu, p.nu1))
+
+        def gain(x):
+            return y0 + 1 - mp.exp(-x * t)
+
+        y1 = mu / (mu * nu1 - nu1**2) * (
+            gain(nu1) * mp.exp(nu1)
+            - gain(mu) * mp.exp(mu) * nu1**2 / mu**2
+            - (mu**2 - nu1**2) / mu**2 * y0
+        )
+        return y1 * mu * mp.exp(-mu) / gain(mu)
+
+
+def _mp_pulses(t, p1, p):
+    """The unceiled direct pulse count at transmittance t and fraction p1, in
+    40-digit mpmath, checked to sit well away from an integer."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = mp.mpf(p.successes)
+        raw = (s / mp.mpf(t)) * mp.log(mp.mpf(p.eps_fail) / s) / (
+            mp.mpf(p.p_mu) * mp.mpf(p.mu) * mp.log(1 - mp.mpf(p1))
+        )
+        assert 0.01 < raw - mp.floor(raw) < 0.99
+        return int(mp.ceil(raw))
+
+
 def test_gain_is_dark_yield_plus_detection():
+    # Q_x = Y0 + 1 - exp(-x T) has no CSV column; it feeds p1_lower
     p = ExperimentParams(y0_dark=0.01)
-    t = 0.045
-    assert gain(t, p.mu, p) == pytest.approx(0.01 + 1 - math.exp(-p.mu * t), rel=1e-15)
+    row = estimate(0.0, p)
+    assert row.p1_lower == pytest.approx(float(_mp_p1_lower(row.t, p)), rel=1e-12)
 
 
 @pytest.mark.parametrize("length", sorted(ORACLE))
 def test_single_photon_bounds_match_oracle(length):
+    # the asymptotic fraction has no CSV column; it feeds n_asym
     p = ExperimentParams()
-    t = transmittance(length, p)
-    assert p1_lower_bound(t, p) == pytest.approx(ORACLE[length][1], rel=1e-12)
-    assert p1_asymptotic(t, p) == pytest.approx(ORACLE[length][2], rel=1e-12)
+    row = estimate(length, p)
+    assert row.p1_lower == pytest.approx(ORACLE[length][1], rel=1e-12)
+    assert row.n_asym == _mp_pulses(row.t, ORACLE[length][2], p)
 
 
 def test_asymptotic_dominates_the_lower_bound():
+    # a larger single-photon fraction needs fewer pulses
     p = ExperimentParams()
     for length in sorted(ORACLE):
-        t = transmittance(length, p)
-        assert p1_asymptotic(t, p) > p1_lower_bound(t, p)
+        row = estimate(length, p)
+        assert row.n_asym < row.n_direct
 
 
 def test_asymptotic_fraction_at_unit_transmittance():
     # with Y0 = 0 and T = 1 the fraction reduces to mu e^-mu / (1 - e^-mu)
-    p = ExperimentParams()
-    expect = p.mu * math.exp(-p.mu) / (1.0 - math.exp(-p.mu))
-    assert p1_asymptotic(1.0, p) == pytest.approx(expect, rel=1e-15)
-    assert p1_asymptotic(1.0, p) == pytest.approx(0.72982152909652248, rel=1e-12)
+    mp = pytest.importorskip("mpmath")
+    p = ExperimentParams(t_source=1.0, eta_det=1.0)
+    row = estimate(0.0, p)
+    assert row.t == 1.0
+    with mp.workdps(40):
+        mu = mp.mpf(p.mu)
+        p1_inf = mu * mp.exp(-mu) / (1 - mp.exp(-mu))
+    assert float(p1_inf) == pytest.approx(0.72982152909652248, rel=1e-12)
+    assert row.n_asym == _mp_pulses(1.0, p1_inf, p)
 
 
 def test_repetition_factor_matches_oracle():
@@ -198,8 +233,8 @@ def test_coded_block_overhead_is_linear_in_c():
 
 
 def test_efficiency_guards_positive_pulses():
-    with pytest.raises(EstimationError):
-        efficiency(0, ExperimentParams())
+    with pytest.raises(EstimationError, match="positive pulse count"):
+        _per_second(0, ExperimentParams()._priced.rate)
 
 
 @pytest.mark.parametrize(
@@ -217,9 +252,9 @@ def test_huge_success_counts_raise_estimation_error(successes):
 
 
 def test_pulses_needed_rejects_nonsense():
-    p = ExperimentParams()
-    with pytest.raises(EstimationError):
-        pulses_needed(0.045, 0.5, p, -1e12)  # forced negative budget
+    for raw in (-1e12, 0.0, math.inf, math.nan):  # -1e12: a forced negative budget
+        with pytest.raises(EstimationError, match="non-physical"):
+            _count(raw)
 
 
 # --------------------------------------------------------------- degeneracy ----
@@ -232,20 +267,18 @@ OPAQUE_KM = 20000.0
 
 def test_opaque_channel_raises():
     p = ExperimentParams()
-    t = transmittance(OPAQUE_KM, p)
-    assert t == 0.0
-    with pytest.raises(EstimationError, match="opaque"):
-        p1_lower_bound(t, p)
-    with pytest.raises(EstimationError, match="opaque"):
-        p1_asymptotic(t, p)
+    assert transmittance(OPAQUE_KM, p) == 0.0
+    with pytest.raises(EstimationError, match="^no detected signal events at T = 0: channel is "):
+        estimate(OPAQUE_KM, p)
 
 
 def test_dark_counts_alone_still_give_a_bound():
     # an opaque fiber with a dark-count floor still detects *something*,
-    # and the bound stays meaningful rather than dividing by zero
+    # and both bounds stay meaningful rather than dividing by zero: the
+    # estimate fails only at the T <= 0 check, which comes after them
     p = ExperimentParams(y0_dark=1e-5)
-    p1 = p1_lower_bound(transmittance(OPAQUE_KM, p), p)
-    assert 0.0 < p1 < 1.0
+    with pytest.raises(EstimationError, match=r"^transmittance is 0\.0: channel is opaque$"):
+        estimate(OPAQUE_KM, p)
 
 
 def test_repetition_factor_once_one_minus_e_to_the_s_rounds_to_one():
@@ -274,15 +307,15 @@ def test_underflowing_inputs_raise_estimation_error(fields, length):
 
 
 def test_pulse_count_survives_an_underflowing_eps_over_s():
-    # eps_fail / S = 1e-330 underflows to 0 in floats
+    # eps_fail / S = 1e-330 underflows to 0 in floats; e = 1e-35 keeps k finite
     mp = pytest.importorskip("mpmath")
-    p = ExperimentParams(eps_fail=1e-300, successes=10**30)
-    t, p1 = 0.045, 0.5
+    p = ExperimentParams(eps_fail=1e-300, successes=10**30, err_rate=1e-35)
+    row = estimate(0.0, p)
     with mp.workdps(50):
-        want = (p.successes / mp.mpf(t)) * mp.log(mp.mpf("1e-330")) / (
-            mp.mpf(p.p_mu) * mp.mpf(p.mu) * mp.log(1 - mp.mpf(p1))
+        want = (p.successes / mp.mpf(row.t)) * mp.log(mp.mpf("1e-330")) / (
+            mp.mpf(p.p_mu) * mp.mpf(p.mu) * mp.log(1 - mp.mpf(row.p1_lower))
         )
-    assert pulses_needed(t, p1, p, 0.0) == pytest.approx(float(want), rel=1e-12)
+    assert row.n_direct == pytest.approx(float(want), rel=1e-12)
 
 
 def test_sweep_marks_failed_rows_and_keeps_good_ones():
@@ -307,6 +340,8 @@ REFERENCE_PARAMS = {
     "defaults": {},
     "dark_yield": {"y0_dark": 1e-7},
     "tiny_intensities": {"mu": 1e-150, "nu1": 1e-151},  # p1 leaves (0, 1)
+    # e^-mu rounds to 1, so at 0.1 km p1 passes while p1_inf rounds to 1
+    "asymptotic_fraction_rounds_to_one": {"mu": 1e-18, "nu1": 5e-19},
     # eps / S underflows to 0 (the log-difference path); k stays finite
     "eps_over_s_underflows": {"eps_fail": 1e-300, "successes": 10**30, "err_rate": 1e-35},
     # as above, but (1 - e)^S underflows and k raises after the pulse counts
@@ -350,6 +385,7 @@ def test_reference_grid_reaches_every_error():
         "no detected signal events",  # opaque channel
         "intensities mu",  # the decoy guard
         "single-photon bound left",  # p1 outside (0, 1)
+        "asymptotic single-photon fraction left",  # p1_inf outside (0, 1)
         "transmittance is",  # dark counts pass the bound, but T = 0
         "error rate",  # e^2 underflows
         "repetition factor overflows",  # k overflows
