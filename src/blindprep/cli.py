@@ -342,13 +342,21 @@ def cmd_resources(args) -> int:
     lengths = [args.lmin + i * args.step for i in range(count)]
 
     lines = [CSV_HEADER]
+    k = k_cell = None  # the last row's k and its cell
     for length, row, err in rs.sweep(lengths, params):
         if row is None:
             print(f"warning: L = {length} km: {err}", file=sys.stderr)
             lines.append(",".join([repr(length)] + ["NA"] * CSV_HEADER.count(",")))
             continue
-        # every field is a Python int or float, whose repr is its cell
-        lines.append(",".join(map(repr, vars(row).values())))
+        # every field is a Python int or float, whose repr is its cell; k is the
+        # one float every row of a sweep shares, rendered again only for another
+        if row.k is not k:
+            k, k_cell = row.k, repr(row.k)
+        lines.append(
+            f"{row.length_km!r},{row.t!r},{row.p1_lower!r},{row.n_coded!r},{row.n_direct!r},"
+            f"{k_cell},{row.k_n_direct!r},{row.n_asym!r},{row.e_coded!r},{row.e_direct_k!r},"
+            f"{row.e_asym!r}"
+        )
     text = "\n".join(lines) + "\n"
 
     if args.out:

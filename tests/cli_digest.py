@@ -1,4 +1,4 @@
-"""One sha256 over the CLI's stdout and exit codes for a fixed list of 82 runs.
+"""One sha256 over the CLI's stdout and exit codes for a fixed list of 83 runs.
 
 Run as `python3 tests/cli_digest.py` from the repository root. Two checkouts
 whose CLI behaves byte for byte the same print the same digest, so the digest
@@ -84,6 +84,8 @@ USAGE_ERRORS = [
     ["correct", "--pauli", "X", "--pos", "8"],
     ["blindness", "--paths", "0"],
     ["resources", "--step", "0"],
+    # a config key that is not in CONFIG_KEYS
+    ["resources", "--config", "tests/unknown_key.cfg"],
 ]
 
 # CNOTs too wide to certify, each refused with exit 1 and no stdout: the

@@ -130,6 +130,98 @@ MUTANTS = [
         "tests/test_mbqc.py::test_an_unregistered_wire_is_one_input_error",
         "a wire key never registered must be one InputError",
     ),
+    (
+        "cli.py",
+        "if row.k is not k:",
+        "if k is None:",
+        "tests/test_cli.py::test_each_line_prints_its_own_rows_k",
+        "a row whose k is another float must print its own k, not the first row's",
+    ),
+    (
+        "cli.py",
+        "{row.n_asym!r},{row.e_coded!r}",
+        "{row.e_coded!r},{row.n_asym!r}",
+        "tests/test_cli.py::test_each_line_is_the_repr_of_each_field_of_its_row",
+        "each cell must be its field's repr, in CSV_HEADER order",
+    ),
+    (
+        "steane.py",
+        "(_PLUS_L, zip(data, anc), None)",
+        "(_PLUS_L, zip(anc, data), None)",
+        "tests/test_steane.py",
+        "the bit round's CNOTs run from the data onto the |+>_L ancilla, not back",
+    ),
+    (
+        "mbqc.py",
+        'x_corr={w["carrier"]: w["a"] for w in wires},',
+        'x_corr={w["carrier"]: w["a"] ^ {w["input"]} for w in wires},',
+        "tests/test_mbqc.py::test_hadamard_pattern_all_branches",
+        "a built pattern's X correction must follow its wire's frame",
+    ),
+    (
+        "statevector.py",
+        "branch *= 1.0 / math.sqrt(prob)",
+        "pass",
+        "tests/test_properties.py::test_kernel_chains_return_normalized_read_only_values",
+        "a measurement must renormalize its residual",
+    ),
+    (
+        "statevector.py",
+        """    amps.setflags(write=False)
+    out = PureState.__new__(PureState)""",
+        "    out = PureState.__new__(PureState)",
+        "tests/test_properties.py::test_kernel_chains_return_normalized_read_only_values",
+        "a kernel's output state must be read-only",
+    ),
+    (
+        "statevector.py",
+        'd["labels"] = labels',
+        'd["labels"] = list(labels)',
+        "tests/test_properties.py::test_kernel_chains_return_normalized_read_only_values",
+        "a kernel's output state must keep its labels as a tuple",
+    ),
+    (
+        "statevector.py",
+        "idx = _contract(CNOT, idx, [c, t])",
+        "idx = _contract(CNOT, idx, [t, c])",
+        "tests/test_statevector.py::test_apply_cnots_matches_sequential_cnot_gates_bit_for_bit",
+        "a CNOT run's gather index must move amplitudes as the CNOT gates do",
+    ),
+    (
+        "blindness.py",
+        "return 0.5 * total",
+        "return 0.0",
+        "tests/test_blindness.py::test_tv_distance_basics",
+        "the TV distance between two different distributions is not 0",
+    ),
+    (
+        "blindness.py",
+        "coverage.append(sum(dist.values()))",
+        "coverage.append(1.0)",
+        "tests/test_blindness.py::test_preparation_blindness_sampled_runs",
+        "a sampled report's coverage is the mass of the words it saw, not 1",
+    ),
+    (
+        "mbqc.py",
+        "if (deps & bits).bit_count() & 1:",
+        "if False:",
+        "tests/test_mbqc.py::test_rot_basis_sign_follows_parity",
+        "a rot angle must be negated when its deps have odd parity",
+    ),
+    (
+        "mbqc.py",
+        "word = ((word >> (m - 1 - dead)) + 1) << (m - 1 - dead)",
+        "word += 1",
+        "tests/test_mbqc.py::test_enumerate_skips_every_word_below_an_impossible_bit",
+        "the walk must skip every word below an impossible bit",
+    ),
+    (
+        "statevector.py",
+        "if prob < _DEGENERATE_TOL:",
+        "if False:",
+        "tests/test_mbqc.py::test_enumerate_prunes_deterministic_branches",
+        "a forced outcome of zero probability must be pruned, not renormalized",
+    ),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blindprep.cli as cli
+import blindprep.resources as rs
 from blindprep.cli import CONFIG_KEYS, CSV_HEADER, load_config, main
 from blindprep.errors import ContractViolation, InputError
 from blindprep.resources import ExperimentParams, estimate
@@ -360,6 +362,67 @@ def test_resource_row_fields_are_the_csv_columns():
     row = estimate(50.0, ExperimentParams())
     assert len(vars(row)) == CSV_HEADER.count(",") + 1
     assert all(type(v) in (int, float) for v in vars(row).values())
+
+
+def _sweep_returning(monkeypatch, rows):
+    """Make rs.sweep return rows, or, when rows is None, record what it returns."""
+    real, returned = rs.sweep, []
+
+    def sweep(lengths, params):
+        returned.extend(real(lengths, params) if rows is None else rows)
+        return returned
+
+    monkeypatch.setattr(rs, "sweep", sweep)
+    return returned
+
+
+def _row_line(length, row):
+    """A CSV line as a row's repr cells, or an NA row, as the CLI writes them."""
+    if row is None:
+        return ",".join([repr(length)] + ["NA"] * 10)
+    return ",".join(map(repr, vars(row).values()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lmax", "200", "--step", "0.1"],  # the 2 001 rows of the benchmark's sweep
+        ["--config", str(Path(__file__).with_name("sweep.cfg")), "--lmax", "20000",
+         "--step", "2500"],  # rows past 10 000 km are NA
+    ],
+    ids=["default_2001_rows", "sweep_cfg"],
+)
+def test_each_line_is_the_repr_of_each_field_of_its_row(capsys, monkeypatch, argv):
+    returned = _sweep_returning(monkeypatch, None)
+    code, out, _ = run_cli(capsys, "resources", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER and len(returned) in (2001, 9)
+    assert any(row is None for _, row, _ in returned) == ("--config" in argv)
+    assert lines[1:] == [_row_line(length, row) for length, row, _ in returned]
+
+
+def test_each_line_prints_its_own_rows_k(capsys, monkeypatch):
+    # k is rendered once per float object: rows that hold distinct objects,
+    # equal in value or not, each print their own k
+    base = estimate(50.0, ExperimentParams())
+    ks = [float(text) for text in ("2.5", "2.5", "0.1", "3e+20", "2.5")]
+    rows = [(50.0, dataclasses.replace(base, k=k), None) for k in ks]
+    _sweep_returning(monkeypatch, rows)
+    code, out, _ = run_cli(capsys, "resources")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert [line.split(",")[5] for line in lines] == [repr(k) for k in ks]
+    assert lines == [_row_line(length, row) for length, row, _ in rows]
+
+
+def test_k_is_printed_on_the_first_row_after_na_rows(capsys, monkeypatch):
+    rows = [(length, None, "no detected signal events") for length in (1.0, 2.0)]
+    rows += [(length, estimate(length, ExperimentParams()), None) for length in (3.0, 4.0)]
+    _sweep_returning(monkeypatch, rows)
+    code, out, err = run_cli(capsys, "resources")
+    assert code == 0 and err.count("warning: ") == 2
+    assert out.splitlines()[1:] == [_row_line(length, row) for length, row, _ in rows]
 
 
 def test_resources_csv_byte_identical_across_runs(capsys, tmp_path):

@@ -899,6 +899,28 @@ def test_enumerate_prunes_deterministic_branches():
     assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_enumerate_skips_every_word_below_an_impossible_bit(monkeypatch):
+    # an isolated |0> measured in Z first, then three X measurements along a
+    # chain: its outcome 1 is impossible, so the walk runs the 8 words below
+    # outcome 0 and one word below outcome 1, never the other 7
+    chain = [(x, 0) for x in range(1, 5)]
+    p = MeasurementPattern(
+        [(0, 0)], [(4, 0)], [((0, 0), None, ())] + [(node, 0.0, ()) for node in chain[:-1]],
+        list(zip(chain, chain[1:])), {}, {(4, 0): frozenset()},
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_pattern(*args)
+
+    monkeypatch.setattr(mbqc, "run_pattern", counted)
+    branches = list(enumerate_branches(p, {(0, 0): np.array([1.0, 0.0], dtype=complex)}))
+    assert [b[0][0] for b in branches] == [0] * 8
+    assert [b[0][1:] for b in branches] == [list(w) for w in itertools.product((0, 1), repeat=3)]
+    assert len(calls) == 9
+
+
 def _x_chain(m):
     """A one-wire pattern of m X measurements."""
     b = PatternBuilder()
