@@ -12,7 +12,8 @@ Design notes:
   |+/-_delta> = (|0> +/- e^{i delta} |1>)/sqrt(2). Outcome 0 always means
   collapse onto |0> or the + ("plus") branch.
 - Outcomes are drawn through an OutcomeSource so the same code path serves
-  seeded Born sampling and forced-branch enumeration.
+  seeded Born sampling and forced-branch enumeration. BornSampler draws 64 uniforms
+  at a time, the stream of one draw per outcome: its rng runs up to 63 draws ahead.
 - States are compared with global-phase-insensitive fidelity; nothing in
   this package should ever assert on a global phase.
 - A state is an immutable value whose norm PureState checks once, where it is
@@ -30,7 +31,7 @@ kernel builds, and checks, once per run. That index is also the only source of d
 mbqc scatters a CNOT's 1s at it, and steane gathers the encoder's H layer by it. A
 measurement works in place on copies of the measured qubit's two halves (see measure). An
 in-place scale takes a view on the first or last axis, else a where= mask: a ufunc over an
-interior view copies the array.
+interior view copies the array. measure folds a last-axis CZ partner through the view itself.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-14
 _INV_SQRT2 = 1.0 / math.sqrt(2)
+_DRAWS = 64  # uniforms a BornSampler draws at once: 512 B
 
 Label = object  # any hashable
 
@@ -119,13 +121,17 @@ def rz(phi: float) -> Gate:
 
 
 class BornSampler:
-    """Samples outcomes by the Born rule from a generator seeded with an int."""
+    """Samples outcomes by the Born rule from a generator seeded with an int, _DRAWS uniforms at
+    a time: the doubles of one rng.random() per outcome, in order, so rng may run ahead."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
+        self._draws: list = []  # the block's unused uniforms, the next one last
 
     def choose(self, p0: float, p1: float) -> int:
-        return 0 if self.rng.random() < p0 else 1
+        if not self._draws:
+            self._draws = self.rng.random(_DRAWS).tolist()[::-1]
+        return 0 if self._draws.pop() < p0 else 1
 
 
 class ForcedBranch:
@@ -326,8 +332,8 @@ def measure(
 
     CZ only negates the amplitudes where both of its qubits are 1, so each
     partner's CZ is applied in place to the |1> half, with the same bits as
-    apply_gate with CZ per partner first, by _scale (a view on the last axis,
-    where run_pattern puts most partners). p0 + p1 must be 1 within _NORM_TOL:
+    apply_gate with CZ per partner first: through a view on the last axis, where
+    run_pattern puts most partners, else by _scale. p0 + p1 must be 1 within _NORM_TOL:
     the one norm check made at run time, at every measurement.
 
     The residual is one of the two half-size copies the call takes from s and
@@ -342,7 +348,12 @@ def measure(
     a0 = s.amps.take(0, axis=ax)
     a1 = s.amps.take(1, axis=ax)
     for at in cz:
-        _scale(a1, [(at, 1)], _CZ_SIGN)
+        if at == a1.ndim - 1:
+            half = a1.reshape(-1, 2)[:, 1]  # _scale's last-axis view, without its picks
+            np.multiply(half, _CZ_SIGN, out=half)
+            del half  # a live view would keep a1's old half through the M(delta) rebind
+        else:
+            _scale(a1, [(at, 1)], _CZ_SIGN)
     # numpy divides a complex array by a real s as a product with 1/s, so
     # the products below give the same bits without the complex division;
     # each keeps the operand order, since c * x and x * c round differently

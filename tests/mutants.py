@@ -222,6 +222,49 @@ MUTANTS = [
         "tests/test_mbqc.py::test_enumerate_prunes_deterministic_branches",
         "a forced outcome of zero probability must be pruned, not renormalized",
     ),
+    (
+        "statevector.py",
+        "if not self._draws:",
+        "if len(self._draws) < 2:",
+        "tests/test_statevector.py::test_born_sampler_hands_out_its_generator_stream_in_order",
+        "a block sampler must hand out every draw of its block, the last one too",
+    ),
+    (
+        "statevector.py",
+        "half = a1.reshape(-1, 2)[:, 1]",
+        "half = a1.reshape(-1, 2)[:, 0]",
+        "tests/test_statevector.py::test_measure_keeps_the_reference_bits",
+        "a last-axis CZ partner negates the |1> half of its axis, not the |0> half",
+    ),
+    (
+        "statevector.py",
+        "half = a1.reshape(-1, 2)[:, 1]",
+        "half = a0.reshape(-1, 2)[:, 1]",
+        "tests/test_statevector.py::test_measure_keeps_the_reference_bits",
+        "a CZ partner is folded into the measured qubit's |1> half, not its |0> half",
+    ),
+    (
+        "statevector.py",
+        "np.multiply(half, _CZ_SIGN, out=half)",
+        "np.negative(half, out=half)",
+        "tests/test_statevector.py::test_measure_keeps_the_reference_bits_of_signed_zeros",
+        "a negation flips the sign of a zero that the product with -1 keeps",
+    ),
+    (
+        "statevector.py",
+        "return Slots(np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1)).reshape((2,) * n))",
+        "return Slots((a.amps.reshape(-1, 1) * b.amps if b is PLUS else"
+        " np.dot(a.amps.reshape(-1, 1), b.amps.reshape(1, -1))).reshape((2,) * n))",
+        "tests/test_statevector.py::test_tensor_keeps_the_reference_bits_of_signed_zeros",
+        "a broadcast product with |+> gives a zero the other sign from np.dot's",
+    ),
+    (
+        "mbqc.py",
+        "yield run_pattern(p, inputs, sv.BornSampler(seed + i))",
+        "yield run_pattern(p, inputs, sv.BornSampler(seed + i + 1))",
+        "tests/test_mbqc.py::test_runs_with_paths_replays_seeded_run_pattern",
+        "sampled run i is seeded seed + i, so run 0 replays run_pattern at seed",
+    ),
 ]
 
 

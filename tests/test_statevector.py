@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blindprep import mbqc, steane
 from blindprep import statevector as sv
 from blindprep.errors import (
     ContractViolation,
@@ -582,12 +583,11 @@ def test_measure_folds_a_partner_on_each_axis_of_the_half_bit_for_bit(n):
                     assert (got[2].amps + 0.0).tobytes() == (want[2].amps + 0.0).tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, 15))
-def test_measure_keeps_the_reference_bits(n):
-    # partners on each kind of axis of the half, Z and M(delta), both outcomes;
-    # the kernel takes each partner's axis in the residual, one less past q
-    rng = np.random.default_rng(400 + n)
-    s = random_state(rng, n)
+def _assert_measure_keeps_the_reference_bits(s):
+    """measure against reference_measure on s, byte for byte: partners on each
+    kind of axis of the half, Z and M(delta), both outcomes; the kernel takes
+    each partner's axis in the residual, one less past q."""
+    n = s.n
     for q in sorted({0, n // 2, n - 1}):
         first, interior, last = _half_axes(n, q) if n > 1 else (None, None, None)
         partner_sets = {(), (first,), (interior,), (last,), (first, interior, last)}
@@ -600,7 +600,12 @@ def test_measure_keeps_the_reference_bits(n):
                     want = reference_measure(s, q, delta, sv.ForcedBranch([outcome]), cz)
                     assert got[:2] == want[:2], (q, cz, delta)
                     assert got[2].n == want[2].n == n - 1
-                    assert got[2].amps.tobytes() == want[2].amps.tobytes()
+                    assert got[2].amps.tobytes() == want[2].amps.tobytes(), (q, cz, delta)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_measure_keeps_the_reference_bits(n):
+    _assert_measure_keeps_the_reference_bits(random_state(np.random.default_rng(400 + n), n))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -613,6 +618,49 @@ def test_tensor_keeps_the_reference_bits(n):
         assert got.n == want.n == n + k
         assert got.amps.shape == want.amps.shape
         assert got.amps.tobytes() == want.amps.tobytes()
+
+
+def _signed_zero_state(rng, n):
+    """A random n-qubit state in which about half of the real parts and half of
+    the imaginary parts are +0.0 or -0.0, each sign as likely; the first and
+    last amplitudes keep a real part, so both halves of every axis are non-zero.
+    Each part is scaled as a float, since a complex product can flip a zero's sign."""
+    re, im = rng.normal(size=2**n), rng.normal(size=2**n)
+    for part in (re, im):
+        zero = rng.random(2**n) < 0.5
+        part[zero] = np.where(rng.random(2**n) < 0.5, 0.0, -0.0)[zero]
+    re[[0, -1]] = rng.uniform(0.5, 1.0, size=2)
+    norm = math.sqrt(float(np.sum(re * re + im * im)))
+    v = np.empty(2**n, dtype=complex)
+    v.real, v.imag = re / norm, im / norm
+    return sv.PureState(v.reshape((2,) * n), list(range(n)))
+
+
+def test_signed_zero_states_hold_both_zeros_in_both_parts():
+    v = _signed_zero_state(np.random.default_rng(0), 6).amps.reshape(-1)
+    for part in (v.real, v.imag):
+        assert (np.signbit(part) & (part == 0)).any() and (~np.signbit(part) & (part == 0)).any()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tensor_keeps_the_reference_bits_of_signed_zeros(n):
+    # tobytes tells -0.0 from +0.0, which np.array_equal does not; a broadcast
+    # product with |+> differs from the kernel's np.dot there
+    rng = np.random.default_rng(600 + n)
+    a = _signed_zero_state(rng, n)
+    others = [_signed_zero_state(rng, k) for k in (1, 3)]
+    others = [sv._state(b.amps, tuple(("b", i) for i in range(b.n))) for b in others]
+    for b in [sv.PLUS, sv.ZERO] + others:
+        for x, y in ((a, b), (b, a)):
+            got, want = sv.tensor(x, y), reference_tensor(x, y)
+            assert got.amps.shape == want.amps.shape
+            assert got.amps.tobytes() == want.amps.tobytes(), (n, b.n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_measure_keeps_the_reference_bits_of_signed_zeros(n):
+    # no + 0.0 merges the zeros here, as it does in the formula tests above
+    _assert_measure_keeps_the_reference_bits(_signed_zero_state(np.random.default_rng(700 + n), n))
 
 
 @pytest.mark.parametrize("delta, halves", [(None, 2), (0.0, 3), (0.7, 3)])
@@ -671,6 +719,57 @@ def test_born_sampler_reproducible():
 
     assert run(123) == run(123)
     assert run(123) != run(124)  # astronomically unlikely to collide
+
+
+class _OneDrawSampler:
+    """The Born sampler as one rng.random() per outcome: the stream BornSampler keeps."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def choose(self, p0, p1):
+        return 0 if self.rng.random() < p0 else 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129, 200])
+def test_born_sampler_hands_out_its_generator_stream_in_order(seed, count):
+    # each p0 sits one ulp above or below its uniform, so a draw dropped,
+    # repeated or taken out of order flips an outcome
+    draws = np.random.default_rng(seed).random(count).tolist()
+    below = (np.random.default_rng(100 + seed).random(count) < 0.5).tolist()
+    p0s = [math.nextafter(u, -math.inf if b else math.inf) for u, b in zip(draws, below)]
+    src = sv.BornSampler(seed)
+    got = [src.choose(p0, 1.0 - p0) for p0 in p0s]
+    assert got == [0 if u < p0 else 1 for u, p0 in zip(draws, p0s)] == [int(b) for b in below]
+
+
+def _shared_runs(src, p):
+    """Two encoder runs on one outcome source, its 324 draws crossing blocks."""
+    data_in = {p.inputs[steane.DATA_WIRE - 1]: sv.new_plus_theta(0.3)}
+    return [mbqc.run_pattern(p, data_in, src) for _ in range(2)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_sampler_shared_across_runs_gives_the_words_of_one_draw_per_outcome(seed):
+    p = steane.compile_encoder()
+    got, want = _shared_runs(sv.BornSampler(seed), p), _shared_runs(_OneDrawSampler(seed), p)
+    assert got[0][1].branch_word() != got[1][1].branch_word()
+    for (state, transcript, _), (ref_state, ref_transcript, _) in zip(got, want):
+        assert transcript.branch_word() == ref_transcript.branch_word()
+        assert state.amps.tobytes() == ref_state.amps.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_syndrome_rounds_sharing_a_sampler_give_the_words_of_one_draw_per_outcome(seed):
+    # extract_syndrome shares its source across its 14 readouts; five calls
+    # share one here, 70 draws, so the words cross a block
+    def words(src):
+        block = steane.logical_plus_theta(0.3)
+        results = [steane.extract_syndrome(block, src)[0] for _ in range(5)]
+        return [(r.bit_word, r.phase_word) for r in results]
+
+    assert words(sv.BornSampler(seed)) == words(_OneDrawSampler(seed))
 
 
 # --------------------------------------------------------- partial trace
